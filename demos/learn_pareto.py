@@ -34,7 +34,7 @@ def main() -> None:
     print(f"\nunknown scale: shape_hat = {est.shape_hat:.4f}, "
           f"scale_hat = {est.scale_hat:.4f}")
     print(f"  tail kept: {est.tail_count} of {data.n} samples, "
-          f"fine stage via {est.route}")
+          f"fine stage via {est.route.value}")
     print(f"  scale recovered within x{est.scale_hat / MODEL.scale_xm:.4f} "
           "of truth (the pivot sits on a doubling grid, so the recovered "
           "scale can run up to one grid step, a factor of 2, above the "

@@ -18,7 +18,7 @@ def main() -> None:
     print("TV distance from Exp(1.0) as the other rate moves")
     print(f"{'rate':>8}  {'crossing':>9}  {'tv':>10}")
     for rho in [1.01, 1.1, 1.25, 1.5, 2.0, 4.0, 10.0, 100.0]:
-        x = exp_tv_crossing(1.0, rho).crossing_a
+        x = exp_tv_crossing(1.0, rho)
         print(f"{rho:8.2f}  {x:9.4f}  {exp_tv(1.0, rho):10.6f}")
 
     # separation_T(r) is the TV between rates one factor r apart; a factor

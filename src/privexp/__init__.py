@@ -16,11 +16,10 @@ from .dataset import Dataset, RateBounds
 from .distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossing,
                             pareto_kl_equal_scale, pareto_tv_bound, sample,
                             separation_T)
-from .errors import (BadSplit, BudgetExhausted, CoarseFailed,
-                     DegenerateBounds, EmptyDataset, EmptyRequest, EmptyTail,
-                     IncompleteInputs, InputError, InvalidRate, InvalidRatio,
-                     InvalidScale, InvalidShape, NoBinSurvived,
-                     NonpositiveMean, OutOfRegime, PrivexpError,
+from .errors import (BadSplit, BudgetExhausted, CoarseFailed, EmptyDataset,
+                     EmptyRequest, EmptyTail, IncompleteInputs, InputError,
+                     InvalidRate, InvalidRatio, InvalidScale, InvalidShape,
+                     NoBinSurvived, NonpositiveMean, OutOfRegime, PrivexpError,
                      RangeEstimationFailed, RegimeViolation, ScaleViolation,
                      SearchExhausted, TooFewSamples)
 from .harness import (ExperimentSpec, ExperimentSummary, Learner, TrialRecord,
@@ -31,7 +30,7 @@ from .learners import (Estimate, LearnerConfig, Route, best_of_both,
 from .pareto import (DEFAULT_TAIL_QUANTILE, ParetoEstimate, learn_pareto,
                      learn_pareto_known_scale, log_transform, recover_scale)
 from .privacy import (NoiseScale, PrivacyBudget, RngStream,
-                      noisy_fraction_below, sample_laplace, split_budget)
+                      noisy_fraction_below, sample_laplace)
 from .quantile import QuantileResult, clipping_range, svt_grid, svt_quantile
 
 __version__ = "0.1.0"
@@ -40,7 +39,7 @@ __all__ = [
     "__version__",
     # privacy primitives
     "PrivacyBudget", "RngStream", "NoiseScale", "sample_laplace",
-    "noisy_fraction_below", "split_budget",
+    "noisy_fraction_below",
     # data and models
     "Dataset", "RateBounds", "ExpModel", "ParetoModel", "sample",
     # exact distance machinery
@@ -69,6 +68,6 @@ __all__ = [
     "BudgetExhausted", "InvalidRate", "InvalidRatio", "InvalidShape",
     "EmptyRequest", "OutOfRegime", "TooFewSamples", "NonpositiveMean",
     "RangeEstimationFailed", "SearchExhausted", "CoarseFailed",
-    "NoBinSurvived", "ScaleViolation", "EmptyTail", "DegenerateBounds",
+    "NoBinSurvived", "ScaleViolation", "EmptyTail",
     "IncompleteInputs", "RegimeViolation", "InputError",
 ]

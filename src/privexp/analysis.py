@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import RateBounds
-from .errors import DegenerateBounds, IncompleteInputs, OutOfRegime, RegimeViolation
+from .errors import IncompleteInputs, OutOfRegime, RegimeViolation
 from .pareto import DEFAULT_TAIL_QUANTILE
 
 __all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
@@ -72,13 +72,7 @@ def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
 
 
 def _as_bounds(bounds) -> RateBounds:
-    if isinstance(bounds, RateBounds):
-        return bounds
-    lo, hi = bounds
-    if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-            and math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        raise DegenerateBounds(f"need 0 < lower < upper, got ({lo!r}, {hi!r})")
-    return RateBounds(float(lo), float(hi))
+    return bounds if isinstance(bounds, RateBounds) else RateBounds(*bounds)
 
 
 def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
@@ -207,6 +201,35 @@ def _pareto_value(epsilon, beta, alpha, shape, bounds, tau) -> float:
     return max(pivot, tail / (1.0 - tau))
 
 
+# Per guarantee: the value function, the inputs it takes in argument order
+# (a missing one is named in that order), and whether its constants are the
+# source's explicit ones.
+_CALCULATORS = {
+    SampleBound.SVT_QUANTILE: (
+        _svt_quantile_value, ("epsilon", "beta", "bounds"), True),
+    SampleBound.CLIPPED_MLE: (
+        _clipped_mle_value, ("epsilon", "beta", "alpha", "lam", "clip_r"), True),
+    SampleBound.MLE_LEARNING: (
+        _mle_learning_value, ("epsilon", "beta", "alpha", "lam", "bounds"), False),
+    SampleBound.QUANTILE_SEARCH: (
+        _quantile_search_value, ("epsilon", "beta", "alpha", "bounds"), True),
+    SampleBound.QUANTILE_LEARNING: (
+        _quantile_learning_value, ("epsilon", "beta", "alpha", "bounds"), False),
+    SampleBound.BEST_OF_BOTH: (
+        _best_of_both_value, ("epsilon", "beta", "alpha", "lam", "bounds"), False),
+    SampleBound.BOUNDS_FINDER: (
+        _bounds_finder_value, ("epsilon", "delta", "beta"), True),
+    SampleBound.LEARN_WITHOUT_BOUNDS: (
+        _learn_without_bounds_value, ("epsilon", "delta", "beta", "alpha", "lam"),
+        False),
+    SampleBound.PARETO_LEARNING: (
+        _pareto_value, ("epsilon", "beta", "alpha", "lam", "bounds", "tau"), False),
+    SampleBound.PACKING_LOWER_BOUND: (
+        lambda e, b, a, bounds: lower_bound_n(a, b, e, bounds),
+        ("epsilon", "beta", "alpha", "bounds"), True),
+}
+
+
 def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
                delta=None, lam=None, bounds=None, clip_r=None,
                tau=DEFAULT_TAIL_QUANTILE) -> SampleSizeReport:
@@ -214,61 +237,17 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
 
     Raises IncompleteInputs when the selected bound needs an input that was
     not provided (e.g. the clipped-MLE bound needs both lam and clip_r).
+    The report records every input given; tau only where the bound reads it.
     """
-    def need(**kwargs):
-        missing = [k for k, v in kwargs.items() if v is None]
-        if missing:
-            raise IncompleteInputs(f"{bound_id.value} needs {', '.join(missing)}")
-
+    value_of, names, exact = _CALCULATORS[bound_id]
     if bounds is not None:
         bounds = _as_bounds(bounds)
-
-    exact = True
-    if bound_id is SampleBound.SVT_QUANTILE:
-        need(epsilon=epsilon, beta=beta, bounds=bounds)
-        value = _svt_quantile_value(epsilon, beta, bounds)
-    elif bound_id is SampleBound.CLIPPED_MLE:
-        need(epsilon=epsilon, beta=beta, alpha=alpha, lam=lam, clip_r=clip_r)
-        value = _clipped_mle_value(epsilon, beta, alpha, lam, clip_r)
-    elif bound_id is SampleBound.MLE_LEARNING:
-        need(epsilon=epsilon, beta=beta, alpha=alpha, lam=lam, bounds=bounds)
-        value = _mle_learning_value(epsilon, beta, alpha, lam, bounds)
-        exact = False
-    elif bound_id is SampleBound.QUANTILE_SEARCH:
-        need(epsilon=epsilon, beta=beta, alpha=alpha, bounds=bounds)
-        value = _quantile_search_value(epsilon, beta, alpha, bounds)
-    elif bound_id is SampleBound.QUANTILE_LEARNING:
-        need(epsilon=epsilon, beta=beta, alpha=alpha, bounds=bounds)
-        value = _quantile_learning_value(epsilon, beta, alpha, bounds)
-        exact = False
-    elif bound_id is SampleBound.BEST_OF_BOTH:
-        need(epsilon=epsilon, beta=beta, alpha=alpha, lam=lam, bounds=bounds)
-        value = _best_of_both_value(epsilon, beta, alpha, lam, bounds)
-        exact = False
-    elif bound_id is SampleBound.BOUNDS_FINDER:
-        need(epsilon=epsilon, delta=delta, beta=beta)
-        value = _bounds_finder_value(epsilon, delta, beta)
-    elif bound_id is SampleBound.LEARN_WITHOUT_BOUNDS:
-        need(epsilon=epsilon, delta=delta, beta=beta, alpha=alpha, lam=lam)
-        value = _learn_without_bounds_value(epsilon, delta, beta, alpha, lam)
-        exact = False
-    elif bound_id is SampleBound.PARETO_LEARNING:
-        need(epsilon=epsilon, beta=beta, alpha=alpha, lam=lam, bounds=bounds)
-        value = _pareto_value(epsilon, beta, alpha, lam, bounds, tau)
-        exact = False
-    elif bound_id is SampleBound.PACKING_LOWER_BOUND:
-        need(epsilon=epsilon, beta=beta, alpha=alpha, bounds=bounds)
-        return SampleSizeReport(
-            bound_id, lower_bound_n(alpha, beta, epsilon, bounds),
-            {"alpha": alpha, "beta": beta, "epsilon": epsilon,
-             "bounds": bounds}, True)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown bound id {bound_id!r}")
-
-    inputs = {k: v for k, v in [("alpha", alpha), ("beta", beta),
-                                ("epsilon", epsilon), ("delta", delta),
-                                ("lam", lam), ("bounds", bounds),
-                                ("clip_r", clip_r)] if v is not None}
-    if bound_id is SampleBound.PARETO_LEARNING:
-        inputs["tau"] = tau
+    given = {"alpha": alpha, "beta": beta, "epsilon": epsilon, "delta": delta,
+             "lam": lam, "bounds": bounds, "clip_r": clip_r, "tau": tau}
+    missing = [k for k in names if given[k] is None]
+    if missing:
+        raise IncompleteInputs(f"{bound_id.value} needs {', '.join(missing)}")
+    value = value_of(*(given[k] for k in names))
+    inputs = {k: v for k, v in given.items()
+              if v is not None and (k != "tau" or k in names)}
     return SampleSizeReport(bound_id, max(1, math.ceil(value)), inputs, exact)

@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import Dataset, RateBounds
 from .errors import NoBinSurvived
 from .learners import Estimate, LearnerConfig, best_of_both
-from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace, split_budget
+from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 
 __all__ = ["DyadicHistogram", "dyadic_histogram", "find_bounds", "learn_without_bounds"]
 
@@ -90,7 +90,7 @@ def learn_without_bounds(data: Dataset, alpha: float, beta: float,
     then run the adaptive learner at (eps/2, 0) inside them."""
     if not budget.delta > 0:
         raise ValueError("learning without bounds needs delta > 0")
-    bounds_budget, learn_budget = split_budget(budget, [0.5, 0.5],
+    bounds_budget, learn_budget = budget.split([0.5, 0.5],
                                                delta_fractions=[1.0, 0.0])
     rate_bounds = find_bounds(data, bounds_budget, rng, noiseless)
     if rate_bounds is None:

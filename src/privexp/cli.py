@@ -16,7 +16,7 @@ from .analysis import SampleBound, build_packing, lower_bound_n, required_n
 from .dataset import RateBounds
 from .distributions import ExpModel, ParetoModel
 from .errors import IncompleteInputs, InputError, PrivexpError
-from .harness import (ExperimentSpec, Learner, estimate_from_file,
+from .harness import (_LEARNERS, ExperimentSpec, Learner, estimate_from_file,
                       run_experiment, run_sweep, sweep_csv, write_sample)
 from .pareto import DEFAULT_TAIL_QUANTILE
 
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="run one learner on a data file")
     est.add_argument("--in", dest="infile", required=True)
     est.add_argument("--learner", required=True,
-                     choices=[l.value for l in Learner])
+                     choices=[l.value for l in _LEARNERS])
     _add_accuracy_args(est)
     _add_budget_args(est)
     _add_bounds_args(est)
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_experiment_args(p):
         p.add_argument("--learner", required=True,
-                       choices=[l.value for l in Learner])
+                       choices=[l.value for l in _LEARNERS])
         _add_accuracy_args(p)
         _add_budget_args(p)
         _add_bounds_args(p)

@@ -21,7 +21,6 @@ from .privacy import RngStream
 __all__ = [
     "ExpModel",
     "ParetoModel",
-    "TvCrossing",
     "sample",
     "exp_tv",
     "exp_tv_crossing",
@@ -125,21 +124,15 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
     return Dataset(values)
 
 
-@dataclass(frozen=True)
-class TvCrossing:
-    """The point where two exponential densities with distinct rates meet."""
-
-    crossing_a: float
-
-
-def exp_tv_crossing(lambda1: float, lambda2: float) -> TvCrossing:
-    """Crossing point a = ln(l1/l2) / (l1 - l2) for distinct rates."""
+def exp_tv_crossing(lambda1: float, lambda2: float) -> float:
+    """Crossing point a = ln(l1/l2) / (l1 - l2), where two exponential
+    densities with distinct rates meet."""
     l1, l2 = _check_rate(lambda1), _check_rate(lambda2)
     lo, hi = min(l1, l2), max(l1, l2)
     if hi - lo < _RATE_EQ_RTOL * hi:
         raise InvalidRate("crossing point undefined for (near-)equal rates")
     d = hi - lo
-    return TvCrossing(math.log1p(d / lo) / d)
+    return math.log1p(d / lo) / d
 
 
 def exp_tv(lambda1: float, lambda2: float) -> float:

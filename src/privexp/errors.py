@@ -78,10 +78,6 @@ class EmptyTail(PrivexpError):
     """No samples remained at or above the tail pivot."""
 
 
-class DegenerateBounds(PrivexpError):
-    """Derived bounds collapsed to an empty or invalid interval."""
-
-
 class IncompleteInputs(PrivexpError):
     """A computation was missing a required input (e.g. bounds for a calculator)."""
 

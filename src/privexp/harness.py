@@ -12,18 +12,18 @@ from __future__ import annotations
 import json
 import math
 import statistics
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .analysis import SampleBound, required_n
 from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
 from .distributions import ExpModel, ParetoModel, sample
-from .errors import IncompleteInputs, InputError, PrivexpError
-from .learners import (LearnerConfig, best_of_both, mle_learning, private_mle,
-                       quantile_learning)
+from .errors import IncompleteInputs, InputError, NoBinSurvived, PrivexpError
+from .learners import (Estimate, LearnerConfig, best_of_both, mle_learning,
+                       private_mle, quantile_learning)
 from .pareto import (DEFAULT_TAIL_QUANTILE, learn_pareto,
                      learn_pareto_known_scale)
 from .privacy import PrivacyBudget, RngStream
@@ -46,19 +46,6 @@ class Learner(str, Enum):
     BOUNDS_FINDER = "bounds-finder"
     PARETO = "pareto"
     PARETO_KNOWN_SCALE = "pareto-known-scale"
-
-
-_EXP_LEARNERS = frozenset({Learner.MLE, Learner.QUANTILE, Learner.BEST_OF_BOTH})
-_PARETO_LEARNERS = frozenset({Learner.PARETO, Learner.PARETO_KNOWN_SCALE})
-
-_AUTOSIZE_BOUND = {
-    Learner.MLE: SampleBound.MLE_LEARNING,
-    Learner.QUANTILE: SampleBound.QUANTILE_LEARNING,
-    Learner.BEST_OF_BOTH: SampleBound.BEST_OF_BOTH,
-    Learner.BOUNDS_FINDER: SampleBound.BOUNDS_FINDER,
-    Learner.PARETO: SampleBound.PARETO_LEARNING,
-    Learner.PARETO_KNOWN_SCALE: SampleBound.MLE_LEARNING,
-}
 
 
 @dataclass(frozen=True)
@@ -88,12 +75,9 @@ class TrialRecord:
     route: str | None
     failure_name: str | None
     detail: dict
-    wall_time_us: int  # informational only, never serialized
 
     def to_dict(self) -> dict:
-        return {"trial_id": self.trial_id, "outcome": self.outcome,
-                "estimate": self.estimate, "route": self.route,
-                "failure_name": self.failure_name, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -130,43 +114,6 @@ class ExperimentSummary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _check_spec(spec: ExperimentSpec) -> None:
-    if spec.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {spec.trials!r}")
-    if spec.n is not None and spec.n < 1:
-        raise ValueError(f"n must be >= 1, got {spec.n!r}")
-    if spec.learner in _EXP_LEARNERS:
-        if spec.true_lambda is None:
-            raise IncompleteInputs(f"{spec.learner.value} experiment needs true_lambda")
-        if spec.bounds is None:
-            raise IncompleteInputs(f"{spec.learner.value} experiment needs bounds")
-    elif spec.learner is Learner.BOUNDS_FINDER:
-        if spec.true_lambda is None:
-            raise IncompleteInputs("bounds-finder experiment needs true_lambda")
-        if spec.delta <= 0.0:
-            raise IncompleteInputs("bounds-finder experiment needs delta > 0")
-    else:
-        if spec.true_xm is None or spec.true_shape is None:
-            raise IncompleteInputs(f"{spec.learner.value} experiment needs "
-                                   "true_xm and true_shape")
-        if spec.bounds is None:
-            raise IncompleteInputs(f"{spec.learner.value} experiment needs bounds")
-
-
-def resolve_n(spec: ExperimentSpec) -> int:
-    """Explicit n wins; otherwise size the experiment from the learner's
-    sample-size bound times the safety factor."""
-    if spec.n is not None:
-        return spec.n
-    bound_id = _AUTOSIZE_BOUND[spec.learner]
-    lam = spec.true_shape if spec.learner in _PARETO_LEARNERS else spec.true_lambda
-    report = required_n(bound_id, alpha=spec.alpha, beta=spec.beta,
-                        epsilon=spec.epsilon,
-                        delta=spec.delta if spec.delta > 0 else None,
-                        lam=lam, bounds=spec.bounds, tau=spec.tau)
-    return max(1, math.ceil(spec.safety_factor * report.n_required))
-
-
 def _config(spec: ExperimentSpec) -> LearnerConfig:
     return LearnerConfig(spec.alpha, spec.beta, spec.bounds, spec.noiseless)
 
@@ -175,74 +122,132 @@ def _in_band(value: float, center: float, alpha: float) -> bool:
     return (1.0 - alpha) * center <= value <= (1.0 + alpha) * center
 
 
-def _scale_factor_limit(spec: ExperimentSpec) -> float:
+# --- one row per learner -----------------------------------------------------
+# A run returns (estimate, route, detail) or raises a PrivexpError. Runs look
+# the learners up by name when called, so a learner rebound in this module's
+# namespace (as a tracer does) is the one that runs.
+
+def _rate(est: Estimate):
+    detail = ({} if est.coarse_estimate is None
+              else {"coarse_estimate": est.coarse_estimate})
+    return est.lambda_hat, est.route.value, detail
+
+
+def _bounds_finder(data, spec, budget, rng):
+    found = find_bounds(data, budget, rng, noiseless=spec.noiseless)
+    if found is None:
+        raise NoBinSurvived("no histogram bin cleared the release threshold")
+    return None, "bounds-finder", {"lower": found.lower, "upper": found.upper}
+
+
+def _pareto(data, spec, budget, rng):
+    est = learn_pareto(data, _config(spec), budget, rng, tau=spec.tau)
+    return (est.shape_hat, est.route.value,
+            {"scale_hat": est.scale_hat, "tail_count": est.tail_count})
+
+
+def _pareto_known_scale(data, spec, budget, rng):
+    if spec.true_xm is None:
+        raise IncompleteInputs("pareto-known-scale needs the known scale value")
+    est = learn_pareto_known_scale(data, spec.true_xm, _config(spec), budget, rng)
+    return est.shape_hat, est.route.value, {}
+
+
+def _rate_in_band(spec, estimate, detail) -> bool:
+    return _in_band(estimate, spec.true_lambda, spec.alpha)
+
+
+def _shape_in_band(spec, estimate, detail) -> bool:
+    return _in_band(estimate, spec.true_shape, spec.alpha)
+
+
+def _pareto_in_band(spec, estimate, detail) -> bool:
     # Largest tolerated multiplicative overshoot of the recovered scale.
-    return math.exp(2.0 * math.log(7.0) * (spec.alpha / spec.true_shape) * spec.tau)
+    limit = math.exp(2.0 * math.log(7.0) * (spec.alpha / spec.true_shape) * spec.tau)
+    return (_shape_in_band(spec, estimate, detail)
+            and detail["scale_hat"] / spec.true_xm <= limit)
+
+
+class _Row(NamedTuple):
+    run: Callable        # (data, spec, budget, rng)
+    score: Callable      # (spec, estimate, detail) -> in the accuracy band?
+    bound: SampleBound   # auto-sizes experiments
+    pareto: bool         # Pareto data, sized by the shape; else exponential
+    needs: tuple         # groups of ExperimentSpec fields that must be set
+    uses_delta: bool = False  # spends (epsilon, delta): needs delta > 0
+    release: Callable = lambda detail: {}  # detail -> extra CLI payload keys
+
+
+_EXP_NEEDS = (("true_lambda",), ("bounds",))
+_PARETO_NEEDS = (("true_xm", "true_shape"), ("bounds",))
+
+_LEARNERS = {
+    Learner.MLE: _Row(
+        lambda d, s, b, r: _rate(mle_learning(d, _config(s), b, r)),
+        _rate_in_band, SampleBound.MLE_LEARNING, False, _EXP_NEEDS),
+    Learner.QUANTILE: _Row(
+        lambda d, s, b, r: _rate(quantile_learning(d, _config(s), b, r)),
+        _rate_in_band, SampleBound.QUANTILE_LEARNING, False, _EXP_NEEDS),
+    Learner.BEST_OF_BOTH: _Row(
+        lambda d, s, b, r: _rate(best_of_both(d, _config(s), b, r)),
+        _rate_in_band, SampleBound.BEST_OF_BOTH, False, _EXP_NEEDS),
+    Learner.BOUNDS_FINDER: _Row(
+        _bounds_finder, lambda s, e, d: d["lower"] < s.true_lambda < d["upper"],
+        SampleBound.BOUNDS_FINDER, False, (("true_lambda",),), uses_delta=True,
+        release=lambda d: {"bounds_found": None if d is None
+                           else [d["lower"], d["upper"]]}),
+    Learner.PARETO: _Row(
+        _pareto, _pareto_in_band, SampleBound.PARETO_LEARNING, True, _PARETO_NEEDS,
+        release=lambda d: {"scale_hat": d["scale_hat"]}),
+    Learner.PARETO_KNOWN_SCALE: _Row(
+        _pareto_known_scale, _shape_in_band, SampleBound.MLE_LEARNING, True,
+        _PARETO_NEEDS),
+}
+
+
+def _check_spec(spec: ExperimentSpec) -> None:
+    if spec.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {spec.trials!r}")
+    if spec.n is not None and spec.n < 1:
+        raise ValueError(f"n must be >= 1, got {spec.n!r}")
+    row = _LEARNERS[spec.learner]
+    for fields in row.needs:
+        if any(getattr(spec, f) is None for f in fields):
+            raise IncompleteInputs(f"{spec.learner.value} experiment needs "
+                                   f"{' and '.join(fields)}")
+    if row.uses_delta and spec.delta <= 0.0:
+        raise IncompleteInputs(f"{spec.learner.value} experiment needs delta > 0")
+
+
+def resolve_n(spec: ExperimentSpec) -> int:
+    """Explicit n wins; otherwise size the experiment from the learner's
+    sample-size bound times the safety factor."""
+    if spec.n is not None:
+        return spec.n
+    row = _LEARNERS[spec.learner]
+    report = required_n(row.bound, alpha=spec.alpha, beta=spec.beta,
+                        epsilon=spec.epsilon,
+                        delta=spec.delta if spec.delta > 0 else None,
+                        lam=spec.true_shape if row.pareto else spec.true_lambda,
+                        bounds=spec.bounds, tau=spec.tau)
+    return max(1, math.ceil(spec.safety_factor * report.n_required))
 
 
 def _run_trial(spec: ExperimentSpec, n: int, trial_id: int) -> TrialRecord:
+    row = _LEARNERS[spec.learner]
     rng = RngStream(spec.base_seed, trial_id)
-    start = time.perf_counter()
-    if spec.learner in _PARETO_LEARNERS:
-        model = ParetoModel(spec.true_xm, spec.true_shape)
-    else:
-        model = ExpModel(spec.true_lambda)
+    model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
+             else ExpModel(spec.true_lambda))
     data = sample(model, n, rng)
-    delta = spec.delta if spec.learner is Learner.BOUNDS_FINDER else 0.0
-    budget = PrivacyBudget(spec.epsilon, delta)
-
-    estimate = route = failure = None
-    detail: dict = {}
+    budget = PrivacyBudget(spec.epsilon, spec.delta if row.uses_delta else 0.0)
     try:
-        if spec.learner is Learner.MLE:
-            est = mle_learning(data, _config(spec), budget, rng)
-            estimate, route = est.lambda_hat, est.route.value
-        elif spec.learner is Learner.QUANTILE:
-            est = quantile_learning(data, _config(spec), budget, rng)
-            estimate, route = est.lambda_hat, est.route.value
-        elif spec.learner is Learner.BEST_OF_BOTH:
-            est = best_of_both(data, _config(spec), budget, rng)
-            estimate, route = est.lambda_hat, est.route.value
-            detail = {"coarse_estimate": est.coarse_estimate}
-        elif spec.learner is Learner.BOUNDS_FINDER:
-            found = find_bounds(data, budget, rng, noiseless=spec.noiseless)
-            if found is None:
-                failure = "NoBinSurvived"
-            else:
-                route = "bounds-finder"
-                detail = {"lower": found.lower, "upper": found.upper}
-        elif spec.learner is Learner.PARETO:
-            est = learn_pareto(data, _config(spec), budget, rng, tau=spec.tau)
-            estimate, route = est.shape_hat, est.route
-            detail = {"scale_hat": est.scale_hat, "tail_count": est.tail_count}
-        else:
-            est = learn_pareto_known_scale(data, spec.true_xm, _config(spec),
-                                           budget, rng)
-            estimate, route = est.shape_hat, est.route
+        estimate, route, detail = row.run(data, spec, budget, rng)
     except PrivexpError as exc:
-        failure = type(exc).__name__
-
-    wall_us = int((time.perf_counter() - start) * 1e6)
-    if failure is not None:
-        outcome = OUTCOME_FAILURE
-    elif _trial_success(spec, estimate, detail):
-        outcome = OUTCOME_SUCCESS
-    else:
-        outcome = OUTCOME_MISSED
-    return TrialRecord(trial_id, outcome, estimate, route, failure, detail,
-                       wall_us)
-
-
-def _trial_success(spec: ExperimentSpec, estimate, detail) -> bool:
-    if spec.learner is Learner.BOUNDS_FINDER:
-        return bool(detail) and detail["lower"] < spec.true_lambda < detail["upper"]
-    if spec.learner in _EXP_LEARNERS:
-        return _in_band(estimate, spec.true_lambda, spec.alpha)
-    shape_ok = _in_band(estimate, spec.true_shape, spec.alpha)
-    if spec.learner is Learner.PARETO_KNOWN_SCALE:
-        return shape_ok
-    scale_ok = detail["scale_hat"] / spec.true_xm <= _scale_factor_limit(spec)
-    return shape_ok and scale_ok
+        return TrialRecord(trial_id, OUTCOME_FAILURE, None, None,
+                           type(exc).__name__, {})
+    outcome = (OUTCOME_SUCCESS if row.score(spec, estimate, detail)
+               else OUTCOME_MISSED)
+    return TrialRecord(trial_id, outcome, estimate, route, None, detail)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentSummary:
@@ -342,43 +347,25 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     directly at that clipping level (debugging aid; spends the whole budget
     on the one release).
     """
-    require_positive = learner in _PARETO_LEARNERS
-    data = Dataset(read_values(path, require_positive=require_positive))
+    row = _LEARNERS[learner]
+    data = Dataset(read_values(path, require_positive=row.pareto))
     rng = RngStream(seed)
     budget = PrivacyBudget(epsilon, delta)
 
-    extra: dict = {}
     if clip_r is not None:
         estimate = private_mle(data, clip_r, budget, rng, noiseless=noiseless)
-        route = "mle"
-    elif learner is Learner.BOUNDS_FINDER:
-        found = find_bounds(data, budget, rng, noiseless=noiseless)
-        estimate, route = None, "bounds-finder"
-        extra["bounds_found"] = (None if found is None
-                                 else [found.lower, found.upper])
+        route, extra = "mle", {}
     else:
-        config = LearnerConfig(alpha, beta, bounds, noiseless)
-        if learner is Learner.MLE:
-            est = mle_learning(data, config, budget, rng)
-            estimate, route = est.lambda_hat, est.route.value
-        elif learner is Learner.QUANTILE:
-            est = quantile_learning(data, config, budget, rng)
-            estimate, route = est.lambda_hat, est.route.value
-        elif learner is Learner.BEST_OF_BOTH:
-            est = best_of_both(data, config, budget, rng)
-            estimate, route = est.lambda_hat, est.route.value
-        elif learner is Learner.PARETO:
-            est = learn_pareto(data, config, budget, rng, tau=tau)
-            estimate, route = est.shape_hat, est.route
-            extra["scale_hat"] = est.scale_hat
-        elif learner is Learner.PARETO_KNOWN_SCALE:
-            if known_scale is None:
-                raise IncompleteInputs("pareto-known-scale needs the known "
-                                       "scale value")
-            est = learn_pareto_known_scale(data, known_scale, config, budget, rng)
-            estimate, route = est.shape_hat, est.route
-        else:  # pragma: no cover
-            raise ValueError(f"unknown learner {learner!r}")
+        # The learner reads its inputs from a spec, as in a trial; the
+        # declared known scale stands in for the true one.
+        spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
+                              true_xm=known_scale, noiseless=noiseless, tau=tau)
+        try:
+            estimate, route, detail = row.run(data, spec, budget, rng)
+        except NoBinSurvived:
+            # An empty survivor set is a release too: no interval found.
+            estimate, route, detail = None, learner.value, None
+        extra = row.release(detail)
 
     spent_eps, spent_delta = budget.spent()
     payload = {"estimate": estimate, "route": route,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .dataset import Dataset
 from .errors import EmptyTail, OutOfRegime, RangeEstimationFailed, ScaleViolation
-from .learners import Estimate, LearnerConfig, best_of_both, mle_learning
+from .learners import LearnerConfig, Route, best_of_both, mle_learning
 from .privacy import PrivacyBudget, RngStream
 from .quantile import svt_quantile
 
@@ -39,7 +39,7 @@ class ParetoEstimate:
     scale_hat: float
     tail_quantile_tau: float
     tail_count: int
-    route: str
+    route: Route
     budget_spent: PrivacyBudget
 
 
@@ -68,7 +68,7 @@ def learn_pareto_known_scale(data: Dataset, x_m: float, config: LearnerConfig,
         raise ScaleViolation(f"sample {data.min()} below declared scale {x_m}")
     transformed = log_transform(data, x_m)
     est = mle_learning(transformed, config, budget, rng)
-    return ParetoEstimate(est.lambda_hat, x_m, 0.0, data.n, est.route.value, budget)
+    return ParetoEstimate(est.lambda_hat, x_m, 0.0, data.n, est.route, budget)
 
 
 def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
@@ -89,5 +89,5 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     tail = log_transform(data, qres.quantile_value)
     est = best_of_both(tail, config, shape_budget, rng)
     scale_hat = recover_scale(qres.quantile_value, tau, est.lambda_hat)
-    return ParetoEstimate(est.lambda_hat, scale_hat, tau, tail.n,
-                          est.route.value, budget)
+    return ParetoEstimate(est.lambda_hat, scale_hat, tau, tail.n, est.route,
+                          budget)

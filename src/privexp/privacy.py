@@ -21,7 +21,6 @@ __all__ = [
     "RngStream",
     "NoiseScale",
     "PrivacyBudget",
-    "split_budget",
     "sample_laplace",
     "noisy_fraction_below",
 ]
@@ -176,8 +175,3 @@ class PrivacyBudget:
     def __repr__(self):  # pragma: no cover
         return (f"PrivacyBudget(epsilon={self.epsilon}, delta={self.delta}, "
                 f"state={self._state})")
-
-
-def split_budget(parent: PrivacyBudget, fractions, delta_fractions=None):
-    """Functional alias for PrivacyBudget.split."""
-    return parent.split(fractions, delta_fractions)

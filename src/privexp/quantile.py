@@ -36,7 +36,6 @@ class QuantileResult:
 
     quantile_value: float
     grid_index: int
-    threshold_used: float
 
 
 def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
@@ -73,7 +72,7 @@ def svt_quantile(data: Dataset, bounds: RateBounds, theta: float,
     for i, point in enumerate(svt_grid(bounds, theta)):
         value = noisy_fraction_below(data, point, query_scale, rng, noiseless)
         if value >= threshold:
-            return QuantileResult(float(point), i, threshold)
+            return QuantileResult(float(point), i)
     return None
 
 

@@ -13,8 +13,8 @@ from privexp.analysis import (
 from privexp.dataset import RateBounds
 from privexp.distributions import exp_tv, separation_T
 from privexp.errors import (
-    DegenerateBounds,
     IncompleteInputs,
+    InvalidRatio,
     OutOfRegime,
     RegimeViolation,
 )
@@ -79,7 +79,7 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             lower_bound_n(0.1, 0.1, 0.0, (1.0, 10.0))
         for bad in [(2.0, 2.0), (3.0, 1.0), (0.0, 1.0)]:
-            with pytest.raises(DegenerateBounds):
+            with pytest.raises(InvalidRatio):
                 lower_bound_n(0.1, 0.1, 1.0, bad)
 
     def test_required_n_wrapper(self):
@@ -239,7 +239,7 @@ class TestRequiredNInterface:
             assert not required_n(bound_id, **kwargs).exact_constants
 
     def test_degenerate_bounds_tuple(self):
-        with pytest.raises(DegenerateBounds):
+        with pytest.raises(InvalidRatio):
             required_n(SampleBound.SVT_QUANTILE, epsilon=1.0, beta=0.1,
                        bounds=(2.0, 2.0))
 

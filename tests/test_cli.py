@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from privexp.cli import main
+from privexp.cli import build_parser, main
+from privexp.harness import _LEARNERS, Learner
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ONES = os.path.join(DATA_DIR, "ones.txt")
@@ -50,6 +51,18 @@ class TestGen:
         main(["gen", "--rate", "1", "--n", "100", "--seed", "9", "--out", str(a)])
         main(["gen", "--rate", "1", "--n", "100", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestLearnerChoices:
+    def test_choices_come_from_the_learner_table(self, monkeypatch):
+        argvs = [["estimate", "--in", ONES, "--learner", "pareto"],
+                 ["experiment", "--learner", "pareto"]]
+        for argv in argvs:
+            assert build_parser().parse_args(argv).learner == "pareto"
+        monkeypatch.delitem(_LEARNERS, Learner.PARETO)
+        for argv in argvs:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestEstimate:

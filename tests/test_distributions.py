@@ -131,7 +131,7 @@ class TestExpTv:
 
     def test_crossing_point_equalizes_densities(self):
         for l1, l2 in [(1.0, 2.0), (0.01, 3.0), (5.0, 5.5)]:
-            a = exp_tv_crossing(l1, l2).crossing_a
+            a = exp_tv_crossing(l1, l2)
             assert math.isclose(ExpModel(l1).pdf(a), ExpModel(l2).pdf(a),
                                 rel_tol=1e-12)
 

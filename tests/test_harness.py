@@ -7,6 +7,7 @@ from privexp.dataset import RateBounds
 from privexp.distributions import ExpModel, ParetoModel, sample
 from privexp.errors import IncompleteInputs, InputError
 from privexp.harness import (
+    _LEARNERS,
     SWEEP_CSV_HEADER,
     ExperimentSpec,
     Learner,
@@ -52,6 +53,11 @@ class TestResolveN:
                               bounds=WIDE, true_xm=1.0, true_shape=4.0,
                               safety_factor=1.0)
         assert resolve_n(spec) == 5106  # same pipeline as the rate-4 learner
+
+
+class TestLearnerTable:
+    def test_one_row_per_learner(self):
+        assert set(_LEARNERS) == set(Learner)
 
 
 class TestSpecValidation:
@@ -267,6 +273,36 @@ class TestEstimateFromFile:
         assert lo < 1.0 < hi
         assert math.isclose(hi / lo, 4.0)
         assert payload["budget_spent"] == {"epsilon": 1.0, "delta": 1e-6}
+
+    def test_bounds_finder_payload_without_survivors(self):
+        # four values cannot clear the release threshold: the payload says
+        # no interval was found, and the budget is still spent
+        payload = estimate_from_file(self.ONES, Learner.BOUNDS_FINDER,
+                                     epsilon=1.0, delta=1e-6)
+        assert payload == {"estimate": None, "route": "bounds-finder",
+                           "bounds_found": None, "n": 4,
+                           "budget_spent": {"epsilon": 1.0, "delta": 1e-6}}
+
+    @pytest.mark.parametrize("learner, extra", [
+        (Learner.MLE, set()),
+        (Learner.QUANTILE, set()),
+        (Learner.BEST_OF_BOTH, set()),
+        (Learner.BOUNDS_FINDER, {"bounds_found"}),
+        (Learner.PARETO, {"scale_hat"}),
+        (Learner.PARETO_KNOWN_SCALE, set()),
+    ])
+    def test_payload_keys(self, tmp_path, learner, extra):
+        # only released values: never the count above the Pareto pivot, nor
+        # the adaptive learner's coarse estimate
+        pareto = learner in (Learner.PARETO, Learner.PARETO_KNOWN_SCALE)
+        path = tmp_path / "data.txt"
+        write_sample(path, ParetoModel(1.3, 2.5) if pareto else ExpModel(2.0),
+                     60_000 if pareto else 20_000, seed=7)
+        payload = estimate_from_file(path, learner, alpha=0.2, beta=0.1,
+                                     epsilon=1.0, delta=1e-6, bounds=WIDE,
+                                     seed=3, known_scale=1.3)
+        assert set(payload) == {"estimate", "route", "budget_spent", "n"} | extra
+        assert "tail_count" not in payload
 
     def test_pareto_payload_has_scale(self, tmp_path):
         path = tmp_path / "par.txt"

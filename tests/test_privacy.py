@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from privexp.errors import BadSplit, BudgetExhausted, EmptyDataset, InvalidScale
 from privexp.dataset import Dataset
 from privexp.privacy import (NoiseScale, PrivacyBudget, RngStream,
-                             noisy_fraction_below, sample_laplace, split_budget)
+                             noisy_fraction_below, sample_laplace)
 
 
 class TestRngStream:
@@ -199,11 +199,6 @@ class TestPrivacyBudget:
         kids = root.split([0.25, 0.75])
         assert root.children == tuple(kids)
         assert PrivacyBudget(1.0).children == ()
-
-    def test_split_budget_alias(self):
-        root = PrivacyBudget(1.0)
-        kids = split_budget(root, [0.5, 0.5])
-        assert len(kids) == 2 and root.state == "split"
 
     @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6),
            st.floats(0.1, 8.0))

@@ -51,7 +51,7 @@ class TestSvtQuantile:
     def test_noiseless_frozen_example(self):
         budget, rng = fresh()
         res = svt_quantile(DATA, BOUNDS, 0.5, budget, rng, noiseless=True)
-        assert res == QuantileResult(2.0, 1, 0.5)
+        assert res == QuantileResult(2.0, 1)
 
     def test_all_zeros_returns_first_point(self):
         budget, rng = fresh()
@@ -143,27 +143,27 @@ class TestSvtQuantile:
 class TestClippingRange:
     def test_frozen_example(self):
         # theta = e^-2 and beta = 1 collapse the constant to exactly 3
-        r = clipping_range(QuantileResult(1.0, 0, 0.0), math.e ** 2,
+        r = clipping_range(QuantileResult(1.0, 0), math.e ** 2,
                            math.exp(-2.0), 1.0)
         assert math.isclose(r, 6.0, rel_tol=1e-12)
 
     def test_plug_in_matches_oracle(self):
         for q, n, theta, beta in [(2.3, 10_000, 0.1, 0.1), (0.5, 100, 0.37, 0.01),
                                   (7.0, 2, 0.9, 1.0)]:
-            got = clipping_range(QuantileResult(q, 0, 0.0), n, theta, beta)
+            got = clipping_range(QuantileResult(q, 0), n, theta, beta)
             assert got == oracle_clipping_range(q, n, theta, beta)
 
     def test_beta_one_drops_inflation(self):
-        base = clipping_range(QuantileResult(1.0, 0, 0.0), 1000, 0.1, 1.0)
-        inflated = clipping_range(QuantileResult(1.0, 0, 0.0), 1000, 0.1, 0.1)
+        base = clipping_range(QuantileResult(1.0, 0), 1000, 0.1, 1.0)
+        inflated = clipping_range(QuantileResult(1.0, 0), 1000, 0.1, 0.1)
         assert inflated > base
 
     def test_validation(self):
         with pytest.raises(TooFewSamples):
-            clipping_range(QuantileResult(1.0, 0, 0.0), 1, 0.1, 0.1)
+            clipping_range(QuantileResult(1.0, 0), 1, 0.1, 0.1)
         for beta in (0.0, -1.0, 1.5):
             with pytest.raises(ValueError):
-                clipping_range(QuantileResult(1.0, 0, 0.0), 100, 0.1, beta)
+                clipping_range(QuantileResult(1.0, 0), 100, 0.1, beta)
 
     def test_coverage_statistical(self):
         # the pipeline's R covers the whole sample nearly always
