@@ -24,10 +24,10 @@ def main() -> None:
     print(f"grid: {len(grid)} points from {grid[0]:.4g} to {grid[-1]:.4g}")
     print(f"true (1 - theta)-quantile of Exp(2): {true_q:.4f}\n")
 
-    # the noiseless path is the same code with every Laplace draw pinned
+    # a noiseless stream runs the same code with every Laplace draw pinned
     # to zero; useful to see where the scan would stop without privacy
     exact = svt_quantile(data, BOUNDS, THETA, PrivacyBudget(1.0),
-                         RngStream(0), noiseless=True)
+                         RngStream(0, noiseless=True))
     print(f"noiseless stop: grid[{exact.grid_index}] = "
           f"{exact.quantile_value:.4g}")
 

@@ -47,8 +47,8 @@ class DyadicHistogram:
     threshold: float
 
 
-def noisy_histogram(data: Dataset, budget: PrivacyBudget, rng: RngStream,
-                    noiseless: bool = False) -> DyadicHistogram:
+def noisy_histogram(data: Dataset, budget: PrivacyBudget,
+                    rng: RngStream) -> DyadicHistogram:
     """Releases the stabilized noisy histogram; consumes the whole budget."""
     if not budget.delta > 0:
         raise ValueError("the histogram release needs delta > 0")
@@ -56,22 +56,20 @@ def noisy_histogram(data: Dataset, budget: PrivacyBudget, rng: RngStream,
     eps, delta, n = budget.epsilon, budget.delta, data.n
     bins = dyadic_histogram(data)
     scale = NoiseScale(2.0 / (eps * n))
-    noisy = {k: bins[k] + sample_laplace(scale, rng, noiseless)
-             for k in sorted(bins)}
+    noisy = {k: bins[k] + sample_laplace(scale, rng) for k in sorted(bins)}
     threshold = (2.0 / (eps * n)) * math.log(2.0 / delta) + 1.0 / n
     survivors = {k for k, v in noisy.items() if v >= threshold}
     return DyadicHistogram(bins, noisy, survivors, threshold)
 
 
-def find_bounds(data: Dataset, budget: PrivacyBudget, rng: RngStream,
-                noiseless: bool = False):
+def find_bounds(data: Dataset, budget: PrivacyBudget, rng: RngStream):
     """RateBounds bracketing ln(2)/(top surviving bin), or None if no bin survives.
 
     The returned interval is (ln2 * 2^-(k*+1), ln2 * 2^-(k*-1)) where k* is
     the surviving bin with the largest noisy fraction (smallest k on ties),
     so its ratio is exactly 4.
     """
-    hist = noisy_histogram(data, budget, rng, noiseless)
+    hist = noisy_histogram(data, budget, rng)
     if not hist.survivor_set:
         return None
     k_star = None
@@ -84,18 +82,17 @@ def find_bounds(data: Dataset, budget: PrivacyBudget, rng: RngStream,
 
 
 def learn_without_bounds(data: Dataset, alpha: float, beta: float,
-                         budget: PrivacyBudget, rng: RngStream,
-                         noiseless: bool = False) -> Estimate:
+                         budget: PrivacyBudget, rng: RngStream) -> Estimate:
     """End-to-end learner with no prior bounds: find bounds at (eps/2, delta),
     then run the adaptive learner at (eps/2, 0) inside them."""
     if not budget.delta > 0:
         raise ValueError("learning without bounds needs delta > 0")
     bounds_budget, learn_budget = budget.split([0.5, 0.5],
                                                delta_fractions=[1.0, 0.0])
-    rate_bounds = find_bounds(data, bounds_budget, rng, noiseless)
+    rate_bounds = find_bounds(data, bounds_budget, rng)
     if rate_bounds is None:
         raise NoBinSurvived("no histogram bin cleared the release threshold; "
                             "n too small for this (epsilon, delta)")
-    config = LearnerConfig(alpha, beta, rate_bounds, noiseless)
+    config = LearnerConfig(alpha, beta, rate_bounds)
     inner = best_of_both(data, config, learn_budget, rng)
     return Estimate(inner.lambda_hat, inner.route, inner.coarse_estimate, budget)

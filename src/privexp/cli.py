@@ -103,7 +103,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n_values = [int(part) for part in args.n_grid.split(",") if part]
+    try:
+        n_values = [int(part) for part in args.n_grid.split(",") if part]
+    except ValueError:
+        raise InputError(f"--n-grid takes comma separated integers, "
+                         f"got {args.n_grid!r}") from None
     rows = run_sweep(_spec_from(args), n_values, workers=args.workers)
     _write_out(args, sweep_csv(rows))
     return 0

@@ -21,7 +21,8 @@ from .analysis import SampleBound, required_n
 from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
 from .distributions import ExpModel, ParetoModel, sample
-from .errors import IncompleteInputs, InputError, NoBinSurvived, PrivexpError
+from .errors import (IncompleteInputs, InputError, NoBinSurvived, OutOfRegime,
+                     PrivexpError)
 from .learners import (Estimate, LearnerConfig, best_of_both, mle_learning,
                        private_mle, quantile_learning)
 from .pareto import (DEFAULT_TAIL_QUANTILE, learn_pareto,
@@ -115,7 +116,7 @@ class ExperimentSummary:
 
 
 def _config(spec: ExperimentSpec) -> LearnerConfig:
-    return LearnerConfig(spec.alpha, spec.beta, spec.bounds, spec.noiseless)
+    return LearnerConfig(spec.alpha, spec.beta, spec.bounds)
 
 
 def _in_band(value: float, center: float, alpha: float) -> bool:
@@ -134,7 +135,7 @@ def _rate(est: Estimate):
 
 
 def _bounds_finder(data, spec, budget, rng):
-    found = find_bounds(data, budget, rng, noiseless=spec.noiseless)
+    found = find_bounds(data, budget, rng)
     if found is None:
         raise NoBinSurvived("no histogram bin cleared the release threshold")
     return None, "bounds-finder", {"lower": found.lower, "upper": found.upper}
@@ -175,50 +176,61 @@ class _Row(NamedTuple):
     score: Callable      # (spec, estimate, detail) -> in the accuracy band?
     bound: SampleBound   # auto-sizes experiments
     pareto: bool         # Pareto data, sized by the shape; else exponential
-    needs: tuple         # groups of ExperimentSpec fields that must be set
+    needs: tuple         # groups of ExperimentSpec fields that must be set,
+                         # besides epsilon and the true parameters
     uses_delta: bool = False  # spends (epsilon, delta): needs delta > 0
     release: Callable = lambda detail: {}  # detail -> extra CLI payload keys
 
 
-_EXP_NEEDS = (("true_lambda",), ("bounds",))
-_PARETO_NEEDS = (("true_xm", "true_shape"), ("bounds",))
+_CONFIG_NEEDS = (("alpha", "beta"), ("bounds",))  # builds a LearnerConfig
 
 _LEARNERS = {
     Learner.MLE: _Row(
         lambda d, s, b, r: _rate(mle_learning(d, _config(s), b, r)),
-        _rate_in_band, SampleBound.MLE_LEARNING, False, _EXP_NEEDS),
+        _rate_in_band, SampleBound.MLE_LEARNING, False, _CONFIG_NEEDS),
     Learner.QUANTILE: _Row(
         lambda d, s, b, r: _rate(quantile_learning(d, _config(s), b, r)),
-        _rate_in_band, SampleBound.QUANTILE_LEARNING, False, _EXP_NEEDS),
+        _rate_in_band, SampleBound.QUANTILE_LEARNING, False, _CONFIG_NEEDS),
     Learner.BEST_OF_BOTH: _Row(
         lambda d, s, b, r: _rate(best_of_both(d, _config(s), b, r)),
-        _rate_in_band, SampleBound.BEST_OF_BOTH, False, _EXP_NEEDS),
+        _rate_in_band, SampleBound.BEST_OF_BOTH, False, _CONFIG_NEEDS),
     Learner.BOUNDS_FINDER: _Row(
         _bounds_finder, lambda s, e, d: d["lower"] < s.true_lambda < d["upper"],
-        SampleBound.BOUNDS_FINDER, False, (("true_lambda",),), uses_delta=True,
+        SampleBound.BOUNDS_FINDER, False, (), uses_delta=True,
         release=lambda d: {"bounds_found": None if d is None
                            else [d["lower"], d["upper"]]}),
     Learner.PARETO: _Row(
-        _pareto, _pareto_in_band, SampleBound.PARETO_LEARNING, True, _PARETO_NEEDS,
+        _pareto, _pareto_in_band, SampleBound.PARETO_LEARNING, True, _CONFIG_NEEDS,
         release=lambda d: {"scale_hat": d["scale_hat"]}),
     Learner.PARETO_KNOWN_SCALE: _Row(
         _pareto_known_scale, _shape_in_band, SampleBound.MLE_LEARNING, True,
-        _PARETO_NEEDS),
+        _CONFIG_NEEDS),
 }
+
+
+def _check_inputs(spec: ExperimentSpec, needs) -> None:
+    """Raise IncompleteInputs unless the spec sets epsilon and every group of
+    fields in needs, and delta > 0 if its learner spends delta."""
+    for fields in (("epsilon",), *needs):
+        if any(getattr(spec, f) is None for f in fields):
+            raise IncompleteInputs(f"{spec.learner.value} needs "
+                                   f"{' and '.join(fields)}")
+    if _LEARNERS[spec.learner].uses_delta and spec.delta <= 0.0:
+        raise IncompleteInputs(f"{spec.learner.value} needs delta > 0")
 
 
 def _check_spec(spec: ExperimentSpec) -> None:
     if spec.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {spec.trials!r}")
+        raise OutOfRegime(f"trials must be >= 1, got {spec.trials!r}")
     if spec.n is not None and spec.n < 1:
-        raise ValueError(f"n must be >= 1, got {spec.n!r}")
+        raise OutOfRegime(f"n must be >= 1, got {spec.n!r}")
     row = _LEARNERS[spec.learner]
-    for fields in row.needs:
-        if any(getattr(spec, f) is None for f in fields):
-            raise IncompleteInputs(f"{spec.learner.value} experiment needs "
-                                   f"{' and '.join(fields)}")
-    if row.uses_delta and spec.delta <= 0.0:
-        raise IncompleteInputs(f"{spec.learner.value} experiment needs delta > 0")
+    truth = ("true_xm", "true_shape") if row.pareto else ("true_lambda",)
+    _check_inputs(spec, (*row.needs, truth))
+    # Trials build the config inside their try, so an out-of-range alpha or
+    # beta would be recorded as a failure per trial; raise it here once.
+    if row.needs == _CONFIG_NEEDS:
+        _config(spec)
 
 
 def resolve_n(spec: ExperimentSpec) -> int:
@@ -237,7 +249,7 @@ def resolve_n(spec: ExperimentSpec) -> int:
 
 def _run_trial(spec: ExperimentSpec, n: int, trial_id: int) -> TrialRecord:
     row = _LEARNERS[spec.learner]
-    rng = RngStream(spec.base_seed, trial_id)
+    rng = RngStream(spec.base_seed, trial_id, noiseless=spec.noiseless)
     model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
              else ExpModel(spec.true_lambda))
     data = sample(model, n, rng)
@@ -350,18 +362,22 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     on the one release).
     """
     row = _LEARNERS[learner]
+    # The learner reads its inputs from a spec, as in a trial; the declared
+    # known scale stands in for the true one.
+    spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
+                          true_xm=known_scale, tau=tau)
+    if clip_r is None:
+        _check_inputs(spec, row.needs)
+    elif epsilon is None:
+        raise IncompleteInputs("the fixed clipping level needs epsilon")
     data = Dataset(read_values(path, require_positive=row.pareto))
-    rng = RngStream(seed)
+    rng = RngStream(seed, noiseless=noiseless)
     budget = PrivacyBudget(epsilon, delta)
 
     if clip_r is not None:
-        estimate = private_mle(data, clip_r, budget, rng, noiseless=noiseless)
+        estimate = private_mle(data, clip_r, budget, rng)
         route, extra = "mle", {}
     else:
-        # The learner reads its inputs from a spec, as in a trial; the
-        # declared known scale stands in for the true one.
-        spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
-                              true_xm=known_scale, noiseless=noiseless, tau=tau)
         try:
             estimate, route, detail = row.run(data, spec, budget, rng)
         except NoBinSurvived:

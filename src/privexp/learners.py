@@ -23,6 +23,7 @@ from .dataset import Dataset, RateBounds
 from .errors import (
     CoarseFailed,
     NonpositiveMean,
+    OutOfRegime,
     RangeEstimationFailed,
     SearchExhausted,
 )
@@ -56,13 +57,12 @@ class LearnerConfig:
     alpha: float
     beta: float
     bounds: RateBounds
-    noiseless: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+            raise OutOfRegime(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
+            raise OutOfRegime(f"beta must lie in (0, 1), got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -77,21 +77,21 @@ class Estimate:
 
 
 def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
-                rng: RngStream, noiseless: bool = False) -> float:
+                rng: RngStream) -> float:
     """1 / (noisy clipped mean): clip at clip_r, add Laplace(clip_r/(eps*n)).
 
     Raises NonpositiveMean when the noise swamps the mean; clamping instead
     would silently break the multiplicative guarantee.
     """
     if not (isinstance(clip_r, (int, float)) and math.isfinite(clip_r) and clip_r > 0):
-        raise ValueError(f"clipping level must be positive and finite, got {clip_r!r}")
+        raise OutOfRegime(f"clipping level must be positive and finite, got {clip_r!r}")
     budget.consume()
     n = data.n
     # fsum is exactly rounded, so the released mean does not depend on
     # summation order; the oracle tests rely on that.
     clipped_mean = math.fsum(data.values.clip(max=clip_r)) / n
     scale = NoiseScale(clip_r / (budget.epsilon * n))
-    noisy_mean = clipped_mean + sample_laplace(scale, rng, noiseless)
+    noisy_mean = clipped_mean + sample_laplace(scale, rng)
     if noisy_mean <= 0:
         raise NonpositiveMean(f"noisy clipped mean {noisy_mean} <= 0; "
                               f"n too small for this budget")
@@ -102,12 +102,11 @@ def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
     """Range estimation at eps/2, then private MLE at eps/2."""
     range_budget, mle_budget = budget.split([0.5, 0.5])
-    qres = svt_quantile(data, config.bounds, MLE_RANGE_THETA, range_budget,
-                        rng, config.noiseless)
+    qres = svt_quantile(data, config.bounds, MLE_RANGE_THETA, range_budget, rng)
     if qres is None:
         raise RangeEstimationFailed("quantile scan exhausted its grid")
     clip_r = clipping_range(qres, data.n, MLE_RANGE_THETA, config.beta)
-    lam = private_mle(data, clip_r, mle_budget, rng, config.noiseless)
+    lam = private_mle(data, clip_r, mle_budget, rng)
     return Estimate(lam, Route.MLE, None, budget)
 
 
@@ -128,8 +127,7 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
     step = 1.0 / (1.0 - alpha / 2.0)
     n_steps = math.ceil(math.log(bounds.ratio) / math.log(step))
     position = _band_search(data, 1.0 / bounds.upper, step, n_steps,
-                            _QUANTILE_LEVEL, alpha / (2.0 * math.e), budget,
-                            rng, config.noiseless)
+                            _QUANTILE_LEVEL, alpha / (2.0 * math.e), budget, rng)
     if position is None:
         raise SearchExhausted("no position accepted within the probe cap; "
                               "rate outside bounds or n too small")
@@ -138,7 +136,7 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
 
 def _band_search(data: Dataset, lo: float, step: float, n_steps: int,
                  level: float, half_band: float, budget: PrivacyBudget,
-                 rng: RngStream, noiseless: bool) -> Optional[float]:
+                 rng: RngStream) -> Optional[float]:
     """Noisy binary search over the positions lo * step**k, k = 0..n_steps,
     for one whose noisy CDF falls in level +- half_band.
 
@@ -156,7 +154,7 @@ def _band_search(data: Dataset, lo: float, step: float, n_steps: int,
     for _ in range(cap):
         mid = (low + high) // 2
         position = lo * step ** mid
-        value = noisy_fraction_below(data, position, scale, rng, noiseless)
+        value = noisy_fraction_below(data, position, scale, rng)
         if value > band_hi:
             high = mid
         elif value < band_lo:
@@ -170,8 +168,7 @@ def best_of_both(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
     """Coarse estimate at eps/3 picks the route; the winner runs at 2*eps/3."""
     coarse_budget, main_budget = budget.split([1.0 / 3.0, 2.0 / 3.0])
-    coarse_config = LearnerConfig(COARSE_ALPHA, config.beta, config.bounds,
-                                  config.noiseless)
+    coarse_config = LearnerConfig(COARSE_ALPHA, config.beta, config.bounds)
     try:
         coarse = quantile_learning(data, coarse_config, coarse_budget, rng)
     except SearchExhausted as exc:

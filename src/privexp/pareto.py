@@ -57,9 +57,9 @@ def log_transform(data: Dataset, pivot: float) -> Dataset:
     if kept.size == 0:
         raise EmptyTail(f"no samples at or above pivot {pivot}")
     # math.log per element, not the vectorized log: the two can differ in the
-    # last ulp, and the noiseless-equivalence tests compare bit-exactly. The
-    # vectorized division is correctly rounded like the scalar one, and
-    # mapping over plain floats skips the per-element numpy scalar overhead.
+    # last ulp, and the oracle tests compare bit-exactly. The vectorized
+    # division is correctly rounded like the scalar one, and mapping over
+    # plain floats skips the per-element numpy scalar overhead.
     return Dataset(list(map(math.log, (kept / pivot).tolist())))
 
 
@@ -118,8 +118,7 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                           f"got {tau!r}")
     pivot_budget, shape_budget = budget.split([0.5, 0.5])
     lo, step, n_steps, half_band = _pivot_grid(config.alpha, config.bounds, tau)
-    pivot = _band_search(data, lo, step, n_steps, tau, half_band,
-                         pivot_budget, rng, config.noiseless)
+    pivot = _band_search(data, lo, step, n_steps, tau, half_band, pivot_budget, rng)
     if pivot is None:
         raise RangeEstimationFailed("tail pivot search found no position in "
                                     "its band; x_m outside the pivot window "

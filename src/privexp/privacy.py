@@ -3,9 +3,9 @@
 The budget ledger enforces the composition structure of the learners: a
 budget is either consumed whole or split into fractions exactly once, and
 each fragment is then consumed by exactly one mechanism. Reuse raises.
-Every noisy mechanism also accepts a ``noiseless`` flag that replaces each
-draw with exactly 0.0 (without touching the random stream), which turns the
-learners into deterministic functions of the data for oracle testing.
+On a stream built with ``noiseless=True`` every Laplace draw is exactly 0.0
+(and leaves the generator untouched), which turns every mechanism and learner
+into a deterministic function of the data for oracle testing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSplit, BudgetExhausted, EmptyDataset, InvalidScale
+from .errors import BadSplit, BudgetExhausted, EmptyDataset, InvalidScale, OutOfRegime
 
 __all__ = [
     "RngStream",
@@ -37,12 +37,14 @@ class RngStream:
     stream_ids under the same seed give statistically independent streams,
     so parallel trials can each own stream_id = trial index without any
     coordination. ``laplace_draws`` counts the Laplace samples actually
-    drawn, which the tests use to audit SVT halting behavior.
+    drawn, which the tests use to audit SVT halting behavior. ``noiseless``
+    pins every Laplace draw to 0.0; data sampling is unaffected.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int, stream_id: int = 0, *, noiseless: bool = False):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        self.noiseless = bool(noiseless)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
         self.laplace_draws = 0
@@ -52,7 +54,8 @@ class RngStream:
         return self.generator.random(size)
 
     def __repr__(self):  # pragma: no cover
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
+                f"noiseless={self.noiseless})")
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,14 @@ class NoiseScale:
             raise InvalidScale(f"Laplace scale must be positive and finite, got {b!r}")
 
 
-def sample_laplace(scale: NoiseScale, rng: RngStream, noiseless: bool = False) -> float:
-    """One draw from Laplace(0, b) via inverse CDF; exactly 0.0 when noiseless.
+def sample_laplace(scale: NoiseScale, rng: RngStream) -> float:
+    """One draw from Laplace(0, b) via inverse CDF; exactly 0.0 when the
+    stream is noiseless.
 
-    Noiseless mode does not advance the stream, so noisy and noiseless runs
-    of the same mechanism consume uniforms only for draws that really happen.
+    A noiseless stream is not advanced, so noisy and noiseless runs of the
+    same mechanism consume uniforms only for draws that really happen.
     """
-    if noiseless:
+    if rng.noiseless:
         return 0.0
     b = scale.scale_b
     u = rng.generator.random() - 0.5
@@ -83,8 +87,8 @@ def sample_laplace(scale: NoiseScale, rng: RngStream, noiseless: bool = False) -
     return -b * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
 
 
-def noisy_fraction_below(data, threshold: float, scale: NoiseScale, rng: RngStream,
-                         noiseless: bool = False) -> float:
+def noisy_fraction_below(data, threshold: float, scale: NoiseScale,
+                         rng: RngStream) -> float:
     """(#{x in data : x < threshold})/n + Laplace(scale), unclamped.
 
     Sensitivity of the fraction is 1/n; callers choose the scale. The raw
@@ -92,7 +96,7 @@ def noisy_fraction_below(data, threshold: float, scale: NoiseScale, rng: RngStre
     """
     if data.n == 0:
         raise EmptyDataset("fraction query needs at least one sample")
-    return data.fraction_below(threshold) + sample_laplace(scale, rng, noiseless)
+    return data.fraction_below(threshold) + sample_laplace(scale, rng)
 
 
 class PrivacyBudget:
@@ -107,9 +111,9 @@ class PrivacyBudget:
 
     def __init__(self, epsilon: float, delta: float = 0.0):
         if not (math.isfinite(epsilon) and epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+            raise OutOfRegime(f"epsilon must be positive and finite, got {epsilon!r}")
         if not (0.0 <= delta < 1.0):
-            raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
+            raise OutOfRegime(f"delta must lie in [0, 1), got {delta!r}")
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self._state = "fresh"

@@ -53,8 +53,7 @@ def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
 
 
 def svt_quantile(data: Dataset, bounds: RateBounds, theta: float,
-                 budget: PrivacyBudget, rng: RngStream,
-                 noiseless: bool = False):
+                 budget: PrivacyBudget, rng: RngStream):
     """Return the first grid point g with noisy CDF(g) >= noisy (1-theta),
     or None if the grid is exhausted.
 
@@ -68,9 +67,9 @@ def svt_quantile(data: Dataset, bounds: RateBounds, theta: float,
     eps, n = budget.epsilon, data.n
     threshold_scale = NoiseScale(2.0 / (eps * n))
     query_scale = NoiseScale(4.0 / (eps * n))
-    threshold = (1.0 - theta) + sample_laplace(threshold_scale, rng, noiseless)
+    threshold = (1.0 - theta) + sample_laplace(threshold_scale, rng)
     for i, point in enumerate(svt_grid(bounds, theta)):
-        value = noisy_fraction_below(data, point, query_scale, rng, noiseless)
+        value = noisy_fraction_below(data, point, query_scale, rng)
         if value >= threshold:
             return QuantileResult(float(point), i)
     return None

@@ -128,7 +128,11 @@ def _outcome(call, errors):
 
 def _compare_learners(values, theta, pareto_like, xm, failures):
     data = Dataset(values)
-    cfg = LearnerConfig(0.2, 0.1, MID, noiseless=True)
+    cfg = LearnerConfig(0.2, 0.1, MID)
+
+    def stream():
+        return RngStream(0, noiseless=True)
+
     exp_errors = (RangeEstimationFailed, NonpositiveMean, SearchExhausted,
                   TooFewSamples)
     count = 0
@@ -141,14 +145,14 @@ def _compare_learners(values, theta, pareto_like, xm, failures):
 
     pairs = [
         ("mle",
-         lambda: mle_learning(data, cfg, PrivacyBudget(1.0), RngStream(0)).lambda_hat,
+         lambda: mle_learning(data, cfg, PrivacyBudget(1.0), stream()).lambda_hat,
          lambda: oracle_mle_learning(values, 0.1, 10.0, 0.1)[0]),
         ("quantile",
-         lambda: quantile_learning(data, cfg, PrivacyBudget(1.0), RngStream(0)).lambda_hat,
+         lambda: quantile_learning(data, cfg, PrivacyBudget(1.0), stream()).lambda_hat,
          lambda: oracle_quantile_learning(values, 0.1, 10.0, 0.2)[0]),
         ("best-of-both",
          lambda: (lambda est: (est.lambda_hat, est.route.value))(
-             best_of_both(data, cfg, PrivacyBudget(1.0), RngStream(0))),
+             best_of_both(data, cfg, PrivacyBudget(1.0), stream())),
          lambda: oracle_best_of_both(values, 0.1, 10.0, 0.2, 0.1)),
     ]
     for name, lib, orc in pairs:
@@ -159,7 +163,7 @@ def _compare_learners(values, theta, pareto_like, xm, failures):
         count += 1
 
     got = _outcome(lambda: as_pair(find_bounds(
-        data, PrivacyBudget(1.0, 0.3), RngStream(0), noiseless=True)), ())
+        data, PrivacyBudget(1.0, 0.3), stream())), ())
     want = _outcome(lambda: oracle_find_bounds(values, 1.0, 0.3), ())
     if got != want:
         failures.append(f"find-bounds: {got} != {want}")
@@ -168,7 +172,7 @@ def _compare_learners(values, theta, pareto_like, xm, failures):
     lwb_errors = exp_errors + (NoBinSurvived,)
     got = _outcome(lambda: (lambda est: (est.lambda_hat, est.route.value))(
         learn_without_bounds(data, 0.2, 0.1, PrivacyBudget(1.0, 0.3),
-                             RngStream(0), noiseless=True)), lwb_errors)
+                             stream())), lwb_errors)
     want = _outcome(lambda: oracle_learn_without_bounds(values, 0.2, 0.1, 1.0, 0.3),
                     lwb_errors)
     if got != want:
@@ -179,7 +183,7 @@ def _compare_learners(values, theta, pareto_like, xm, failures):
         par_errors = exp_errors + (EmptyTail, ScaleViolation)
         got = _outcome(lambda: (lambda est: (est.shape_hat, est.scale_hat,
                                              est.route, est.tail_count))(
-            learn_pareto(data, cfg, PrivacyBudget(1.0), RngStream(0))), par_errors)
+            learn_pareto(data, cfg, PrivacyBudget(1.0), stream())), par_errors)
         want = _outcome(lambda: oracle_learn_pareto(
             values, 0.1, 10.0, 0.2, 0.1, DEFAULT_TAIL_QUANTILE), par_errors)
         if got != want:
@@ -187,7 +191,7 @@ def _compare_learners(values, theta, pareto_like, xm, failures):
         count += 1
 
         got = _outcome(lambda: learn_pareto_known_scale(
-            data, xm, cfg, PrivacyBudget(1.0), RngStream(0)).shape_hat, par_errors)
+            data, xm, cfg, PrivacyBudget(1.0), stream()).shape_hat, par_errors)
         want = _outcome(lambda: oracle_learn_pareto_known_scale(
             values, xm, 0.1, 10.0, 0.1)[0], par_errors)
         if got != want:
@@ -198,8 +202,8 @@ def _compare_learners(values, theta, pareto_like, xm, failures):
 
 def svt_quantile_pair(data, theta):
     from privexp.quantile import svt_quantile
-    res = svt_quantile(data, MID, theta, PrivacyBudget(1.0), RngStream(0),
-                       noiseless=True)
+    res = svt_quantile(data, MID, theta, PrivacyBudget(1.0),
+                       RngStream(0, noiseless=True))
     return None if res is None else (res.quantile_value, res.grid_index)
 
 
@@ -347,23 +351,23 @@ def test_11_budget_accounting_is_exact():
     pareto_data = Dataset(ParetoModel(1.0, 2.0).quantile((np.arange(2000) + 0.5) / 2000))
     problems = []
     for eps in (0.5, 1.0, 2.0, 3.0):
-        cfg = LearnerConfig(0.2, 0.1, MID, noiseless=True)
-        wide_cfg = LearnerConfig(0.2, 0.1, WIDE, noiseless=True)
+        cfg = LearnerConfig(0.2, 0.1, MID)
+        wide_cfg = LearnerConfig(0.2, 0.1, WIDE)
 
         budget = PrivacyBudget(eps)
-        mle_learning(data, cfg, budget, RngStream(0))
+        mle_learning(data, cfg, budget, RngStream(0, noiseless=True))
         if [c.epsilon for c in budget.children] != [eps / 2.0, eps / 2.0]:
             problems.append(f"mle split at eps={eps}")
         if budget.spent() != (eps, 0.0):
             problems.append(f"mle spend at eps={eps}: {budget.spent()}")
 
         budget = PrivacyBudget(eps)
-        quantile_learning(data, cfg, budget, RngStream(0))
+        quantile_learning(data, cfg, budget, RngStream(0, noiseless=True))
         if budget.spent() != (eps, 0.0):
             problems.append(f"quantile spend at eps={eps}")
 
         budget = PrivacyBudget(eps)
-        best_of_both(data, cfg, budget, RngStream(0))
+        best_of_both(data, cfg, budget, RngStream(0, noiseless=True))
         fracs = [c.epsilon for c in budget.children]
         if fracs != [eps * (1.0 / 3.0), eps * (2.0 / 3.0)]:
             problems.append(f"adaptive split at eps={eps}: {fracs}")
@@ -371,24 +375,25 @@ def test_11_budget_accounting_is_exact():
             problems.append(f"adaptive spend at eps={eps}: {budget.spent()}")
 
         budget = PrivacyBudget(eps, 1e-6)
-        find_bounds(data, budget, RngStream(0), noiseless=True)
+        find_bounds(data, budget, RngStream(0, noiseless=True))
         if budget.spent() != (eps, 1e-6):
             problems.append(f"finder spend at eps={eps}")
 
         budget = PrivacyBudget(eps, 1e-6)
-        learn_without_bounds(data, 0.2, 0.1, budget, RngStream(0), noiseless=True)
+        learn_without_bounds(data, 0.2, 0.1, budget, RngStream(0, noiseless=True))
         deltas = [c.delta for c in budget.children]
         if deltas != [1e-6, 0.0] or budget.spent() != (eps, 1e-6):
             problems.append(f"no-bounds ledger at eps={eps}")
 
         budget = PrivacyBudget(eps)
-        learn_pareto(pareto_data, wide_cfg, budget, RngStream(0))
+        learn_pareto(pareto_data, wide_cfg, budget, RngStream(0, noiseless=True))
         if ([c.epsilon for c in budget.children] != [eps / 2.0, eps / 2.0]
                 or budget.spent() != (eps, 0.0)):
             problems.append(f"pareto ledger at eps={eps}")
 
         budget = PrivacyBudget(eps)
-        learn_pareto_known_scale(pareto_data, 1.0, wide_cfg, budget, RngStream(0))
+        learn_pareto_known_scale(pareto_data, 1.0, wide_cfg, budget,
+                                 RngStream(0, noiseless=True))
         if budget.spent() != (eps, 0.0):
             problems.append(f"known-scale spend at eps={eps}")
 

@@ -58,13 +58,13 @@ class TestNoisyHistogram:
 
     def test_threshold_formula(self):
         hist = noisy_histogram(Dataset([1.0] * 4), PrivacyBudget(10.0, 0.5),
-                               RngStream(0), noiseless=True)
+                               RngStream(0, noiseless=True))
         assert hist.threshold == (2.0 / 40.0) * math.log(4.0) + 0.25
 
     def test_noiseless_releases_raw_fractions(self):
         data = Dataset([1.0, 2.0, 2.5, 8.0])
-        hist = noisy_histogram(data, PrivacyBudget(1.0, 0.1), RngStream(0),
-                               noiseless=True)
+        hist = noisy_histogram(data, PrivacyBudget(1.0, 0.1),
+                               RngStream(0, noiseless=True))
         assert hist.noisy_bins == hist.bins == {0: 0.25, 1: 0.5, 3: 0.25}
 
     def test_empty_bins_not_released(self):
@@ -74,43 +74,43 @@ class TestNoisyHistogram:
 
     def test_budget_consumed(self):
         budget = PrivacyBudget(1.0, 0.1)
-        noisy_histogram(Dataset([1.0]), budget, RngStream(0), noiseless=True)
+        noisy_histogram(Dataset([1.0]), budget, RngStream(0, noiseless=True))
         assert budget.state == "consumed"
         assert budget.spent() == (1.0, 0.1)
 
     def test_survivors_monotone_in_delta(self):
         data = Dataset(np.random.default_rng(3).exponential(1.0, 200).tolist())
-        loose = noisy_histogram(data, PrivacyBudget(1.0, 0.5), RngStream(0),
-                                noiseless=True)
-        tight = noisy_histogram(data, PrivacyBudget(1.0, 1e-6), RngStream(0),
-                                noiseless=True)
+        loose = noisy_histogram(data, PrivacyBudget(1.0, 0.5),
+                                RngStream(0, noiseless=True))
+        tight = noisy_histogram(data, PrivacyBudget(1.0, 1e-6),
+                                RngStream(0, noiseless=True))
         assert tight.survivor_set <= loose.survivor_set
 
 
 class TestFindBounds:
     def test_frozen_example(self):
         bounds = find_bounds(Dataset([3.0, 3.5, 2.5, 3.9]), PrivacyBudget(10.0, 0.5),
-                             RngStream(0), noiseless=True)
+                             RngStream(0, noiseless=True))
         assert bounds.lower == math.ldexp(LN2, -2)
         assert bounds.upper == math.ldexp(LN2, 0)
         assert bounds.ratio == 4.0
 
     def test_none_when_threshold_unreachable(self):
         budget = PrivacyBudget(0.01, 1e-9)
-        out = find_bounds(Dataset([1.0] * 10), budget, RngStream(0), noiseless=True)
+        out = find_bounds(Dataset([1.0] * 10), budget, RngStream(0, noiseless=True))
         assert out is None
         assert budget.state == "consumed"  # spent even without a release
 
     def test_tie_breaks_to_smaller_bin(self):
         data = Dataset([1.0] * 5 + [2.0] * 5)
-        bounds = find_bounds(data, PrivacyBudget(10.0, 0.5), RngStream(0),
-                             noiseless=True)
+        bounds = find_bounds(data, PrivacyBudget(10.0, 0.5),
+                             RngStream(0, noiseless=True))
         assert bounds.lower == math.ldexp(LN2, -1)
         assert bounds.upper == math.ldexp(LN2, 1)
 
     def test_brackets_unit_rate(self):
         bounds = find_bounds(stratified(1.0, 100_000), PrivacyBudget(1.0, 1e-6),
-                             RngStream(0), noiseless=True)
+                             RngStream(0, noiseless=True))
         assert bounds.contains(1.0)
         assert bounds.ratio == 4.0
 
@@ -119,7 +119,7 @@ class TestFindBounds:
         for _ in range(60):
             values = gen.exponential(1.0, int(gen.integers(5, 150))).tolist()
             got = find_bounds(Dataset(values), PrivacyBudget(1.0, 0.5),
-                              RngStream(0), noiseless=True)
+                              RngStream(0, noiseless=True))
             want = oracle_find_bounds(values, 1.0, 0.5)
             if want is None:
                 assert got is None
@@ -136,7 +136,7 @@ class TestLearnWithoutBounds:
     def test_budget_ledger_routes_delta_to_finder(self):
         budget = PrivacyBudget(1.0, 1e-6)
         learn_without_bounds(stratified(1.0, 100_000), 0.2, 0.1, budget,
-                             RngStream(0), noiseless=True)
+                             RngStream(0, noiseless=True))
         finder, learner = budget.children
         assert (finder.epsilon, finder.delta) == (0.5, 1e-6)
         assert (learner.epsilon, learner.delta) == (0.5, 0.0)
@@ -145,13 +145,13 @@ class TestLearnWithoutBounds:
     def test_no_bin_survived(self):
         with pytest.raises(NoBinSurvived):
             learn_without_bounds(Dataset([1.0] * 5), 0.2, 0.1,
-                                 PrivacyBudget(0.01, 1e-9), RngStream(0),
-                                 noiseless=True)
+                                 PrivacyBudget(0.01, 1e-9),
+                                 RngStream(0, noiseless=True))
 
     def test_noiseless_recovers_rate(self):
         est = learn_without_bounds(stratified(1.0, 100_000), 0.2, 0.1,
-                                   PrivacyBudget(1.0, 1e-6), RngStream(0),
-                                   noiseless=True)
+                                   PrivacyBudget(1.0, 1e-6),
+                                   RngStream(0, noiseless=True))
         assert 0.8 <= est.lambda_hat <= 1.2
 
     def test_matches_oracle(self):
@@ -165,8 +165,8 @@ class TestLearnWithoutBounds:
                 want = type(exc)
             try:
                 got = learn_without_bounds(Dataset(values), 0.2, 0.1,
-                                           PrivacyBudget(1.0, 0.5), RngStream(0),
-                                           noiseless=True)
+                                           PrivacyBudget(1.0, 0.5),
+                                           RngStream(0, noiseless=True))
                 assert (got.lambda_hat, got.route.value) == want
             except CoarseFailed as exc:
                 assert want is SearchExhausted

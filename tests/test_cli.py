@@ -196,6 +196,59 @@ class TestLowerboundAndPacking:
             assert math.isclose(b / a, 1.8, rel_tol=1e-12)
 
 
+BOUNDS_ARGS = ["--lambda-min", "0.1", "--lambda-max", "10"]
+MLE_RUN = ["--learner", "mle", "--alpha", "0.2", "--beta", "0.1",
+           "--epsilon", "1", *BOUNDS_ARGS]
+MLE_EXPERIMENT = ["experiment", *MLE_RUN, "--true-lambda", "1", "--trials", "2"]
+
+
+def assert_one_error_line(capsys, argv, word):
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and word in lines[0]
+
+
+class TestInputErrors:
+    # a missing or out-of-range input is one "error:" line and exit 2,
+    # never a traceback
+
+    @pytest.mark.parametrize("argv, word", [
+        (["estimate", "--in", ONES, "--learner", "mle", "--beta", "0.1",
+          "--epsilon", "1", *BOUNDS_ARGS], "alpha"),
+        (["estimate", "--in", ONES, "--learner", "mle", "--alpha", "0.2",
+          "--beta", "0.1", *BOUNDS_ARGS], "epsilon"),
+        (["estimate", "--in", ONES, "--learner", "quantile", "--alpha", "0.2",
+          "--beta", "0.1", "--epsilon", "1"], "bounds"),
+        (["estimate", "--in", ONES, "--learner", "bounds-finder",
+          "--epsilon", "1"], "delta"),
+        (["experiment", "--learner", "mle", "--n", "100", "--beta", "0.1",
+          "--epsilon", "1", *BOUNDS_ARGS, "--true-lambda", "1"], "alpha"),
+        (["estimate", "--in", ONES, "--learner", "mle", "--clip-r", "2"],
+         "epsilon"),
+    ], ids=["estimate-alpha", "estimate-epsilon", "estimate-bounds",
+            "estimate-delta", "experiment-alpha", "estimate-clip-epsilon"])
+    def test_missing_input(self, capsys, argv, word):
+        assert_one_error_line(capsys, argv, word)
+
+    @pytest.mark.parametrize("argv, word", [
+        ([*MLE_EXPERIMENT, "--n", "100", "--alpha", "5"], "alpha"),
+        ([*MLE_EXPERIMENT, "--n", "100", "--beta", "1"], "beta"),
+        ([*MLE_EXPERIMENT, "--n", "100", "--epsilon", "-1"], "epsilon"),
+        ([*MLE_EXPERIMENT, "--epsilon", "-1"], "epsilon"),
+        ([*MLE_EXPERIMENT, "--n", "100", "--trials", "0"], "trials"),
+        ([*MLE_EXPERIMENT, "--n", "0"], "n must"),
+        (["sweep", *MLE_RUN, "--true-lambda", "1", "--n-grid", "10,abc"],
+         "abc"),
+        (["estimate", "--in", ONES, *MLE_RUN, "--delta", "2"], "delta"),
+        (["estimate", "--in", ONES, "--learner", "mle", "--epsilon", "1",
+          "--clip-r", "-1"], "clipping"),
+    ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
+            "n-grid", "delta", "clip-r"])
+    def test_out_of_range_input(self, capsys, argv, word):
+        assert_one_error_line(capsys, argv, word)
+
+
 class TestConsoleEntry:
     def test_module_invocation_round_trip(self, tmp_path):
         # the installed interface: python -m privexp.cli, twice, byte-identical

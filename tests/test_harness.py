@@ -1,11 +1,13 @@
+import inspect
 import math
 import os
 
 import pytest
 
+import privexp
 from privexp.dataset import RateBounds
 from privexp.distributions import ExpModel, ParetoModel, sample
-from privexp.errors import IncompleteInputs, InputError
+from privexp.errors import IncompleteInputs, InputError, OutOfRegime
 from privexp.harness import (
     _LEARNERS,
     SWEEP_CSV_HEADER,
@@ -19,7 +21,7 @@ from privexp.harness import (
     sweep_csv,
     write_sample,
 )
-from privexp.privacy import RngStream
+from privexp.privacy import PrivacyBudget, RngStream
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 MID = RateBounds(0.1, 10.0)
@@ -62,11 +64,11 @@ class TestLearnerTable:
 
 class TestSpecValidation:
     def test_trials_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             run_experiment(quantile_spec(trials=0))
 
     def test_n_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             run_experiment(quantile_spec(n=0))
 
     def test_exp_learner_needs_rate_and_bounds(self):
@@ -81,11 +83,60 @@ class TestSpecValidation:
         with pytest.raises(IncompleteInputs):
             run_experiment(spec)
 
+    def test_config_checked_before_trials(self):
+        # a bad alpha, beta or epsilon is one error, not a failure per trial
+        for bad in (dict(alpha=5.0), dict(beta=0.0), dict(epsilon=-1.0)):
+            with pytest.raises(OutOfRegime):
+                run_experiment(quantile_spec(**bad))
+
     def test_pareto_needs_truth(self):
         spec = ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0, bounds=WIDE,
                               true_xm=1.0, n=100)
         with pytest.raises(IncompleteInputs):
             run_experiment(spec)
+
+
+def tiny_spec(learner: Learner) -> ExperimentSpec:
+    """A spec every learner completes on: Pareto(1, 2) or Exp(2) data."""
+    row = _LEARNERS[learner]
+    truth = (dict(true_xm=1.0, true_shape=2.0) if row.pareto
+             else dict(true_lambda=2.0))
+    return ExperimentSpec(learner, 0.2, 0.1, 1.0,
+                          delta=1e-6 if row.uses_delta else 0.0, bounds=WIDE,
+                          n=20_000, base_seed=5, **truth)
+
+
+class TestNoiseSwitch:
+    @pytest.mark.parametrize("learner", list(Learner), ids=lambda l: l.value)
+    def test_noiseless_stream_draws_no_noise(self, learner):
+        # the stream alone switches the noise off: every row runs through
+        # all its mechanisms without one draw from the generator
+        spec = tiny_spec(learner)
+        row = _LEARNERS[learner]
+        rng = RngStream(spec.base_seed, 0, noiseless=True)
+        model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
+                 else ExpModel(spec.true_lambda))
+        data = sample(model, spec.n, rng)
+        state = rng.generator.bit_generator.state
+        budget = PrivacyBudget(spec.epsilon, spec.delta)
+        row.run(data, spec, budget, rng)
+        assert budget.spent() == (spec.epsilon, spec.delta)
+        assert rng.laplace_draws == 0
+        assert rng.generator.bit_generator.state == state
+
+    def test_only_the_stream_and_the_user_switches_take_noiseless(self):
+        takers = set()
+        for name in privexp.__all__:
+            obj = getattr(privexp, name)
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # exception classes have none
+                continue
+            if "noiseless" in params:
+                takers.add(name)
+        assert takers == {"RngStream", "ExperimentSpec", "estimate_from_file"}
 
 
 class TestDeterminism:

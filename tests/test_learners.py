@@ -15,6 +15,7 @@ from privexp.errors import (
     BudgetExhausted,
     CoarseFailed,
     NonpositiveMean,
+    OutOfRegime,
     RangeEstimationFailed,
     SearchExhausted,
 )
@@ -37,35 +38,35 @@ def stratified(rate: float, n: int) -> Dataset:
     return Dataset(ExpModel(rate).quantile((np.arange(n) + 0.5) / n))
 
 
-def config(alpha=0.2, beta=0.1, bounds=MID, noiseless=True):
-    return LearnerConfig(alpha, beta, bounds, noiseless)
+def config(alpha=0.2, beta=0.1, bounds=MID):
+    return LearnerConfig(alpha, beta, bounds)
 
 
 class TestPrivateMle:
     def test_unclipped_unit_data(self):
         est = private_mle(Dataset([1.0] * 4), 2.0, PrivacyBudget(1.0),
-                          RngStream(0), noiseless=True)
+                          RngStream(0, noiseless=True))
         assert est == 1.0
 
     def test_clipping_bites(self):
         # {1, 3} clipped at 2 -> mean 1.5 -> estimate exactly 2/3
         est = private_mle(Dataset([1.0, 3.0]), 2.0, PrivacyBudget(1.0),
-                          RngStream(0), noiseless=True)
+                          RngStream(0, noiseless=True))
         assert est == 1.0 / 1.5
 
     def test_nonpositive_mean(self):
         with pytest.raises(NonpositiveMean):
             private_mle(Dataset([0.0, 0.0]), 1.0, PrivacyBudget(1.0),
-                        RngStream(0), noiseless=True)
+                        RngStream(0, noiseless=True))
 
     def test_clip_validation(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+            with pytest.raises(OutOfRegime):
                 private_mle(Dataset([1.0]), bad, PrivacyBudget(1.0), RngStream(0))
 
     def test_budget_consumed_once(self):
         budget = PrivacyBudget(1.0)
-        private_mle(Dataset([1.0]), 1.0, budget, RngStream(0), noiseless=True)
+        private_mle(Dataset([1.0]), 1.0, budget, RngStream(0, noiseless=True))
         assert budget.state == "consumed"
         with pytest.raises(BudgetExhausted):
             private_mle(Dataset([1.0]), 1.0, budget, RngStream(0))
@@ -82,21 +83,22 @@ class TestPrivateMle:
             values = gen.uniform(0.0, 10.0, int(gen.integers(1, 40))).tolist()
             clip_r = float(gen.uniform(0.5, 8.0))
             got = private_mle(Dataset(values), clip_r, PrivacyBudget(1.0),
-                              RngStream(0), noiseless=True)
+                              RngStream(0, noiseless=True))
             assert got == oracle_private_mle(values, clip_r)
 
 
 class TestMleLearning:
     def test_noiseless_recovers_rate(self):
         est = mle_learning(stratified(4.0, 2000), config(bounds=WIDE),
-                           PrivacyBudget(1.0), RngStream(0))
+                           PrivacyBudget(1.0), RngStream(0, noiseless=True))
         assert est.route is Route.MLE
         assert est.coarse_estimate is None
         assert 3.2 <= est.lambda_hat <= 4.8
 
     def test_budget_ledger_halves(self):
         budget = PrivacyBudget(1.0)
-        mle_learning(stratified(4.0, 500), config(bounds=WIDE), budget, RngStream(0))
+        mle_learning(stratified(4.0, 500), config(bounds=WIDE), budget,
+                     RngStream(0, noiseless=True))
         assert budget.state == "split"
         assert [c.epsilon for c in budget.children] == [0.5, 0.5]
         assert all(c.state == "consumed" for c in budget.children)
@@ -107,7 +109,7 @@ class TestMleLearning:
         data = Dataset([1e9] * 10)
         with pytest.raises(RangeEstimationFailed):
             mle_learning(data, config(bounds=RateBounds(0.5, 1.0)),
-                         PrivacyBudget(1.0), RngStream(0))
+                         PrivacyBudget(1.0), RngStream(0, noiseless=True))
 
     def test_matches_oracle_on_random_data(self):
         gen = np.random.default_rng(17)
@@ -119,7 +121,7 @@ class TestMleLearning:
                 want = type(exc)
             try:
                 got = mle_learning(Dataset(values), config(), PrivacyBudget(1.0),
-                                   RngStream(0))
+                                   RngStream(0, noiseless=True))
                 assert got.lambda_hat == want[0]
             except (RangeEstimationFailed, NonpositiveMean) as exc:
                 assert type(exc) is want
@@ -142,28 +144,29 @@ class TestMleLearning:
 class TestQuantileLearning:
     def test_noiseless_recovers_rate(self):
         est = quantile_learning(stratified(1.0, 10_000), config(),
-                                PrivacyBudget(1.0), RngStream(0))
+                                PrivacyBudget(1.0), RngStream(0, noiseless=True))
         assert est.route is Route.QUANTILE
         assert 0.8 <= est.lambda_hat <= 1.2
 
     def test_search_exhausted_outside_bounds(self):
         with pytest.raises(SearchExhausted):
             quantile_learning(stratified(100.0, 1000), config(),
-                              PrivacyBudget(1.0), RngStream(0))
+                              PrivacyBudget(1.0), RngStream(0, noiseless=True))
 
     def test_probe_count_capped(self):
         # ratio 100, alpha 0.2: 44 candidate positions, cap ceil(log2 45) = 6
         rng = RngStream(11)
         data = sample(ExpModel(1.0), 5000, rng)
         try:
-            quantile_learning(data, config(noiseless=False), PrivacyBudget(1.0), rng)
+            quantile_learning(data, config(), PrivacyBudget(1.0), rng)
         except SearchExhausted:
             pass
         assert rng.laplace_draws <= 6
 
     def test_budget_consumed_whole(self):
         budget = PrivacyBudget(2.0)
-        quantile_learning(stratified(1.0, 10_000), config(), budget, RngStream(0))
+        quantile_learning(stratified(1.0, 10_000), config(), budget,
+                          RngStream(0, noiseless=True))
         assert budget.state == "consumed"
         assert budget.spent() == (2.0, 0.0)
 
@@ -177,7 +180,7 @@ class TestQuantileLearning:
                 want = type(exc)
             try:
                 got = quantile_learning(Dataset(values), config(), PrivacyBudget(1.0),
-                                        RngStream(0))
+                                        RngStream(0, noiseless=True))
                 assert got.lambda_hat == want[0]
             except SearchExhausted as exc:
                 assert type(exc) is want
@@ -200,7 +203,7 @@ class TestQuantileLearning:
 class TestBestOfBoth:
     def test_large_rate_takes_mle_route(self):
         est = best_of_both(stratified(3.0, 10_000), config(), PrivacyBudget(1.0),
-                           RngStream(0))
+                           RngStream(0, noiseless=True))
         assert est.route is Route.MLE
         assert est.coarse_estimate is not None
         assert est.coarse_estimate >= 2.0
@@ -208,7 +211,7 @@ class TestBestOfBoth:
 
     def test_small_rate_takes_quantile_route(self):
         est = best_of_both(stratified(0.5, 10_000), config(), PrivacyBudget(1.0),
-                           RngStream(0))
+                           RngStream(0, noiseless=True))
         assert est.route is Route.QUANTILE
         assert est.coarse_estimate < 2.0
         assert 0.5 * 0.8 <= est.lambda_hat <= 0.5 * 1.2
@@ -217,12 +220,13 @@ class TestBestOfBoth:
         data = stratified(1.0, 1000)
         with pytest.raises(CoarseFailed) as exc_info:
             best_of_both(data, config(bounds=RateBounds(50.0, 100.0)),
-                         PrivacyBudget(1.0), RngStream(0))
+                         PrivacyBudget(1.0), RngStream(0, noiseless=True))
         assert isinstance(exc_info.value.__cause__, SearchExhausted)
 
     def test_budget_ledger_thirds(self):
         budget = PrivacyBudget(1.0)
-        best_of_both(stratified(3.0, 10_000), config(), budget, RngStream(0))
+        best_of_both(stratified(3.0, 10_000), config(), budget,
+                     RngStream(0, noiseless=True))
         assert budget.state == "split"
         coarse, main = budget.children
         assert coarse.epsilon == 1.0 / 3.0
@@ -240,7 +244,7 @@ class TestBestOfBoth:
                 want = type(exc)
             try:
                 got = best_of_both(Dataset(values), config(), PrivacyBudget(1.0),
-                                   RngStream(0))
+                                   RngStream(0, noiseless=True))
                 assert (got.lambda_hat, got.route.value) == want
             except CoarseFailed as exc:
                 assert want is SearchExhausted
@@ -250,5 +254,5 @@ class TestBestOfBoth:
 
     def test_config_validation(self):
         for alpha, beta in [(0.0, 0.1), (1.0, 0.1), (0.2, 0.0), (0.2, 1.0)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(OutOfRegime):
                 LearnerConfig(alpha, beta, MID)

@@ -29,8 +29,8 @@ from privexp.privacy import PrivacyBudget, RngStream
 WIDE = RateBounds(0.01, 100.0)
 
 
-def config(alpha=0.2, beta=0.1, bounds=WIDE, noiseless=True):
-    return LearnerConfig(alpha, beta, bounds, noiseless)
+def config(alpha=0.2, beta=0.1, bounds=WIDE):
+    return LearnerConfig(alpha, beta, bounds)
 
 
 class TestLogTransform:
@@ -88,7 +88,8 @@ class TestKnownScale:
     def test_scale_violation(self):
         with pytest.raises(ScaleViolation):
             learn_pareto_known_scale(Dataset([0.5, 2.0]), 1.0, config(),
-                                     PrivacyBudget(1.0), RngStream(0))
+                                     PrivacyBudget(1.0),
+                                     RngStream(0, noiseless=True))
 
     def test_matches_oracle(self):
         gen = np.random.default_rng(5)
@@ -100,7 +101,8 @@ class TestKnownScale:
                 want = type(exc)
             try:
                 got = learn_pareto_known_scale(Dataset(values), 1.0, config(),
-                                               PrivacyBudget(1.0), RngStream(0))
+                                               PrivacyBudget(1.0),
+                                               RngStream(0, noiseless=True))
                 assert got.shape_hat == want[0]
                 assert got.scale_hat == 1.0
             except (RangeEstimationFailed, NonpositiveMean, ScaleViolation) as exc:
@@ -129,12 +131,13 @@ class TestLearnPareto:
         data = Dataset([1.0, 2.0])
         for tau in (0.05, 0.3):
             with pytest.raises(OutOfRegime):
-                learn_pareto(data, config(), PrivacyBudget(1.0), RngStream(0), tau)
+                learn_pareto(data, config(), PrivacyBudget(1.0),
+                             RngStream(0, noiseless=True), tau)
 
     def test_budget_ledger_halves(self):
         data = stratified_pareto(2.0, 5000)
         budget = PrivacyBudget(1.0)
-        learn_pareto(data, config(), budget, RngStream(0))
+        learn_pareto(data, config(), budget, RngStream(0, noiseless=True))
         pivot, shape = budget.children
         assert pivot.epsilon == shape.epsilon == 0.5
         assert budget.spent() == (1.0, 0.0)
@@ -145,7 +148,7 @@ class TestLearnPareto:
         # is within acceptance 09's factor e^(2 ln7 (alpha/shape) tau) of 1,
         # on either side
         est = learn_pareto(stratified_pareto(2.0, 20_000), config(),
-                           PrivacyBudget(1.0), RngStream(0))
+                           PrivacyBudget(1.0), RngStream(0, noiseless=True))
         assert 1.6 <= est.shape_hat <= 2.4
         log_cap = 2.0 * math.log(7.0) * (0.2 / 2.0) * DEFAULT_TAIL_QUANTILE
         assert abs(math.log(est.scale_hat)) <= log_cap
@@ -158,15 +161,16 @@ class TestLearnPareto:
         data = Dataset(values)
         tau = DEFAULT_TAIL_QUANTILE
 
-        est = learn_pareto(data, config(), PrivacyBudget(1.0), RngStream(0), tau)
+        est = learn_pareto(data, config(), PrivacyBudget(1.0),
+                           RngStream(0, noiseless=True), tau)
 
         from privexp.learners import _band_search, best_of_both
         pivot_b, shape_b = PrivacyBudget(1.0).split([0.5, 0.5])
         lo, step, n_steps, half_band = _pivot_grid(0.2, WIDE, tau)
         pivot = _band_search(data, lo, step, n_steps, tau, half_band, pivot_b,
-                             RngStream(1), noiseless=True)
+                             RngStream(1, noiseless=True))
         tail = log_transform(data, pivot)
-        inner = best_of_both(tail, config(), shape_b, RngStream(1))
+        inner = best_of_both(tail, config(), shape_b, RngStream(1, noiseless=True))
         assert est.shape_hat == inner.lambda_hat
         assert est.scale_hat == recover_scale(pivot, tau, inner.lambda_hat)
         assert est.tail_count == tail.n
@@ -179,8 +183,8 @@ class TestLearnPareto:
         # Pareto(x_m, 2) is about 1.07 x_m
         data = Dataset(x_m * stratified_pareto(2.0, 20_000).values)
         with pytest.raises(RangeEstimationFailed):
-            learn_pareto(data, config(noiseless=noiseless), PrivacyBudget(1.0),
-                         RngStream(0))
+            learn_pareto(data, config(), PrivacyBudget(1.0),
+                         RngStream(0, noiseless=noiseless))
 
     def test_matches_oracle(self):
         gen = np.random.default_rng(13)
@@ -195,7 +199,7 @@ class TestLearnPareto:
                 want = type(exc)
             try:
                 got = learn_pareto(Dataset(values), config(), PrivacyBudget(1.0),
-                                   RngStream(0), tau)
+                                   RngStream(0, noiseless=True), tau)
                 assert (got.shape_hat, got.scale_hat, got.route,
                         got.tail_count) == want
             except CoarseFailed as exc:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from privexp.errors import BadSplit, BudgetExhausted, EmptyDataset, InvalidScale
+from privexp.errors import (BadSplit, BudgetExhausted, EmptyDataset, InvalidScale,
+                            OutOfRegime)
 from privexp.dataset import Dataset
 from privexp.privacy import (NoiseScale, PrivacyBudget, RngStream,
                              noisy_fraction_below, sample_laplace)
@@ -30,17 +31,14 @@ class TestRngStream:
 
 class TestSampleLaplace:
     def test_noiseless_is_exactly_zero(self):
-        rng = RngStream(0)
-        assert sample_laplace(NoiseScale(1.0), rng, noiseless=True) == 0.0
+        rng = RngStream(0, noiseless=True)
+        assert sample_laplace(NoiseScale(1.0), rng) == 0.0
         assert rng.laplace_draws == 0
 
     def test_noiseless_does_not_advance_stream(self):
-        noisy_only = RngStream(123)
-        reference = sample_laplace(NoiseScale(1.0), noisy_only)
-
-        mixed = RngStream(123)
-        sample_laplace(NoiseScale(1.0), mixed, noiseless=True)
-        assert sample_laplace(NoiseScale(1.0), mixed) == reference
+        quiet = RngStream(123, noiseless=True)
+        sample_laplace(NoiseScale(1.0), quiet)
+        assert quiet.generator.random() == RngStream(123).generator.random()
 
     def test_negative_scale_rejected(self):
         with pytest.raises(InvalidScale):
@@ -91,14 +89,14 @@ class TestSampleLaplace:
 class TestNoisyFractionBelow:
     def test_noiseless_plain_fraction(self):
         data = Dataset([0.5, 1.5, 2.5, 3.5])
-        value = noisy_fraction_below(data, 2.0, NoiseScale(1.0), RngStream(0),
-                                     noiseless=True)
+        value = noisy_fraction_below(data, 2.0, NoiseScale(1.0),
+                                     RngStream(0, noiseless=True))
         assert value == 0.5
 
     def test_noiseless_zero_fraction(self):
         data = Dataset([1.0])
-        value = noisy_fraction_below(data, 0.5, NoiseScale(1.0), RngStream(0),
-                                     noiseless=True)
+        value = noisy_fraction_below(data, 0.5, NoiseScale(1.0),
+                                     RngStream(0, noiseless=True))
         assert value == 0.0
 
     def test_noisy_is_fraction_plus_known_draw(self):
@@ -117,15 +115,15 @@ class TestNoisyFractionBelow:
 
 class TestPrivacyBudget:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             PrivacyBudget(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             PrivacyBudget(-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             PrivacyBudget(math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             PrivacyBudget(1.0, -0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             PrivacyBudget(1.0, 1.0)
 
     def test_consume_once(self):

@@ -17,7 +17,7 @@ DATA = Dataset([0.5, 1.5, 2.5, 3.5])
 
 
 def fresh():
-    return PrivacyBudget(1.0), RngStream(0)
+    return PrivacyBudget(1.0), RngStream(0, noiseless=True)
 
 
 class TestSvtGrid:
@@ -50,19 +50,17 @@ class TestSvtGrid:
 class TestSvtQuantile:
     def test_noiseless_frozen_example(self):
         budget, rng = fresh()
-        res = svt_quantile(DATA, BOUNDS, 0.5, budget, rng, noiseless=True)
+        res = svt_quantile(DATA, BOUNDS, 0.5, budget, rng)
         assert res == QuantileResult(2.0, 1)
 
     def test_all_zeros_returns_first_point(self):
         budget, rng = fresh()
-        res = svt_quantile(Dataset([0.0, 0.0, 0.0]), BOUNDS, 0.5, budget, rng,
-                           noiseless=True)
+        res = svt_quantile(Dataset([0.0, 0.0, 0.0]), BOUNDS, 0.5, budget, rng)
         assert (res.quantile_value, res.grid_index) == (1.0, 0)
 
     def test_exhaustion_returns_none(self):
         budget, rng = fresh()
-        res = svt_quantile(Dataset([1e6] * 4), BOUNDS, 0.5, budget, rng,
-                           noiseless=True)
+        res = svt_quantile(Dataset([1e6] * 4), BOUNDS, 0.5, budget, rng)
         assert res is None
         assert budget.state == "consumed"  # spent even without a release
 
@@ -73,13 +71,13 @@ class TestSvtQuantile:
 
     def test_budget_consumed_once(self):
         budget, rng = fresh()
-        svt_quantile(DATA, BOUNDS, 0.5, budget, rng, noiseless=True)
+        svt_quantile(DATA, BOUNDS, 0.5, budget, rng)
         with pytest.raises(BudgetExhausted):
-            svt_quantile(DATA, BOUNDS, 0.5, budget, rng, noiseless=True)
+            svt_quantile(DATA, BOUNDS, 0.5, budget, rng)
 
     def test_noiseless_draws_nothing(self):
         budget, rng = fresh()
-        svt_quantile(DATA, BOUNDS, 0.5, budget, rng, noiseless=True)
+        svt_quantile(DATA, BOUNDS, 0.5, budget, rng)
         assert rng.laplace_draws == 0
 
     def test_noisy_draw_structure_on_success(self):
@@ -103,7 +101,7 @@ class TestSvtQuantile:
             values = gen.uniform(0.0, 20.0, n).tolist()
             theta = float(gen.uniform(0.1, 0.9))
             got = svt_quantile(Dataset(values), RateBounds(0.2, 5.0), theta,
-                               PrivacyBudget(1.0), RngStream(0), noiseless=True)
+                               PrivacyBudget(1.0), RngStream(0, noiseless=True))
             want = oracle_svt_quantile(values, 0.2, 5.0, theta)
             if want is None:
                 assert got is None
@@ -115,9 +113,9 @@ class TestSvtQuantile:
     def test_monotone_under_large_insertion(self, values, big):
         # appending a huge sample can only push the found quantile up
         before = svt_quantile(Dataset(values), RateBounds(0.2, 5.0), 0.5,
-                              PrivacyBudget(1.0), RngStream(0), noiseless=True)
+                              PrivacyBudget(1.0), RngStream(0, noiseless=True))
         after = svt_quantile(Dataset(values + [big]), RateBounds(0.2, 5.0), 0.5,
-                             PrivacyBudget(1.0), RngStream(0), noiseless=True)
+                             PrivacyBudget(1.0), RngStream(0, noiseless=True))
         if before is None:
             return  # grid already exhausted; nothing to compare
         if after is None:
