@@ -75,14 +75,19 @@ def _as_bounds(bounds) -> RateBounds:
     return bounds if isinstance(bounds, RateBounds) else RateBounds(*bounds)
 
 
+def _check_epsilon(epsilon) -> None:
+    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)
+            and epsilon > 0):
+        raise OutOfRegime(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
 def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
     """Packing lower bound: any private learner this accurate needs at least
     ceil((1/(6*eps*alpha)) * ln((ln(ratio)/(16*alpha)) / beta)) samples."""
     if not (0.0 < alpha < 0.5) or not (0.0 < beta < 0.5):
         raise OutOfRegime(f"lower bound needs alpha, beta in (0, 1/2), "
                           f"got ({alpha!r}, {beta!r})")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _check_epsilon(epsilon)
     bounds = _as_bounds(bounds)
     inner = (math.log(bounds.ratio) / (16.0 * alpha)) / beta
     value = math.log(inner) / (6.0 * epsilon * alpha)
@@ -108,6 +113,9 @@ def _clipped_mle_value(epsilon, beta, alpha, lam, clip_r) -> float:
     return max(privacy, statistical)
 
 
+_FIXED_POINT_ITERATIONS = 200
+
+
 def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
     """Fixed point in n: the clipping level grows like ln(n), and n must
     cover both pipeline stages (each at epsilon/2, beta/2) plus the
@@ -116,7 +124,7 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
     svt_need = _svt_quantile_value(stage_eps, stage_beta, bounds)
     ln10 = math.log(10.0)
     n = 16.0
-    for _ in range(200):
+    for _ in range(_FIXED_POINT_ITERATIONS):
         log_n = math.log(n)
         c = (6.0 / ln10) * (1.0 + math.log(1.0 / stage_beta) / log_n)
         clip_r = c * (ln10 / lam) * log_n
@@ -134,7 +142,8 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
         if abs(target - n) <= 0.5:
             return target
         n = target
-    return n
+    raise RegimeViolation(f"the mle-learning fixed point did not converge in "
+                          f"{_FIXED_POINT_ITERATIONS} iterations")
 
 
 def _search_depth(alpha, bounds) -> int:
@@ -248,7 +257,9 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
     """Evaluate the sample-size bound for one guarantee.
 
     Raises IncompleteInputs when the selected bound needs an input that was
-    not provided (e.g. the clipped-MLE bound needs both lam and clip_r).
+    not provided (e.g. the clipped-MLE bound needs both lam and clip_r), and
+    OutOfRegime when it reads an epsilon that is not positive and finite or
+    an alpha or beta outside (0, 1).
     The report records every input given; tau only where the bound reads it.
     """
     value_of, names, exact = _CALCULATORS[bound_id]
@@ -259,6 +270,11 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
     missing = [k for k in names if given[k] is None]
     if missing:
         raise IncompleteInputs(f"{bound_id.value} needs {', '.join(missing)}")
+    if "epsilon" in names:
+        _check_epsilon(epsilon)
+    for k in ("alpha", "beta"):
+        if k in names and not (0.0 < given[k] < 1.0):
+            raise OutOfRegime(f"{k} must lie in (0, 1), got {given[k]!r}")
     value = value_of(*(given[k] for k in names))
     inputs = {k: v for k, v in given.items()
               if v is not None and (k != "tau" or k in names)}

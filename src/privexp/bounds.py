@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import NoBinSurvived
+from .errors import NoBinSurvived, OutOfRegime
 from .learners import Estimate, LearnerConfig, best_of_both
 from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 
@@ -51,7 +51,7 @@ def noisy_histogram(data: Dataset, budget: PrivacyBudget,
                     rng: RngStream) -> DyadicHistogram:
     """Releases the stabilized noisy histogram; consumes the whole budget."""
     if not budget.delta > 0:
-        raise ValueError("the histogram release needs delta > 0")
+        raise OutOfRegime("the histogram release needs delta > 0")
     budget.consume()
     eps, delta, n = budget.epsilon, budget.delta, data.n
     bins = dyadic_histogram(data)
@@ -86,7 +86,7 @@ def learn_without_bounds(data: Dataset, alpha: float, beta: float,
     """End-to-end learner with no prior bounds: find bounds at (eps/2, delta),
     then run the adaptive learner at (eps/2, 0) inside them."""
     if not budget.delta > 0:
-        raise ValueError("learning without bounds needs delta > 0")
+        raise OutOfRegime("learning without bounds needs delta > 0")
     bounds_budget, learn_budget = budget.split([0.5, 0.5],
                                                delta_fractions=[1.0, 0.0])
     rate_bounds = find_bounds(data, bounds_budget, rng)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .dataset import Dataset, RateBounds
 from .errors import (
     CoarseFailed,
@@ -43,6 +45,11 @@ MLE_RANGE_THETA = 0.1
 # is enough to separate the two branch regions.
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
+
+# _exact_sum adds the 27 high and the 26 low significand bits of each value
+# apart, per exponent, in float64. Such sums stay exact (below 2^53 units)
+# while a chunk holds at most 2^26 values.
+_SUM_CHUNK = 1 << 26
 
 
 class Route(str, Enum):
@@ -87,15 +94,45 @@ def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
         raise OutOfRegime(f"clipping level must be positive and finite, got {clip_r!r}")
     budget.consume()
     n = data.n
-    # fsum is exactly rounded, so the released mean does not depend on
-    # summation order; the oracle tests rely on that.
-    clipped_mean = math.fsum(data.values.clip(max=clip_r)) / n
+    # The sum is exact and rounded once, so the released mean does not
+    # depend on summation order and equals math.fsum's bit for bit; the
+    # oracle tests rely on that.
+    clipped_mean = _exact_sum(data.values.clip(max=clip_r)) / n
     scale = NoiseScale(clip_r / (budget.epsilon * n))
     noisy_mean = clipped_mean + sample_laplace(scale, rng)
     if noisy_mean <= 0:
         raise NonpositiveMean(f"noisy clipped mean {noisy_mean} <= 0; "
                               f"n too small for this budget")
     return 1.0 / noisy_mean
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The sum of nonnegative finite float64 values, correctly rounded
+    (half to even) exactly like math.fsum, in a few whole-array passes.
+
+    Values are bucketed by biased exponent e, whose doubles are integer
+    multiples of 2^(max(e, 1) - 1075): subnormals share exponent 1's unit.
+    Each value splits exactly into its 27 high significand bits and the
+    26-bit remainder; per bucket, each part sums exactly in float64 while a
+    chunk holds at most _SUM_CHUNK values. The buckets are then added as
+    Python ints in units of 2^-1074 and rounded once by int division.
+    Raises OverflowError when the sum rounds past the largest double.
+    """
+    total = 0
+    for start in range(0, values.size, _SUM_CHUNK):
+        chunk = values[start:start + _SUM_CHUNK]
+        # The sign bit is set only on -0.0; clearing it files that under 0.
+        bits = chunk.view(np.int64) & np.int64(2**63 - 1)
+        exponent = bits >> 52
+        bits &= np.int64(-1 << 26)
+        high_part = bits.view(np.float64)
+        high = np.bincount(exponent, weights=high_part)
+        low = np.bincount(exponent, weights=chunk - high_part)
+        for e in np.flatnonzero(high + low).tolist():
+            unit = max(e, 1) - 1075
+            units = int(math.ldexp(high[e], -unit)) + int(math.ldexp(low[e], -unit))
+            total += units << (unit + 1074)
+    return total / (1 << 1074)
 
 
 def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,

@@ -2,9 +2,13 @@
 
 Everything here works on plain Python lists and floats with direct scans and
 explicit loops: no Dataset, no searchsorted, no vectorization, no shared
-helper code with the library. Elementary math calls (log, exp, fsum, ldexp)
-are the same libm the library uses, which is what makes bit-exact comparison
-a meaningful check of the surrounding logic rather than of libm itself.
+helper code with the library. Elementary math calls (log, exp, ldexp) are
+the same libm the library uses, which is what makes bit-exact comparison a
+meaningful check of the surrounding logic rather than of libm itself.
+Sums use math.fsum. The library sums the clipped mean with its own exactly
+rounded kernel (learners._exact_sum) instead, so fsum here is that kernel's
+independent reference: both round the exact sum once, and a noiseless MLE
+matches the oracle bit for bit only if the kernel is right.
 
 Also holds the numeric-integration oracles (scipy) for the closed-form
 distance formulas.

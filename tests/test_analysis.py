@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from privexp import analysis
 from privexp.analysis import (
     PackingFamily,
     SampleBound,
@@ -78,7 +79,7 @@ class TestLowerBound:
         for alpha, beta in [(0.5, 0.1), (0.0, 0.1), (0.1, 0.5), (0.1, 0.0)]:
             with pytest.raises(OutOfRegime):
                 lower_bound_n(alpha, beta, 1.0, (1.0, 10.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             lower_bound_n(0.1, 0.1, 0.0, (1.0, 10.0))
         for bad in [(2.0, 2.0), (3.0, 1.0), (0.0, 1.0)]:
             with pytest.raises(InvalidRatio):
@@ -241,6 +242,31 @@ class TestRequiredNInterface:
             assert required_n(bound_id, **kwargs).exact_constants
         for bound_id, kwargs in loose.items():
             assert not required_n(bound_id, **kwargs).exact_constants
+
+    def test_out_of_regime_inputs(self):
+        # every bound that reads epsilon, alpha or beta rejects a value
+        # outside the range its guarantee holds on
+        good = dict(alpha=0.2, beta=0.1, epsilon=1.0, delta=1e-6, lam=4.0,
+                    bounds=WIDE, clip_r=3.0)
+        bad = [("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", math.inf),
+               ("epsilon", math.nan), ("alpha", 0.0), ("alpha", 1.0),
+               ("alpha", 5.0), ("beta", 0.0), ("beta", 1.0), ("beta", math.nan)]
+        checked = 0
+        for bound_id, (_, names, _) in analysis._CALCULATORS.items():
+            for name, value in bad:
+                if name in names:
+                    with pytest.raises(OutOfRegime, match=name):
+                        required_n(bound_id, **{**good, name: value})
+                    checked += 1
+        assert checked == 94
+
+    def test_mle_fixed_point_reports_no_convergence(self, monkeypatch):
+        def never_in_regime(*args):
+            raise RegimeViolation("clipping level too low")
+
+        monkeypatch.setattr(analysis, "_clipped_mle_value", never_in_regime)
+        with pytest.raises(RegimeViolation, match="did not converge"):
+            required_n(SampleBound.MLE_LEARNING, lam=4.0, **BASE)
 
     def test_degenerate_bounds_tuple(self):
         with pytest.raises(InvalidRatio):

@@ -14,6 +14,7 @@ from privexp.distributions import ExpModel
 from privexp.errors import (
     NoBinSurvived,
     NonpositiveMean,
+    OutOfRegime,
     RangeEstimationFailed,
     SearchExhausted,
 )
@@ -53,7 +54,7 @@ class TestDyadicHistogram:
 
 class TestNoisyHistogram:
     def test_needs_positive_delta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             noisy_histogram(Dataset([1.0]), PrivacyBudget(1.0, 0.0), RngStream(0))
 
     def test_threshold_formula(self):
@@ -129,7 +130,7 @@ class TestFindBounds:
 
 class TestLearnWithoutBounds:
     def test_needs_positive_delta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             learn_without_bounds(Dataset([1.0]), 0.2, 0.1, PrivacyBudget(1.0),
                                  RngStream(0))
 

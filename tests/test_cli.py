@@ -249,6 +249,23 @@ class TestInputErrors:
         assert_one_error_line(capsys, argv, word)
 
 
+    @pytest.mark.parametrize("argv, word", [
+        (["calc", "--bound", "mle-learning", "--alpha", "0.2", "--beta", "0.1",
+          "--epsilon", "-1", *BOUNDS_ARGS, "--rate", "1"], "epsilon"),
+        (["calc", "--bound", "mle-learning", "--alpha", "5", "--beta", "0.1",
+          "--epsilon", "1", *BOUNDS_ARGS, "--rate", "1"], "alpha"),
+        (["calc", "--bound", "bounds-finder", "--beta", "1", "--epsilon", "1",
+          "--delta", "1e-6"], "beta"),
+        (["calc", "--bound", "svt-quantile", "--beta", "0.1", "--epsilon",
+          "inf", *BOUNDS_ARGS], "epsilon"),
+        (["lowerbound", "--alpha", "0.2", "--beta", "0.1", "--epsilon", "-1",
+          *BOUNDS_ARGS], "epsilon"),
+    ], ids=["calc-epsilon", "calc-alpha", "calc-beta", "calc-epsilon-inf",
+            "lowerbound-epsilon"])
+    def test_calculator_out_of_regime(self, capsys, argv, word):
+        assert_one_error_line(capsys, argv, word)
+
+
 class TestConsoleEntry:
     def test_module_invocation_round_trip(self, tmp_path):
         # the installed interface: python -m privexp.cli, twice, byte-identical

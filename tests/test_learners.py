@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     oracle_best_of_both,
@@ -9,6 +11,7 @@ from oracles import (
     oracle_private_mle,
     oracle_quantile_learning,
 )
+from privexp import learners
 from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import ExpModel, sample
 from privexp.errors import (
@@ -85,6 +88,86 @@ class TestPrivateMle:
             got = private_mle(Dataset(values), clip_r, PrivacyBudget(1.0),
                               RngStream(0, noiseless=True))
             assert got == oracle_private_mle(values, clip_r)
+
+    def test_release_ignores_order(self):
+        # magnitudes spread over 2^-40..2^40, so left-to-right float sums of
+        # the permutations differ; the released value must not
+        gen = np.random.default_rng(11)
+        values = np.ldexp(gen.random(2000), gen.integers(-40, 40, 2000))
+        clip_r = 2.0 ** 39
+        want = private_mle(Dataset(values), clip_r, PrivacyBudget(1.0),
+                           RngStream(0, noiseless=True))
+        naive_sums = set()
+        for _ in range(20):
+            shuffled = gen.permutation(values)
+            naive_sums.add(sum(shuffled.clip(max=clip_r).tolist()))
+            got = private_mle(Dataset(shuffled), clip_r, PrivacyBudget(1.0),
+                              RngStream(0, noiseless=True))
+            assert got == want
+        assert len(naive_sums) > 1
+
+
+def fsum_or_overflow(values):
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return OverflowError
+
+
+def exact_sum_or_overflow(values):
+    try:
+        return learners._exact_sum(np.array(values, dtype=np.float64))
+    except OverflowError:
+        return OverflowError
+
+
+# Nonnegative finite doubles of every magnitude: signed and unsigned zero,
+# subnormals, the edges of the normal range, and mantissas scaled across
+# the whole exponent range (ldexp rounds small results to subnormals).
+SUM_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                     2.225073858507201e-308, 1.0, 2.0 ** 53,
+                     1.7e308, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1e-307, allow_subnormal=True),
+    st.floats(min_value=1.6e308, max_value=1.7976931348623157e308),
+    st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+              st.integers(min_value=-1073, max_value=1024)),
+)
+
+
+class TestExactSum:
+    @given(st.lists(SUM_ELEMENTS, max_size=60))
+    def test_matches_fsum(self, values):
+        assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
+
+    def test_negative_zero_is_zero(self):
+        # -0.0 is the one accepted value with the sign bit set; it must be
+        # summed as a zero, not filed under some other exponent
+        assert learners._exact_sum(np.array([-0.0, 5e-324])) == 5e-324
+
+    def test_ties_round_to_even(self):
+        assert learners._exact_sum(np.array([2.0 ** 53, 1.0])) == 2.0 ** 53
+        assert (learners._exact_sum(np.array([2.0 ** 53, 1.0, 2.0 ** -60]))
+                == 2.0 ** 53 + 2.0)
+
+    def test_all_zeros(self):
+        total = learners._exact_sum(np.zeros(1000))
+        assert total == 0.0 and math.copysign(1.0, total) == 1.0
+
+    def test_overflow_raises_like_fsum(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1.7e308, 1.7e308])
+        with pytest.raises(OverflowError):
+            learners._exact_sum(np.array([1.7e308, 1.7e308]))
+
+    def test_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(learners, "_SUM_CHUNK", 3)
+        gen = np.random.default_rng(3)
+        for size in range(12):
+            values = np.ldexp(gen.random(size), gen.integers(-1074, 1000, size))
+            assert learners._exact_sum(values) == math.fsum(values)
+        near_max = np.full(7, 1.7976931348623157e308 / 8.0)
+        assert learners._exact_sum(near_max) == math.fsum(near_max)
 
 
 class TestMleLearning:
