@@ -21,7 +21,7 @@ from enum import Enum
 
 from .dataset import RateBounds
 from .errors import IncompleteInputs, OutOfRegime, RegimeViolation
-from .pareto import DEFAULT_TAIL_QUANTILE, _pivot_grid
+from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
 
 __all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
            "lower_bound_n", "required_n", "quantile_order_terms"]
@@ -75,10 +75,10 @@ def _as_bounds(bounds) -> RateBounds:
     return bounds if isinstance(bounds, RateBounds) else RateBounds(*bounds)
 
 
-def _check_epsilon(epsilon) -> None:
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)
-            and epsilon > 0):
-        raise OutOfRegime(f"epsilon must be positive and finite, got {epsilon!r}")
+def _check_positive(name, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value)
+            and value > 0):
+        raise OutOfRegime(f"{name} must be positive and finite, got {value!r}")
 
 
 def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
@@ -87,7 +87,7 @@ def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
     if not (0.0 < alpha < 0.5) or not (0.0 < beta < 0.5):
         raise OutOfRegime(f"lower bound needs alpha, beta in (0, 1/2), "
                           f"got ({alpha!r}, {beta!r})")
-    _check_epsilon(epsilon)
+    _check_positive("epsilon", epsilon)
     bounds = _as_bounds(bounds)
     inner = (math.log(bounds.ratio) / (16.0 * alpha)) / beta
     value = math.log(inner) / (6.0 * epsilon * alpha)
@@ -258,8 +258,9 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
 
     Raises IncompleteInputs when the selected bound needs an input that was
     not provided (e.g. the clipped-MLE bound needs both lam and clip_r), and
-    OutOfRegime when it reads an epsilon that is not positive and finite or
-    an alpha or beta outside (0, 1).
+    OutOfRegime when it reads an epsilon, lam or clip_r that is not positive
+    and finite, an alpha, beta or delta outside (0, 1), or a tau outside
+    [TAU_MIN, TAU_MAX].
     The report records every input given; tau only where the bound reads it.
     """
     value_of, names, exact = _CALCULATORS[bound_id]
@@ -270,11 +271,14 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
     missing = [k for k in names if given[k] is None]
     if missing:
         raise IncompleteInputs(f"{bound_id.value} needs {', '.join(missing)}")
-    if "epsilon" in names:
-        _check_epsilon(epsilon)
-    for k in ("alpha", "beta"):
+    for k in ("epsilon", "lam", "clip_r"):
+        if k in names:
+            _check_positive(k, given[k])
+    for k in ("alpha", "beta", "delta"):
         if k in names and not (0.0 < given[k] < 1.0):
             raise OutOfRegime(f"{k} must lie in (0, 1), got {given[k]!r}")
+    if "tau" in names and not (TAU_MIN <= tau <= TAU_MAX):
+        raise OutOfRegime(f"tau must lie in [{TAU_MIN}, {TAU_MAX}], got {tau!r}")
     value = value_of(*(given[k] for k in names))
     inputs = {k: v for k, v in given.items()
               if v is not None and (k != "tau" or k in names)}

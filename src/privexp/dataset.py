@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidRatio
+from .errors import EmptyDataset, InputError, InvalidRatio
 
 __all__ = ["Dataset", "RateBounds"]
 
@@ -22,13 +22,13 @@ class Dataset:
     def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
-            raise ValueError(f"expected a flat sequence, got shape {arr.shape}")
+            raise InputError(f"expected a flat sequence, got shape {arr.shape}")
         if arr.size == 0:
             raise EmptyDataset("dataset must contain at least one value")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("dataset values must be finite")
+            raise InputError("dataset values must be finite")
         if np.any(arr < 0):
-            raise ValueError("dataset values must be nonnegative")
+            raise InputError("dataset values must be nonnegative")
         self._values = arr.copy()
         self._values.setflags(write=False)
         self._sorted = np.sort(arr)

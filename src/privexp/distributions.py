@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyRequest, InvalidRate, InvalidRatio, InvalidScale, InvalidShape
+from .errors import (EmptyRequest, InvalidRate, InvalidRatio, InvalidScale, InvalidShape,
+                     OutOfRegime)
 from .privacy import RngStream
 
 __all__ = [
@@ -66,7 +67,7 @@ class ExpModel:
     def quantile(self, p):
         p = np.asarray(p, dtype=np.float64)
         if np.any(p < 0) or np.any(p >= 1):
-            raise ValueError("quantile level must lie in [0, 1)")
+            raise OutOfRegime("quantile level must lie in [0, 1)")
         out = -np.log1p(-p) / self.rate_lambda
         return float(out) if out.ndim == 0 else out
 
@@ -105,7 +106,7 @@ class ParetoModel:
     def quantile(self, p):
         p = np.asarray(p, dtype=np.float64)
         if np.any(p < 0) or np.any(p >= 1):
-            raise ValueError("quantile level must lie in [0, 1)")
+            raise OutOfRegime("quantile level must lie in [0, 1)")
         out = self.scale_xm * np.exp(-np.log1p(-p) / self.shape_alpha_p)
         return float(out) if out.ndim == 0 else out
 

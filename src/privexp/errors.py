@@ -87,7 +87,9 @@ class RegimeViolation(PrivexpError):
 
 
 class InputError(PrivexpError):
-    """A data file could not be accessed or parsed.
+    """Input data was unusable: a data file could not be accessed or
+    parsed, or in-memory values were not a flat sequence of nonnegative
+    finite reals.
 
     Carries the 1-based line number of the offending record when the
     failure is tied to one (parse errors); file-level failures leave it

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import Dataset, RateBounds
 from .errors import EmptyTail, OutOfRegime, RangeEstimationFailed, ScaleViolation
 from .learners import LearnerConfig, Route, _band_search, best_of_both, mle_learning
@@ -52,15 +54,11 @@ class ParetoEstimate:
 def log_transform(data: Dataset, pivot: float) -> Dataset:
     """{ ln(x / pivot) : x in data, x >= pivot }, order preserved."""
     if not (isinstance(pivot, (int, float)) and math.isfinite(pivot) and pivot > 0):
-        raise ValueError(f"pivot must be positive and finite, got {pivot!r}")
+        raise OutOfRegime(f"pivot must be positive and finite, got {pivot!r}")
     kept = data.values[data.values >= pivot]
     if kept.size == 0:
         raise EmptyTail(f"no samples at or above pivot {pivot}")
-    # math.log per element, not the vectorized log: the two can differ in the
-    # last ulp, and the oracle tests compare bit-exactly. The vectorized
-    # division is correctly rounded like the scalar one, and mapping over
-    # plain floats skips the per-element numpy scalar overhead.
-    return Dataset(list(map(math.log, (kept / pivot).tolist())))
+    return Dataset(np.log(kept / pivot))
 
 
 def recover_scale(quantile_value: float, tau: float, shape_hat: float) -> float:

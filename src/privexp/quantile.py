@@ -86,7 +86,7 @@ def clipping_range(q: QuantileResult, n: int, theta: float, beta: float) -> floa
     if n < 2:
         raise TooFewSamples(f"clipping range needs n >= 2, got {n}")
     if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
+        raise OutOfRegime(f"beta must lie in (0, 1], got {beta!r}")
     log_n = math.log(n)
     c = (QUANTILE_APPROX_FACTOR / math.log(1.0 / theta)) * (1.0 + math.log(1.0 / beta) / log_n)
     return c * q.quantile_value * log_n

@@ -3,8 +3,14 @@
 Everything here works on plain Python lists and floats with direct scans and
 explicit loops: no Dataset, no searchsorted, no vectorization, no shared
 helper code with the library. Elementary math calls (log, exp, ldexp) are
-the same libm the library uses, which is what makes bit-exact comparison a
-meaningful check of the surrounding logic rather than of libm itself.
+the same ones the library uses, which is what makes bit-exact comparison a
+meaningful check of the surrounding logic rather than of the elementary
+functions themselves.
+The log in the Pareto transform is numpy's log, called here one element at
+a time: the library takes the log of the whole tail in one vectorized call,
+and that log can differ from math.log in the last ulp, so the oracle uses the
+same elementary function. test_pareto pins that numpy's array and scalar
+logs agree element for element.
 Sums use math.fsum. The library sums the clipped mean with its own exactly
 rounded kernel (learners._exact_sum) instead, so fsum here is that kernel's
 independent reference: both round the exact sum once, and a noiseless MLE
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import integrate
 
 from privexp.errors import (EmptyTail, NoBinSurvived, NonpositiveMean,
@@ -134,7 +141,7 @@ def oracle_learn_without_bounds(values, alpha, beta, epsilon, delta):
 
 
 def oracle_log_transform(values, pivot):
-    kept = [math.log(v / pivot) for v in values if v >= pivot]
+    kept = [float(np.log(v / pivot)) for v in values if v >= pivot]
     if not kept:
         raise EmptyTail("no exceedances")
     return kept

@@ -244,13 +244,18 @@ class TestRequiredNInterface:
             assert not required_n(bound_id, **kwargs).exact_constants
 
     def test_out_of_regime_inputs(self):
-        # every bound that reads epsilon, alpha or beta rejects a value
-        # outside the range its guarantee holds on
+        # every bound rejects a value outside the range its guarantee holds
+        # on for each input it reads, and ignores the inputs it does not read
         good = dict(alpha=0.2, beta=0.1, epsilon=1.0, delta=1e-6, lam=4.0,
                     bounds=WIDE, clip_r=3.0)
         bad = [("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", math.inf),
                ("epsilon", math.nan), ("alpha", 0.0), ("alpha", 1.0),
-               ("alpha", 5.0), ("beta", 0.0), ("beta", 1.0), ("beta", math.nan)]
+               ("alpha", 5.0), ("beta", 0.0), ("beta", 1.0), ("beta", math.nan),
+               ("lam", 0.0), ("lam", -1.0), ("lam", math.inf), ("lam", math.nan),
+               ("clip_r", 0.0), ("clip_r", -1.0), ("clip_r", math.inf),
+               ("clip_r", math.nan), ("delta", 0.0), ("delta", 1.0),
+               ("delta", 2.0), ("delta", math.nan), ("tau", 0.05),
+               ("tau", 0.3), ("tau", 1.5), ("tau", math.nan)]
         checked = 0
         for bound_id, (_, names, _) in analysis._CALCULATORS.items():
             for name, value in bad:
@@ -258,7 +263,9 @@ class TestRequiredNInterface:
                     with pytest.raises(OutOfRegime, match=name):
                         required_n(bound_id, **{**good, name: value})
                     checked += 1
-        assert checked == 94
+                else:
+                    required_n(bound_id, **{**good, name: value})
+        assert checked == 130
 
     def test_mle_fixed_point_reports_no_convergence(self, monkeypatch):
         def never_in_regime(*args):

@@ -260,8 +260,18 @@ class TestInputErrors:
           "inf", *BOUNDS_ARGS], "epsilon"),
         (["lowerbound", "--alpha", "0.2", "--beta", "0.1", "--epsilon", "-1",
           *BOUNDS_ARGS], "epsilon"),
+        (["calc", "--bound", "mle-learning", "--alpha", "0.2", "--beta", "0.1",
+          "--epsilon", "1", *BOUNDS_ARGS, "--rate", "0"], "lam"),
+        (["calc", "--bound", "mle-learning", "--alpha", "0.2", "--beta", "0.1",
+          "--epsilon", "1", *BOUNDS_ARGS, "--rate", "-1"], "lam"),
+        (["calc", "--bound", "pareto-learning", "--alpha", "0.2", "--beta",
+          "0.1", "--epsilon", "1", *BOUNDS_ARGS, "--rate", "2", "--tau", "1.5"],
+         "tau"),
+        (["calc", "--bound", "bounds-finder", "--beta", "0.1", "--epsilon", "1",
+          "--delta", "2"], "delta"),
     ], ids=["calc-epsilon", "calc-alpha", "calc-beta", "calc-epsilon-inf",
-            "lowerbound-epsilon"])
+            "lowerbound-epsilon", "calc-rate-zero", "calc-rate-negative",
+            "calc-tau", "calc-delta"])
     def test_calculator_out_of_regime(self, capsys, argv, word):
         assert_one_error_line(capsys, argv, word)
 

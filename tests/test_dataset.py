@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from privexp.dataset import Dataset, RateBounds
-from privexp.errors import EmptyDataset, InvalidRatio
+from privexp.errors import EmptyDataset, InputError, InvalidRatio
 
 
 class TestDataset:
@@ -20,15 +20,15 @@ class TestDataset:
             Dataset([])
 
     def test_rejects_negative_and_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Dataset([1.0, -0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Dataset([1.0, math.nan])
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Dataset([1.0, math.inf])
 
     def test_rejects_non_flat(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Dataset([[1.0, 2.0], [3.0, 4.0]])
 
     def test_zero_allowed(self):

@@ -10,7 +10,7 @@ from privexp.distributions import (ExpModel, ParetoModel, exp_tv,
                                    exp_tv_crossing, pareto_kl_equal_scale,
                                    pareto_tv_bound, sample, separation_T)
 from privexp.errors import (EmptyRequest, InvalidRate, InvalidRatio,
-                            InvalidScale, InvalidShape)
+                            InvalidScale, InvalidShape, OutOfRegime)
 from privexp.privacy import RngStream
 
 
@@ -36,9 +36,9 @@ class TestExpModel:
             assert math.isclose(m.cdf(m.quantile(p)), p, rel_tol=1e-12)
 
     def test_quantile_level_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             ExpModel(1.0).quantile(1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRegime):
             ExpModel(1.0).quantile(-0.1)
 
     def test_vector_output(self):
@@ -78,6 +78,11 @@ class TestParetoModel:
         for p in (0.0, 0.3, 0.871, 0.999):
             assert math.isclose(m.cdf(m.quantile(p)), p,
                                 rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_quantile_level_validation(self):
+        for p in (1.0, -0.1):
+            with pytest.raises(OutOfRegime):
+                ParetoModel(1.0, 2.0).quantile(p)
 
     def test_density_integrates_to_one(self):
         from scipy import integrate

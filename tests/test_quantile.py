@@ -160,7 +160,7 @@ class TestClippingRange:
         with pytest.raises(TooFewSamples):
             clipping_range(QuantileResult(1.0, 0), 1, 0.1, 0.1)
         for beta in (0.0, -1.0, 1.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(OutOfRegime):
                 clipping_range(QuantileResult(1.0, 0), 100, 0.1, beta)
 
     def test_coverage_statistical(self):
