@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import NoBinSurvived, OutOfRegime
+from .errors import NoBinSurvived, OutOfRegime, RangeEstimationFailed
 from .learners import Estimate, LearnerConfig, best_of_both
 from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 
@@ -67,7 +67,8 @@ def find_bounds(data: Dataset, budget: PrivacyBudget, rng: RngStream):
 
     The returned interval is (ln2 * 2^-(k*+1), ln2 * 2^-(k*-1)) where k* is
     the surviving bin with the largest noisy fraction (smallest k on ties),
-    so its ratio is exactly 4.
+    so its ratio is exactly 4. Raises RangeEstimationFailed when k* is so
+    low (the zero bin, say) that the upper end overflows a double.
     """
     hist = noisy_histogram(data, budget, rng)
     if not hist.survivor_set:
@@ -78,7 +79,13 @@ def find_bounds(data: Dataset, budget: PrivacyBudget, rng: RngStream):
         if hist.noisy_bins[k] > best:
             k_star, best = k, hist.noisy_bins[k]
     ln2 = math.log(2.0)
-    return RateBounds(math.ldexp(ln2, -(k_star + 1)), math.ldexp(ln2, -(k_star - 1)))
+    try:
+        return RateBounds(math.ldexp(ln2, -(k_star + 1)),
+                          math.ldexp(ln2, -(k_star - 1)))
+    except OverflowError:
+        # the zero bin or a subnormal one: no double bounds the rate
+        raise RangeEstimationFailed(f"top bin 2^{k_star} puts the rate bounds "
+                                    "beyond the largest double") from None
 
 
 def learn_without_bounds(data: Dataset, alpha: float, beta: float,

@@ -20,7 +20,7 @@ class Dataset:
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)  # a private copy
         if arr.ndim != 1:
             raise InputError(f"expected a flat sequence, got shape {arr.shape}")
         if arr.size == 0:
@@ -29,7 +29,7 @@ class Dataset:
             raise InputError("dataset values must be finite")
         if np.any(arr < 0):
             raise InputError("dataset values must be nonnegative")
-        self._values = arr.copy()
+        self._values = arr
         self._values.setflags(write=False)
         self._sorted = np.sort(arr)
         self._sorted.setflags(write=False)

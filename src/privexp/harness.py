@@ -15,7 +15,9 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
+
+import numpy as np
 
 from .analysis import SampleBound, required_n
 from .bounds import find_bounds
@@ -313,42 +315,60 @@ def write_sample(path, model, n: int, seed: int) -> None:
     comment header."""
     rng = RngStream(seed)
     data = sample(model, n, rng)
-    lines = [f"# seed={seed}"]
-    lines.extend(repr(float(v)) for v in data.values)
+    body = "\n".join(map(repr, data.values.tolist()))
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"# seed={seed}\n{body}\n")
     except OSError as exc:
         raise InputError(str(exc)) from None
 
 
 def read_values(path, require_positive: bool = False) -> list:
     """Parse one float per line; blank lines and '#' comments are skipped.
-    Bad lines raise InputError carrying the 1-based line number."""
-    values = []
+    Bad lines raise InputError carrying the 1-based line number.
+
+    Lines are split as text-mode iteration splits them (universal newlines:
+    \\n, \\r\\n and a lone \\r), not as str.splitlines, which also breaks at
+    form feeds and other separators. The whole file is parsed and checked in
+    bulk; only a file that fails is scanned line by line, to name its first
+    bad line.
+    """
     try:
-        fh = open(path)
+        with open(path) as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise InputError(str(exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise InputError(f"could not parse {text!r} as a number",
-                                 line=lineno) from None
-            if not math.isfinite(value):
-                raise InputError(f"non-finite value {text!r}", line=lineno)
-            if value < 0.0:
-                raise InputError(f"negative value {text!r}", line=lineno)
-            if require_positive and value == 0.0:
-                raise InputError("value must be strictly positive",
-                                 line=lineno)
-            values.append(value)
-    return values
+    kept = [text for text in map(str.strip, lines) if text and text[0] != "#"]
+    try:
+        values = list(map(float, kept))
+    except ValueError:
+        pass
+    else:
+        arr = np.array(values)
+        lowest_ok = arr > 0.0 if require_positive else arr >= 0.0
+        if np.all(np.isfinite(arr) & lowest_ok):
+            return values
+    _raise_first_bad_line(lines, require_positive)
+
+
+def _raise_first_bad_line(lines, require_positive: bool) -> NoReturn:
+    """Raise the InputError of the first line that read_values rejects."""
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise InputError(f"could not parse {text!r} as a number",
+                             line=lineno) from None
+        if not math.isfinite(value):
+            raise InputError(f"non-finite value {text!r}", line=lineno)
+        if value < 0.0:
+            raise InputError(f"negative value {text!r}", line=lineno)
+        if require_positive and value == 0.0:
+            raise InputError("value must be strictly positive", line=lineno)
+    raise AssertionError("a bulk check failed but no line is bad")
 
 
 def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,

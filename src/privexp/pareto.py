@@ -58,7 +58,15 @@ def log_transform(data: Dataset, pivot: float) -> Dataset:
     kept = data.values[data.values >= pivot]
     if kept.size == 0:
         raise EmptyTail(f"no samples at or above pivot {pivot}")
-    return Dataset(np.log(kept / pivot))
+    with np.errstate(over="ignore"):
+        logs = np.log(kept / pivot)
+    # x / pivot overflows for x near the float maximum and a pivot below 1;
+    # only there take the difference of logs, so finite quotients keep the
+    # log of the ratio bit for bit.
+    over = np.isinf(logs)
+    if over.any():
+        logs[over] = np.log(kept[over]) - np.log(pivot)
+    return Dataset(logs)
 
 
 def recover_scale(quantile_value: float, tau: float, shape_hat: float) -> float:

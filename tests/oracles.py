@@ -27,9 +27,9 @@ import math
 import numpy as np
 from scipy import integrate
 
-from privexp.errors import (EmptyTail, NoBinSurvived, NonpositiveMean,
-                            RangeEstimationFailed, ScaleViolation,
-                            SearchExhausted, TooFewSamples)
+from privexp.errors import (EmptyTail, InputError, NoBinSurvived,
+                            NonpositiveMean, RangeEstimationFailed,
+                            ScaleViolation, SearchExhausted, TooFewSamples)
 
 
 def fraction_below(values, threshold) -> float:
@@ -130,6 +130,8 @@ def oracle_find_bounds(values, epsilon, delta):
         if survivors[k] > best:
             k_star, best = k, survivors[k]
     ln2 = math.log(2.0)
+    if k_star - 1 < -1024:  # ln2 * 2^(1 - k*) is beyond the largest double
+        raise RangeEstimationFailed("bounds overflow")
     return math.ldexp(ln2, -(k_star + 1)), math.ldexp(ln2, -(k_star - 1))
 
 
@@ -141,7 +143,14 @@ def oracle_learn_without_bounds(values, alpha, beta, epsilon, delta):
 
 
 def oracle_log_transform(values, pivot):
-    kept = [float(np.log(v / pivot)) for v in values if v >= pivot]
+    kept = []
+    for v in values:
+        if v >= pivot:
+            ratio = v / pivot
+            if ratio == math.inf:  # the quotient overflowed: subtract logs
+                kept.append(float(np.log(v) - np.log(pivot)))
+            else:
+                kept.append(float(np.log(ratio)))
     if not kept:
         raise EmptyTail("no exceedances")
     return kept
@@ -187,6 +196,36 @@ def oracle_learn_pareto_known_scale(values, x_m, lower, upper, beta):
         raise ScaleViolation("sample below declared scale")
     tail = oracle_log_transform(values, x_m)
     return oracle_mle_learning(tail, lower, upper, beta)
+
+
+def oracle_read_values(path, require_positive=False):
+    """The sample-file reader as a per-line loop over text-mode iteration,
+    checking each line as it goes: the reference for harness.read_values,
+    which parses and checks the whole file in bulk."""
+    values = []
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise InputError(f"could not parse {text!r} as a number",
+                                 line=lineno) from None
+            if not math.isfinite(value):
+                raise InputError(f"non-finite value {text!r}", line=lineno)
+            if value < 0.0:
+                raise InputError(f"negative value {text!r}", line=lineno)
+            if require_positive and value == 0.0:
+                raise InputError("value must be strictly positive",
+                                 line=lineno)
+            values.append(value)
+    return values
 
 
 # --- numeric integration oracles ---------------------------------------------

@@ -115,6 +115,23 @@ class TestFindBounds:
         assert bounds.contains(1.0)
         assert bounds.ratio == 4.0
 
+    @pytest.mark.parametrize("value, top_bin", [
+        (0.0, -1074), (5e-324, -1074), (2.0 ** -1024, -1024)])
+    def test_bin_beyond_double_range_is_a_named_failure(self, value, top_bin):
+        # ln2 * 2^(1 - k*) overflows for k* <= -1024
+        with pytest.raises(RangeEstimationFailed, match=f"2\\^{top_bin}"):
+            find_bounds(Dataset([value] * 10), PrivacyBudget(10.0, 0.5),
+                        RngStream(0, noiseless=True))
+        with pytest.raises(RangeEstimationFailed):
+            oracle_find_bounds([value] * 10, 10.0, 0.5)
+
+    def test_lowest_bin_that_still_fits(self):
+        bounds = find_bounds(Dataset([2.0 ** -1023] * 10),
+                             PrivacyBudget(10.0, 0.5), RngStream(0, noiseless=True))
+        assert bounds.upper == math.ldexp(LN2, 1024)
+        assert (bounds.lower, bounds.upper) == oracle_find_bounds(
+            [2.0 ** -1023] * 10, 10.0, 0.5)
+
     def test_matches_oracle(self):
         gen = np.random.default_rng(11)
         for _ in range(60):

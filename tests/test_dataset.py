@@ -39,6 +39,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.values[0] = 5.0
 
+    def test_source_array_mutation_does_not_leak(self):
+        source = np.array([3.0, 1.0, 2.0])
+        d = Dataset(source)
+        source[:] = [0.0, 100.0, -5.0]
+        assert list(d.values) == [3.0, 1.0, 2.0]
+        assert d.count_below(2.5) == 2
+        assert d.min() == 1.0 and d.max() == 3.0
+
     def test_counting_query(self):
         d = Dataset([0.5, 1.5, 2.5, 3.5])
         assert d.count_below(2.0) == 2

@@ -1,13 +1,22 @@
+import hashlib
 import inspect
 import math
 import os
+import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_read_values
 
 import privexp
 from privexp.dataset import RateBounds
 from privexp.distributions import ExpModel, ParetoModel, sample
-from privexp.errors import IncompleteInputs, InputError, OutOfRegime
+from privexp.errors import (IncompleteInputs, InputError, OutOfRegime,
+                             PrivexpError)
 from privexp.harness import (
     _LEARNERS,
     SWEEP_CSV_HEADER,
@@ -245,6 +254,41 @@ class TestSweep:
         assert majorities[5.0] >= 0.9
 
 
+# Sample files at the edges of the accepted input: one value, all zeros,
+# values near the float maximum (mixed with small ones, so a Pareto scale
+# below 1 makes x / x_m overflow), and heavy ties.
+_EDGE_FILES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(lambda v: [v]),
+    st.integers(1, 300).map(lambda k: [0.0] * k),
+    st.lists(st.one_of(st.floats(1e307, sys.float_info.max),
+                       st.floats(0.5, 10.0)), min_size=1, max_size=300),
+    st.lists(st.floats(0.0, 100.0), min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=20,
+                              max_size=300)),
+)
+
+# Line pieces for the reader equivalence test: padding that str.strip removes
+# (the last three also end a line for str.splitlines), tokens float() takes
+# or rejects, and the universal line endings (or none, which joins lines).
+_PADS = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x0b", "\x1c"])
+_TOKENS = st.one_of(
+    st.sampled_from(["1_000", "+1.5", "-0.0", "1e-320", "nan", "inf", "-1",
+                     "0", "abc", "2.5", "1\x0c5", "3\x0b4", "", "#", "# 1.0",
+                     " # x", "#abc"]),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr))
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", ""])
+
+
+def _read_outcome(reader, path, require_positive):
+    """The values' reprs (so -0.0 differs from 0.0), or the error's message
+    and line."""
+    try:
+        values = reader(path, require_positive=require_positive)
+    except InputError as exc:
+        return "error", str(exc), exc.line
+    return type(values), [repr(v) for v in values]
+
+
 class TestSampleFiles:
     def test_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "sample.txt"
@@ -291,6 +335,54 @@ class TestSampleFiles:
         with pytest.raises(InputError) as exc_info:
             read_values(tmp_path / "nope.txt")
         assert exc_info.value.line is None
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "pinned.txt"
+        write_sample(path, ExpModel(2.0), 4, seed=9)
+        assert path.read_bytes() == (b"# seed=9\n0.15468434160226793\n"
+                                     b"0.298226042433971\n1.0249023772671757\n"
+                                     b"0.14939022386059694\n")
+        write_sample(path, ParetoModel(1.3, 2.5), 2000, seed=7)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "570c6c7369560b03fbb33ed07d718aeee33e1bb96672dd963ce49f0641285fe2")
+
+    def test_returns_a_list(self, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("1.5\n2.5\n")
+        values = read_values(path)
+        assert type(values) is list
+        assert all(type(v) is float for v in values)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "two_bad.txt"
+        path.write_text("-1\nabc\n")
+        with pytest.raises(InputError, match="negative value") as exc_info:
+            read_values(path)
+        assert exc_info.value.line == 1
+
+    def test_only_universal_newlines_split_lines(self, tmp_path):
+        # str.splitlines would also split at the form feed and \x1c; a text
+        # file iterated line by line does not
+        path = tmp_path / "separators.txt"
+        path.write_bytes(b"1\r\n2\r3\n4\x0c5\n")
+        with pytest.raises(InputError) as exc_info:
+            read_values(path)
+        assert exc_info.value.line == 4
+        path.write_bytes(b"1\r\n2\r3\n\x0c4\x1c\n")
+        assert read_values(path) == [1.0, 2.0, 3.0, 4.0]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_PADS, _TOKENS, _PADS, _ENDINGS), max_size=12),
+           st.booleans())
+    def test_matches_per_line_oracle(self, lines, require_positive):
+        text = "".join(a + token + b + end for a, token, b, end in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "values.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("ascii"))
+            want = _read_outcome(oracle_read_values, path, require_positive)
+            got = _read_outcome(read_values, path, require_positive)
+        assert got == want
 
 
 class TestEstimateFromFile:
@@ -367,6 +459,30 @@ class TestEstimateFromFile:
         with pytest.raises(IncompleteInputs):
             estimate_from_file(self.ONES, Learner.PARETO_KNOWN_SCALE, alpha=0.2,
                                beta=0.1, epsilon=1.0, bounds=WIDE)
+
+    @pytest.mark.parametrize("learner", list(Learner))
+    @settings(max_examples=25)
+    @given(values=_EDGE_FILES, noiseless=st.booleans())
+    def test_edge_files_release_or_fail_by_name(self, learner, values,
+                                                 noiseless):
+        known_scale = min((v for v in values if v > 0.0), default=1.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edge.txt")
+            with open(path, "w") as fh:
+                fh.write("".join(f"{v!r}\n" for v in values))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert read_values(path) == values
+                try:
+                    payload = estimate_from_file(
+                        path, learner, alpha=0.2, beta=0.1, epsilon=1.0,
+                        delta=1e-6, bounds=WIDE, seed=1, noiseless=noiseless,
+                        known_scale=known_scale)
+                except PrivexpError:
+                    return
+        assert payload["n"] == len(values)
+        estimate = payload["estimate"]
+        assert estimate is None or (math.isfinite(estimate) and estimate > 0)
 
     def test_pareto_rejects_zero_values(self, tmp_path):
         path = tmp_path / "zero.txt"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,11 +80,23 @@ class TestLogTransform:
         assert not unaligned.flags.aligned
         assert np.array_equal(np.log(unaligned), scalar)
 
+    def test_overflowing_quotient_takes_log_difference(self):
+        # 1e308 / 0.5 overflows to inf; the transform must still return the
+        # finite ln(1e308) - ln(0.5) and warn about nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_transform(Dataset([1e308, 2.0, 3.0]), 0.5)
+        assert list(out.values) == [np.log(1e308) - np.log(0.5),
+                                    np.log(4.0), np.log(6.0)]
+
     def test_matches_oracle(self):
         gen = np.random.default_rng(3)
-        for _ in range(40):
+        for k in range(40):
             values = gen.uniform(0.5, 10.0, int(gen.integers(1, 50))).tolist()
             pivot = float(gen.uniform(0.5, 5.0))
+            if k % 4 == 0:  # values whose quotient by the pivot overflows
+                values += gen.uniform(1.7e308, 1.79e308, 3).tolist()
+                pivot = float(gen.uniform(0.5, 0.9))
             try:
                 want = oracle_log_transform(values, pivot)
             except EmptyTail as exc:
@@ -131,6 +144,19 @@ class TestKnownScale:
                 assert got.scale_hat == 1.0
             except (RangeEstimationFailed, NonpositiveMean, ScaleViolation) as exc:
                 assert type(exc) is want
+
+    def test_values_near_float_max_below_unit_scale(self):
+        # x / x_m overflows for x = 1e308 at x_m = 0.5; valid data must still
+        # release, silently, and match the oracle
+        values = [1e308, 2.0, 3.0] * 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = learn_pareto_known_scale(Dataset(values), 0.5, config(),
+                                           PrivacyBudget(1.0),
+                                           RngStream(0, noiseless=True))
+        want, _ = oracle_learn_pareto_known_scale(values, 0.5, 0.01, 100.0, 0.1)
+        assert got.shape_hat == want
+        assert math.isfinite(got.shape_hat) and got.shape_hat > 0
 
     def test_statistical_success_rate(self):
         shape = 5.0
