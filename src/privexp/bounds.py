@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import Dataset, RateBounds
 from .errors import NoBinSurvived, OutOfRegime, RangeEstimationFailed
 from .learners import Estimate, LearnerConfig, best_of_both
@@ -28,13 +26,20 @@ ZERO_BIN = -1074
 
 
 def dyadic_histogram(data: Dataset) -> dict[int, float]:
-    """Fractions of data per power-of-two bin [2^k, 2^(k+1)); nonempty bins only."""
-    values = data.values
-    _, exponents = np.frexp(values)
-    k = exponents.astype(np.int64) - 1
-    k[values == 0] = ZERO_BIN
-    bins, counts = np.unique(k, return_counts=True)
-    return {int(b): int(c) / data.n for b, c in zip(bins, counts)}
+    """Fractions of data per power-of-two bin [2^k, 2^(k+1)); nonempty bins only.
+    Bisects the sorted sample's bins, so an empty stretch costs one count."""
+    first, last = (ZERO_BIN if x == 0 else math.frexp(x)[1] - 1
+                   for x in (data.min(), data.max()))
+    bins, todo = {}, [(first, last, 0, data.n)]
+    while todo:  # bins lo..hi hold the ranks below..upto-1; lowest lo first
+        lo, hi, below, upto = todo.pop()
+        if below < upto and lo == hi:
+            bins[lo] = (upto - below) / data.n
+        elif below < upto:
+            mid = (lo + hi) // 2
+            count = data.count_below(math.ldexp(1.0, mid + 1))
+            todo += [(mid + 1, hi, count, upto), (lo, mid, below, count)]
+    return bins
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ class Dataset:
     """An immutable collection of nonnegative finite reals.
 
     Keeps a sorted copy so counting queries (#{x < t}) cost O(log n) via
-    binary search; the learners issue many of these per invocation.
+    binary search; the learners issue many of these per invocation. Input
+    is checked at that copy's ends: sorting puts -inf first, +inf and NaN last.
     """
 
     def __init__(self, values):
@@ -25,13 +26,13 @@ class Dataset:
             raise InputError(f"expected a flat sequence, got shape {arr.shape}")
         if arr.size == 0:
             raise EmptyDataset("dataset must contain at least one value")
-        if not np.all(np.isfinite(arr)):
+        self._sorted = np.sort(arr)
+        if not np.isfinite(self._sorted[[0, -1]]).all():
             raise InputError("dataset values must be finite")
-        if np.any(arr < 0):
+        if self._sorted[0] < 0:
             raise InputError("dataset values must be nonnegative")
         self._values = arr
         self._values.setflags(write=False)
-        self._sorted = np.sort(arr)
         self._sorted.setflags(write=False)
         self.n = int(arr.size)
 

@@ -116,13 +116,16 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
     if n < 1:
         raise EmptyRequest(f"need at least one draw, got n={n}")
     u = rng.random(int(n))
+    # -log1p(-u) in place: the expression's ufuncs in its order, same bits
+    np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
     if isinstance(model, ExpModel):
-        values = -np.log1p(-u) / model.rate_lambda
+        u /= model.rate_lambda
     elif isinstance(model, ParetoModel):
-        values = model.scale_xm * np.exp(-np.log1p(-u) / model.shape_alpha_p)
+        np.exp(np.divide(u, model.shape_alpha_p, out=u), out=u)
+        u *= model.scale_xm
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return Dataset(values)
+    return Dataset(u)
 
 
 def exp_tv_crossing(lambda1: float, lambda2: float) -> float:

@@ -325,7 +325,7 @@ def write_sample(path, model, n: int, seed: int) -> None:
 
 def read_values(path, require_positive: bool = False) -> list:
     """Parse one float per line; blank lines and '#' comments are skipped.
-    Bad lines raise InputError carrying the 1-based line number.
+    Bad lines raise InputError with the 1-based line; unreadable files without one.
 
     Lines are split as text-mode iteration splits them (universal newlines:
     \\n, \\r\\n and a lone \\r), not as str.splitlines, which also breaks at
@@ -336,7 +336,7 @@ def read_values(path, require_positive: bool = False) -> list:
     try:
         with open(path) as fh:
             lines = fh.read().split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(str(exc)) from None
     kept = [text for text in map(str.strip, lines) if text and text[0] != "#"]
     try:

@@ -55,17 +55,17 @@ def log_transform(data: Dataset, pivot: float) -> Dataset:
     """{ ln(x / pivot) : x in data, x >= pivot }, order preserved."""
     if not (isinstance(pivot, (int, float)) and math.isfinite(pivot) and pivot > 0):
         raise OutOfRegime(f"pivot must be positive and finite, got {pivot!r}")
-    kept = data.values[data.values >= pivot]
-    if kept.size == 0:
+    logs = data.values[data.values >= pivot]  # a copy: the log goes in place
+    if logs.size == 0:
         raise EmptyTail(f"no samples at or above pivot {pivot}")
     with np.errstate(over="ignore"):
-        logs = np.log(kept / pivot)
+        np.log(np.divide(logs, pivot, out=logs), out=logs)
     # x / pivot overflows for x near the float maximum and a pivot below 1;
     # only there take the difference of logs, so finite quotients keep the
     # log of the ratio bit for bit.
     over = np.isinf(logs)
     if over.any():
-        logs[over] = np.log(kept[over]) - np.log(pivot)
+        logs[over] = np.log(data.values[data.values >= pivot][over]) - np.log(pivot)
     return Dataset(logs)
 
 

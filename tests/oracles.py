@@ -198,17 +198,30 @@ def oracle_learn_pareto_known_scale(values, x_m, lower, upper, beta):
     return oracle_mle_learning(tail, lower, upper, beta)
 
 
+def _decoded_lines(fh):
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
+
+
 def oracle_read_values(path, require_positive=False):
     """The sample-file reader as a per-line loop over text-mode iteration,
     checking each line as it goes: the reference for harness.read_values,
-    which parses and checks the whole file in bulk."""
+    which parses and checks the whole file in bulk.
+
+    A byte the locale encoding cannot decode raises InputError without a
+    line. Text-mode iteration decodes in chunks, so past the first chunk, or
+    for a multi-byte sequence cut off at the end of the file, the error can
+    name another line or byte position than the bulk reader's; the
+    comparison holds for a bad byte inside a one-chunk file."""
     values = []
     try:
         fh = open(path)
     except OSError as exc:
         raise InputError(str(exc)) from None
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_decoded_lines(fh), start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     oracle_dyadic_bins,
@@ -22,6 +25,26 @@ from privexp.learners import CoarseFailed
 from privexp.privacy import PrivacyBudget, RngStream
 
 LN2 = math.log(2.0)
+MAX = np.finfo(np.float64).max
+
+
+def _power_of_two_and_neighbours(k):
+    edge = math.ldexp(1.0, k)
+    return st.sampled_from([edge, math.nextafter(edge, 0.0),
+                            math.nextafter(edge, math.inf)])
+
+
+# Nonnegative doubles over every binary exponent: the special values at both
+# ends of the range, exact powers of two with their neighbours, and arbitrary
+# doubles; each drawn with a multiplicity for heavy ties.
+HISTOGRAM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 2.0 ** -1050, 2.0 ** -1023,
+                     math.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022,
+                     math.nextafter(2.0 ** -1022, 1.0), 1.7e308,
+                     math.nextafter(MAX, 0.0), MAX]),
+    st.integers(-1074, 1023).flatmap(_power_of_two_and_neighbours),
+    st.floats(0.0, MAX),
+)
 
 
 def stratified(rate: float, n: int) -> Dataset:
@@ -45,6 +68,38 @@ class TestDyadicHistogram:
         for _ in range(40):
             values = gen.exponential(1.0, int(gen.integers(1, 80))).tolist()
             assert dyadic_histogram(Dataset(values)) == oracle_dyadic_bins(values)
+
+    @given(st.lists(st.tuples(HISTOGRAM_VALUES, st.integers(1, 40)),
+                    min_size=1, max_size=12))
+    def test_matches_oracle_over_every_exponent(self, runs):
+        values = [v for v, times in runs for _ in range(times)]
+        assert dyadic_histogram(Dataset(values)) == oracle_dyadic_bins(values)
+
+    def test_empty_stretch_costs_one_count(self):
+        # bins -1074..0 with only the two ends filled: a bisection reaches
+        # each of them in ceil(log2(1075)) = 11 counts, a walk over every
+        # edge would take 1,074
+        thresholds = []
+
+        class Counting(Dataset):
+            def count_below(self, threshold):
+                thresholds.append(threshold)
+                return super().count_below(threshold)
+
+        hist = dyadic_histogram(Counting([0.0, 1.0, 1.5]))
+        assert hist == {-1074: 1 / 3, 0: 2 / 3}
+        assert len(thresholds) <= 22
+
+    def test_allocates_no_array_of_size_n(self):
+        n = 100_000
+        data = Dataset(np.random.default_rng(9).exponential(1.0, n))
+        tracemalloc.start()
+        try:
+            dyadic_histogram(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 8 * n
 
     def test_fractions_sum_to_one(self):
         gen = np.random.default_rng(8)

@@ -103,6 +103,12 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nope.txt" in err
 
+    def test_undecodable_file_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"1.0\n\xff2.0\n")
+        assert_one_error_line(capsys, ["estimate", "--in", str(path), *MLE_RUN],
+                              "decode")
+
     def test_half_specified_bounds(self, capsys):
         rc = main(["estimate", "--in", ONES, "--learner", "mle", "--alpha", "0.2",
                    "--beta", "0.1", "--epsilon", "1", "--lambda-min", "0.1"])

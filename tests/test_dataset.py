@@ -20,12 +20,17 @@ class TestDataset:
             Dataset([])
 
     def test_rejects_negative_and_nonfinite(self):
-        with pytest.raises(InputError):
-            Dataset([1.0, -0.5])
-        with pytest.raises(InputError):
-            Dataset([1.0, math.nan])
-        with pytest.raises(InputError):
-            Dataset([1.0, math.inf])
+        # a non-finite value is named before a negative one
+        finite = "dataset values must be finite"
+        for values, message in [
+                ([1.0, -0.5], "dataset values must be nonnegative"),
+                ([1.0, math.nan], finite), ([1.0, math.inf], finite),
+                ([-1.0, math.nan], finite), ([-math.inf, 1.0], finite),
+                ([math.nan], finite), ([-1.0, math.inf, 2.0], finite)]:
+            with pytest.raises(InputError) as exc_info:
+                Dataset(values)
+            assert type(exc_info.value) is InputError
+            assert str(exc_info.value) == message
 
     def test_rejects_non_flat(self):
         with pytest.raises(InputError):
@@ -33,6 +38,8 @@ class TestDataset:
 
     def test_zero_allowed(self):
         assert Dataset([0.0]).min() == 0.0
+        assert Dataset([-0.0]).max() == 0.0
+        assert Dataset([3.0, -0.0]).count_below(0.0) == 0
 
     def test_values_read_only(self):
         d = Dataset([1.0, 2.0])

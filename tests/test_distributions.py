@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,29 @@ class TestSample:
         a = sample(ExpModel(1.0), 100, RngStream(5)).values
         b = sample(ExpModel(1.0), 100, RngStream(5)).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 7, 616, 112_324])
+    def test_equals_out_of_place_expressions(self, n):
+        # sample transforms its uniforms in place; the bits must be those of
+        # the plain expressions on the same draws from a twin stream
+        exp = sample(ExpModel(0.37), n, RngStream(5, 2)).values
+        u = RngStream(5, 2).random(n)
+        assert exp.tobytes() == (-np.log1p(-u) / 0.37).tobytes()
+        pareto = sample(ParetoModel(1.3, 2.5), n, RngStream(5, 2)).values
+        u = RngStream(5, 2).random(n)
+        assert pareto.tobytes() == (1.3 * np.exp(-np.log1p(-u) / 2.5)).tobytes()
+
+    @pytest.mark.parametrize("model", [ExpModel(1.0), ParetoModel(1.0, 2.0)])
+    def test_peak_memory_is_the_dataset_and_the_draws(self, model):
+        # the uniforms, the Dataset's copy and its sorted copy: 3 arrays of n
+        n = 100_000
+        tracemalloc.start()
+        try:
+            sample(model, n, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 8 * n
 
     def test_rejects_zero_draws(self):
         with pytest.raises(EmptyRequest):

@@ -353,6 +353,14 @@ class TestSampleFiles:
         assert type(values) is list
         assert all(type(v) is float for v in values)
 
+    @pytest.mark.parametrize("body", [b"1.0\n\xff2.0\n", b"\xff", b"1\n\xc3(\n"])
+    def test_undecodable_file_is_an_input_error(self, tmp_path, body):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(body)
+        got = _read_outcome(read_values, path, False)
+        assert got[0] == "error" and got[2] is None
+        assert got == _read_outcome(oracle_read_values, path, False)
+
     def test_first_bad_line_wins(self, tmp_path):
         path = tmp_path / "two_bad.txt"
         path.write_text("-1\nabc\n")

@@ -57,12 +57,17 @@ class TestLogTransform:
                 log_transform(Dataset([1.0]), bad)
 
     def test_array_log_equals_scalar_log(self):
-        # log_transform takes numpy's log of the whole tail in one call and
-        # the oracle takes it one element at a time; the two agree bit for
-        # bit only while the vectorized (SIMD) loop and the scalar call give
-        # the same float. Pinned here over Pareto ratios kept / pivot, every
-        # short length (the SIMD remainder paths), offset slices and a
-        # buffer that is not even 8-byte aligned.
+        # log_transform takes numpy's log of the whole tail in one call, in
+        # place (out= its input), and the oracle takes it one element at a
+        # time; the two agree bit for bit only while the vectorized (SIMD)
+        # loop and the scalar call give the same float. Pinned here, out of
+        # place and in place, over Pareto ratios kept / pivot, every short
+        # length (the SIMD remainder paths), offset slices and a buffer that
+        # is not even 8-byte aligned.
+        def log_in_place(view):
+            np.log(view, out=view)
+            return view
+
         gen = np.random.default_rng(21)
         values = 1.0 + gen.pareto(2.0, 120_000)
         pivot = 1.07
@@ -70,15 +75,19 @@ class TestLogTransform:
         assert ratios.size >= 100_000
         scalar = np.array([float(np.log(r)) for r in ratios.tolist()])
         assert np.array_equal(np.log(ratios), scalar)
+        assert np.array_equal(log_in_place(ratios.copy()), scalar)
         for size in range(1, 34):
             for offset in range(9):
-                got = np.log(ratios[offset:offset + size])
-                assert np.array_equal(got, scalar[offset:offset + size])
+                window = slice(offset, offset + size)
+                assert np.array_equal(np.log(ratios[window]), scalar[window])
+                assert np.array_equal(log_in_place(ratios[:48].copy()[window]),
+                                      scalar[window])
         raw = np.zeros(ratios.size * 8 + 1, dtype=np.uint8)
         unaligned = raw[1:].view(np.float64)
         unaligned[:] = ratios
         assert not unaligned.flags.aligned
         assert np.array_equal(np.log(unaligned), scalar)
+        assert np.array_equal(log_in_place(unaligned), scalar)
 
     def test_overflowing_quotient_takes_log_difference(self):
         # 1e308 / 0.5 overflows to inf; the transform must still return the
