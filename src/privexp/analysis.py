@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import RateBounds
-from .errors import IncompleteInputs, OutOfRegime, RegimeViolation
+from .errors import IncompleteInputs, RegimeViolation, check_in
+from .learners import _probe_cap
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
 
 __all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
@@ -63,9 +64,7 @@ class PackingFamily:
 
 def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
     """Rates lower * (1 + 8*alpha)^i for i = 0 .. floor(log(ratio)/log(1+8*alpha))."""
-    if not (0.0 < alpha < 0.5):
-        raise OutOfRegime(f"packing needs alpha in (0, 1/2), got {alpha!r}")
-    r = 1.0 + PACKING_RATIO_FACTOR * alpha
+    r = 1.0 + PACKING_RATIO_FACTOR * check_in("alpha", alpha, 0.0, 0.5)
     count = math.floor(math.log(bounds.ratio) / math.log(r))
     rates = tuple(bounds.lower * r ** i for i in range(count + 1))
     return PackingFamily(rates, alpha, bounds)
@@ -75,19 +74,12 @@ def _as_bounds(bounds) -> RateBounds:
     return bounds if isinstance(bounds, RateBounds) else RateBounds(*bounds)
 
 
-def _check_positive(name, value) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)
-            and value > 0):
-        raise OutOfRegime(f"{name} must be positive and finite, got {value!r}")
-
-
 def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
     """Packing lower bound: any private learner this accurate needs at least
     ceil((1/(6*eps*alpha)) * ln((ln(ratio)/(16*alpha)) / beta)) samples."""
-    if not (0.0 < alpha < 0.5) or not (0.0 < beta < 0.5):
-        raise OutOfRegime(f"lower bound needs alpha, beta in (0, 1/2), "
-                          f"got ({alpha!r}, {beta!r})")
-    _check_positive("epsilon", epsilon)
+    check_in("alpha", alpha, 0.0, 0.5)
+    check_in("beta", beta, 0.0, 0.5)
+    check_in("epsilon", epsilon, 0.0, math.inf)
     bounds = _as_bounds(bounds)
     inner = (math.log(bounds.ratio) / (16.0 * alpha)) / beta
     value = math.log(inner) / (6.0 * epsilon * alpha)
@@ -211,8 +203,8 @@ def _pareto_pivot_value(epsilon, beta, alpha, bounds, tau) -> float:
     """The pivot search: depth ceil(log2(n_steps + 1)) and half-band h,
     i.e. the quantile-search form at alpha = 2e*h."""
     _, _, n_steps, half_band = _pivot_grid(alpha, bounds, tau)
-    depth = math.ceil(math.log2(n_steps + 1))
-    return _band_search_value(epsilon, beta, 2.0 * math.e * half_band, depth)
+    return _band_search_value(epsilon, beta, 2.0 * math.e * half_band,
+                              _probe_cap(n_steps))
 
 
 def _pareto_value(epsilon, beta, alpha, shape, bounds, tau) -> float:
@@ -273,12 +265,12 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
         raise IncompleteInputs(f"{bound_id.value} needs {', '.join(missing)}")
     for k in ("epsilon", "lam", "clip_r"):
         if k in names:
-            _check_positive(k, given[k])
+            check_in(k, given[k], 0.0, math.inf)
     for k in ("alpha", "beta", "delta"):
-        if k in names and not (0.0 < given[k] < 1.0):
-            raise OutOfRegime(f"{k} must lie in (0, 1), got {given[k]!r}")
-    if "tau" in names and not (TAU_MIN <= tau <= TAU_MAX):
-        raise OutOfRegime(f"tau must lie in [{TAU_MIN}, {TAU_MAX}], got {tau!r}")
+        if k in names:
+            check_in(k, given[k], 0.0, 1.0)
+    if "tau" in names:
+        check_in("tau", tau, TAU_MIN, TAU_MAX, ends="[]")
     value = value_of(*(given[k] for k in names))
     inputs = {k: v for k, v in given.items()
               if v is not None and (k != "tau" or k in names)}

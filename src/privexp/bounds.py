@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .dataset import Dataset, RateBounds
-from .errors import NoBinSurvived, OutOfRegime, RangeEstimationFailed
+from .errors import NoBinSurvived, RangeEstimationFailed, check_in
 from .learners import Estimate, LearnerConfig, best_of_both
 from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 
@@ -55,8 +55,7 @@ class DyadicHistogram:
 def noisy_histogram(data: Dataset, budget: PrivacyBudget,
                     rng: RngStream) -> DyadicHistogram:
     """Releases the stabilized noisy histogram; consumes the whole budget."""
-    if not budget.delta > 0:
-        raise OutOfRegime("the histogram release needs delta > 0")
+    check_in("histogram release delta", budget.delta, 0.0, 1.0)
     budget.consume()
     eps, delta, n = budget.epsilon, budget.delta, data.n
     bins = dyadic_histogram(data)
@@ -97,8 +96,7 @@ def learn_without_bounds(data: Dataset, alpha: float, beta: float,
                          budget: PrivacyBudget, rng: RngStream) -> Estimate:
     """End-to-end learner with no prior bounds: find bounds at (eps/2, delta),
     then run the adaptive learner at (eps/2, 0) inside them."""
-    if not budget.delta > 0:
-        raise OutOfRegime("learning without bounds needs delta > 0")
+    check_in("learning without bounds delta", budget.delta, 0.0, 1.0)
     bounds_budget, learn_budget = budget.split([0.5, 0.5],
                                                delta_fractions=[1.0, 0.0])
     rate_bounds = find_bounds(data, bounds_budget, rng)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, InputError, InvalidRatio
+from .errors import EmptyDataset, InputError, InvalidRatio, check_in
 
 __all__ = ["Dataset", "RateBounds"]
 
@@ -42,7 +42,7 @@ class Dataset:
 
     def count_below(self, threshold: float) -> int:
         """#{x in data : x < threshold}."""
-        return int(np.searchsorted(self._sorted, threshold, side="left"))
+        return int(self._sorted.searchsorted(threshold))
 
     def fraction_below(self, threshold: float) -> float:
         return self.count_below(threshold) / self.n
@@ -68,11 +68,10 @@ class RateBounds:
     upper: float
 
     def __post_init__(self):
-        lo, hi = self.lower, self.upper
-        ok = (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-              and math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi)
-        if not ok:
-            raise InvalidRatio(f"need 0 < lower < upper, got ({lo!r}, {hi!r})")
+        lo = check_in("lower", self.lower, 0.0, math.inf, InvalidRatio)
+        hi = check_in("upper", self.upper, 0.0, math.inf, InvalidRatio)
+        if not lo < hi:
+            raise InvalidRatio(f"need lower < upper, got ({lo!r}, {hi!r})")
 
     @property
     def ratio(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import (EmptyRequest, InvalidRate, InvalidRatio, InvalidScale, InvalidShape,
-                     OutOfRegime)
+                     OutOfRegime, check_in)
 from .privacy import RngStream
 
 __all__ = [
@@ -35,12 +35,6 @@ __all__ = [
 _RATE_EQ_RTOL = 1e-12
 
 
-def _check_rate(rate) -> float:
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
-        raise InvalidRate(f"rate must be positive and finite, got {rate!r}")
-    return float(rate)
-
-
 @dataclass(frozen=True)
 class ExpModel:
     """Exponential law with density rate * e^(-rate * x) on x >= 0."""
@@ -48,7 +42,7 @@ class ExpModel:
     rate_lambda: float
 
     def __post_init__(self):
-        _check_rate(self.rate_lambda)
+        check_in("rate_lambda", self.rate_lambda, 0.0, math.inf, InvalidRate)
 
     @property
     def mean(self) -> float:
@@ -80,12 +74,8 @@ class ParetoModel:
     shape_alpha_p: float
 
     def __post_init__(self):
-        xm = self.scale_xm
-        if not (isinstance(xm, (int, float)) and math.isfinite(xm) and xm > 0):
-            raise InvalidScale(f"scale must be positive and finite, got {xm!r}")
-        a = self.shape_alpha_p
-        if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-            raise InvalidShape(f"shape must be positive and finite, got {a!r}")
+        check_in("scale_xm", self.scale_xm, 0.0, math.inf, InvalidScale)
+        check_in("shape_alpha_p", self.shape_alpha_p, 0.0, math.inf, InvalidShape)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -131,7 +121,8 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
 def exp_tv_crossing(lambda1: float, lambda2: float) -> float:
     """Crossing point a = ln(l1/l2) / (l1 - l2), where two exponential
     densities with distinct rates meet."""
-    l1, l2 = _check_rate(lambda1), _check_rate(lambda2)
+    l1 = check_in("lambda1", lambda1, 0.0, math.inf, InvalidRate)
+    l2 = check_in("lambda2", lambda2, 0.0, math.inf, InvalidRate)
     lo, hi = min(l1, l2), max(l1, l2)
     if hi - lo < _RATE_EQ_RTOL * hi:
         raise InvalidRate("crossing point undefined for (near-)equal rates")
@@ -146,7 +137,8 @@ def exp_tv(lambda1: float, lambda2: float) -> float:
     TV = e^(-l_lo * a) - e^(-l_hi * a). Written with log1p/expm1 so nearby
     rates do not lose the small difference to cancellation.
     """
-    l1, l2 = _check_rate(lambda1), _check_rate(lambda2)
+    l1 = check_in("lambda1", lambda1, 0.0, math.inf, InvalidRate)
+    l2 = check_in("lambda2", lambda2, 0.0, math.inf, InvalidRate)
     lo, hi = min(l1, l2), max(l1, l2)
     if hi - lo < _RATE_EQ_RTOL * hi:
         return 0.0
@@ -162,9 +154,7 @@ def separation_T(r: float) -> float:
     T(1 + 8a) >= a for a in (0, 1/2), which is what makes the geometric
     packing family pairwise separated.
     """
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 1):
-        raise InvalidRatio(f"ratio must satisfy r >= 1, got {r!r}")
-    r = float(r)
+    r = check_in("ratio r", r, 1.0, math.inf, InvalidRatio, "[)")
     if r == 1.0:
         return 0.0
     return r ** (-1.0 / (r - 1.0)) * (1.0 - 1.0 / r)
@@ -177,9 +167,8 @@ def pareto_kl_equal_scale(alpha1: float, alpha2: float) -> float:
     (As an oriented divergence this equals KL(Pareto(alpha2) || Pareto(alpha1));
     the TV bound below only uses it through the symmetric max/min ratio.)
     """
-    for a in (alpha1, alpha2):
-        if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-            raise InvalidShape(f"shape must be positive and finite, got {a!r}")
+    check_in("alpha1", alpha1, 0.0, math.inf, InvalidShape)
+    check_in("alpha2", alpha2, 0.0, math.inf, InvalidShape)
     ratio = alpha1 / alpha2
     return ratio - 1.0 - math.log(ratio)
 

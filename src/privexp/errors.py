@@ -5,6 +5,8 @@ they all inherit from PrivexpError so a bare ``except PrivexpError`` catches
 any in-regime failure without also swallowing programming errors.
 """
 
+import math
+
 
 class PrivexpError(Exception):
     """Base class for all failures raised by this package."""
@@ -100,3 +102,23 @@ class InputError(PrivexpError):
         super().__init__(f"line {line}: {message}" if line is not None
                          else message)
         self.line = line
+
+
+def check_in(name: str, value, low: float, high: float,
+             error: type[PrivexpError] = OutOfRegime, ends: str = "()") -> float:
+    """Return value as a float if it is an int or a float (never a bool)
+    that lies between low and high, each end open ("(", ")") or closed
+    ("[", "]") as ends says; otherwise raise error naming the parameter.
+
+    An int too large for a double fails like any value outside the interval.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+        if (low < x < high or (x == low and ends[0] == "[")
+                or (x == high and ends[1] == "]")):
+            return x
+    raise error(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, "
+                f"got {value!r}")

@@ -24,7 +24,7 @@ from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
 from .distributions import ExpModel, ParetoModel, sample
 from .errors import (IncompleteInputs, InputError, NoBinSurvived, OutOfRegime,
-                     PrivexpError)
+                     PrivexpError, check_in)
 from .learners import (Estimate, LearnerConfig, best_of_both, mle_learning,
                        private_mle, quantile_learning)
 from .pareto import (DEFAULT_TAIL_QUANTILE, learn_pareto,
@@ -210,14 +210,16 @@ _LEARNERS = {
 }
 
 
-def _check_inputs(spec: ExperimentSpec, needs) -> None:
+def _check_inputs(spec: ExperimentSpec, needs, uses_delta: bool) -> None:
     """Raise IncompleteInputs unless the spec sets epsilon and every group of
-    fields in needs, and delta > 0 if its learner spends delta."""
+    fields in needs, and delta > 0 if uses_delta; OutOfRegime unless delta
+    lies in [0, 1), whether or not the run spends it."""
     for fields in (("epsilon",), *needs):
         if any(getattr(spec, f) is None for f in fields):
             raise IncompleteInputs(f"{spec.learner.value} needs "
                                    f"{' and '.join(fields)}")
-    if _LEARNERS[spec.learner].uses_delta and spec.delta <= 0.0:
+    check_in("delta", spec.delta, 0.0, 1.0, ends="[)")
+    if uses_delta and spec.delta <= 0.0:
         raise IncompleteInputs(f"{spec.learner.value} needs delta > 0")
 
 
@@ -226,9 +228,10 @@ def _check_spec(spec: ExperimentSpec) -> None:
         raise OutOfRegime(f"trials must be >= 1, got {spec.trials!r}")
     if spec.n is not None and spec.n < 1:
         raise OutOfRegime(f"n must be >= 1, got {spec.n!r}")
+    check_in("safety_factor", spec.safety_factor, 0.0, math.inf)
     row = _LEARNERS[spec.learner]
     truth = ("true_xm", "true_shape") if row.pareto else ("true_lambda",)
-    _check_inputs(spec, (*row.needs, truth))
+    _check_inputs(spec, (*row.needs, truth), row.uses_delta)
     # Trials build the config inside their try, so an out-of-range alpha or
     # beta would be recorded as a failure per trial; raise it here once.
     if row.needs == _CONFIG_NEEDS:
@@ -275,7 +278,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
             results = list(pool.map(lambda i: _run_trial(spec, n, i), ids))
     else:
         results = [_run_trial(spec, n, i) for i in ids]
-    records = tuple(sorted(results, key=lambda r: r.trial_id))
+    records = tuple(results)
 
     successes = sum(1 for r in records if r.outcome == OUTCOME_SUCCESS)
     breakdown: dict = {}
@@ -326,6 +329,12 @@ def write_sample(path, model, n: int, seed: int) -> None:
 def read_values(path, require_positive: bool = False) -> list:
     """Parse one float per line; blank lines and '#' comments are skipped.
     Bad lines raise InputError with the 1-based line; unreadable files without one.
+    """
+    return _read_checked(path, require_positive)[0]
+
+
+def _read_checked(path, require_positive: bool) -> tuple[list, np.ndarray]:
+    """read_values' list, and the float64 array it was checked as.
 
     Lines are split as text-mode iteration splits them (universal newlines:
     \\n, \\r\\n and a lone \\r), not as str.splitlines, which also breaks at
@@ -344,10 +353,10 @@ def read_values(path, require_positive: bool = False) -> list:
     except ValueError:
         pass
     else:
-        arr = np.array(values)
+        arr = np.array(values, dtype=np.float64)
         lowest_ok = arr > 0.0 if require_positive else arr >= 0.0
         if np.all(np.isfinite(arr) & lowest_ok):
-            return values
+            return values, arr
     _raise_first_bad_line(lines, require_positive)
 
 
@@ -386,13 +395,11 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     # known scale stands in for the true one.
     spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
                           true_xm=known_scale, tau=tau)
-    if clip_r is None:
-        _check_inputs(spec, row.needs)
-    elif epsilon is None:
-        raise IncompleteInputs("the fixed clipping level needs epsilon")
-    data = Dataset(read_values(path, require_positive=row.pareto))
+    uses_delta = row.uses_delta and clip_r is None
+    _check_inputs(spec, row.needs if clip_r is None else (), uses_delta)
+    data = Dataset(_read_checked(path, row.pareto)[1])
     rng = RngStream(seed, noiseless=noiseless)
-    budget = PrivacyBudget(epsilon, delta)
+    budget = PrivacyBudget(epsilon, delta if uses_delta else 0.0)
 
     if clip_r is not None:
         estimate = private_mle(data, clip_r, budget, rng)

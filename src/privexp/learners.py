@@ -25,9 +25,9 @@ from .dataset import Dataset, RateBounds
 from .errors import (
     CoarseFailed,
     NonpositiveMean,
-    OutOfRegime,
     RangeEstimationFailed,
     SearchExhausted,
+    check_in,
 )
 from .privacy import NoiseScale, PrivacyBudget, RngStream, noisy_fraction_below, sample_laplace
 from .quantile import clipping_range, svt_quantile
@@ -66,10 +66,8 @@ class LearnerConfig:
     bounds: RateBounds
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise OutOfRegime(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not (0.0 < self.beta < 1.0):
-            raise OutOfRegime(f"beta must lie in (0, 1), got {self.beta!r}")
+        check_in("alpha", self.alpha, 0.0, 1.0)
+        check_in("beta", self.beta, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,7 @@ def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
     Raises NonpositiveMean when the noise swamps the mean; clamping instead
     would silently break the multiplicative guarantee.
     """
-    if not (isinstance(clip_r, (int, float)) and math.isfinite(clip_r) and clip_r > 0):
-        raise OutOfRegime(f"clipping level must be positive and finite, got {clip_r!r}")
+    check_in("clipping level clip_r", clip_r, 0.0, math.inf)
     budget.consume()
     n = data.n
     # The sum is exact and rounded once, so the released mean does not
@@ -171,6 +168,11 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
     return Estimate(1.0 / position, Route.QUANTILE, None, budget)
 
 
+def _probe_cap(n_steps: int) -> int:
+    """Probes a noisy binary search over n_steps + 1 positions may make."""
+    return math.ceil(math.log2(n_steps + 1))
+
+
 def _band_search(data: Dataset, lo: float, step: float, n_steps: int,
                  level: float, half_band: float, budget: PrivacyBudget,
                  rng: RngStream) -> Optional[float]:
@@ -182,7 +184,7 @@ def _band_search(data: Dataset, lo: float, step: float, n_steps: int,
     noise scale, so the search consumes exactly the given budget.
     """
     budget.consume()
-    cap = math.ceil(math.log2(n_steps + 1))
+    cap = _probe_cap(n_steps)
     scale = NoiseScale(cap / (budget.epsilon * data.n))
     band_lo = level - half_band
     band_hi = level + half_band

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import EmptyTail, OutOfRegime, RangeEstimationFailed, ScaleViolation
+from .errors import EmptyTail, RangeEstimationFailed, ScaleViolation, check_in
 from .learners import LearnerConfig, Route, _band_search, best_of_both, mle_learning
 from .privacy import PrivacyBudget, RngStream
 from .quantile import svt_grid
@@ -53,8 +53,7 @@ class ParetoEstimate:
 
 def log_transform(data: Dataset, pivot: float) -> Dataset:
     """{ ln(x / pivot) : x in data, x >= pivot }, order preserved."""
-    if not (isinstance(pivot, (int, float)) and math.isfinite(pivot) and pivot > 0):
-        raise OutOfRegime(f"pivot must be positive and finite, got {pivot!r}")
+    check_in("pivot", pivot, 0.0, math.inf)
     logs = data.values[data.values >= pivot]  # a copy: the log goes in place
     if logs.size == 0:
         raise EmptyTail(f"no samples at or above pivot {pivot}")
@@ -119,9 +118,7 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     too large for the bounds), no position falls in the band and
     RangeEstimationFailed is raised.
     """
-    if not (TAU_MIN <= tau <= TAU_MAX):
-        raise OutOfRegime(f"tail level tau must lie in [{TAU_MIN}, {TAU_MAX}], "
-                          f"got {tau!r}")
+    check_in("tail level tau", tau, TAU_MIN, TAU_MAX, ends="[]")
     pivot_budget, shape_budget = budget.split([0.5, 0.5])
     lo, step, n_steps, half_band = _pivot_grid(config.alpha, config.bounds, tau)
     pivot = _band_search(data, lo, step, n_steps, tau, half_band, pivot_budget, rng)

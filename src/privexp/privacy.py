@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSplit, BudgetExhausted, EmptyDataset, InvalidScale, OutOfRegime
+from .errors import BadSplit, BudgetExhausted, EmptyDataset, InvalidScale, check_in
 
 __all__ = [
     "RngStream",
@@ -65,9 +65,7 @@ class NoiseScale:
     scale_b: float
 
     def __post_init__(self):
-        b = self.scale_b
-        if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
-            raise InvalidScale(f"Laplace scale must be positive and finite, got {b!r}")
+        check_in("Laplace scale scale_b", self.scale_b, 0.0, math.inf, InvalidScale)
 
 
 def sample_laplace(scale: NoiseScale, rng: RngStream) -> float:
@@ -110,12 +108,8 @@ class PrivacyBudget:
     """
 
     def __init__(self, epsilon: float, delta: float = 0.0):
-        if not (math.isfinite(epsilon) and epsilon > 0):
-            raise OutOfRegime(f"epsilon must be positive and finite, got {epsilon!r}")
-        if not (0.0 <= delta < 1.0):
-            raise OutOfRegime(f"delta must lie in [0, 1), got {delta!r}")
-        self.epsilon = float(epsilon)
-        self.delta = float(delta)
+        self.epsilon = check_in("epsilon", epsilon, 0.0, math.inf)
+        self.delta = check_in("delta", delta, 0.0, 1.0, ends="[)")
         self._state = "fresh"
         self._children: list[PrivacyBudget] = []
 
@@ -144,8 +138,8 @@ class PrivacyBudget:
         if self._state != "fresh":
             raise BudgetExhausted(f"budget already {self._state}")
         fractions = list(fractions)
-        if not fractions or any(not (f > 0) for f in fractions):
-            raise BadSplit(f"fractions must be positive, got {fractions!r}")
+        for f in fractions:
+            check_in("fraction", f, 0.0, 1.0, BadSplit, "(]")
         if abs(math.fsum(fractions) - 1.0) > _SPLIT_TOL:
             raise BadSplit(f"fractions must sum to 1, got {fractions!r}")
         if delta_fractions is None:
@@ -154,8 +148,8 @@ class PrivacyBudget:
             delta_fractions = list(delta_fractions)
             if len(delta_fractions) != len(fractions):
                 raise BadSplit("delta_fractions length must match fractions")
-            if any(d < 0 for d in delta_fractions):
-                raise BadSplit("delta fractions must be nonnegative")
+            for d in delta_fractions:
+                check_in("delta fraction", d, 0.0, 1.0, BadSplit, "[]")
             if abs(math.fsum(delta_fractions) - 1.0) > _SPLIT_TOL:
                 raise BadSplit(f"delta fractions must sum to 1, got {delta_fractions!r}")
         children = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import OutOfRegime, TooFewSamples
+from .errors import TooFewSamples, check_in
 from .privacy import NoiseScale, PrivacyBudget, RngStream, noisy_fraction_below, sample_laplace
 
 __all__ = ["QuantileResult", "svt_grid", "svt_quantile", "clipping_range"]
@@ -60,9 +60,7 @@ def svt_quantile(data: Dataset, bounds: RateBounds, theta: float,
     Consumes the whole budget regardless of where the scan halts: SVT pays
     once for the first positive report, not per query.
     """
-    if not (THETA_MIN <= theta <= THETA_MAX):
-        raise OutOfRegime(f"target level theta must lie in "
-                          f"[{THETA_MIN}, {THETA_MAX}], got {theta!r}")
+    check_in("target level theta", theta, THETA_MIN, THETA_MAX, ends="[]")
     budget.consume()
     eps, n = budget.epsilon, data.n
     threshold_scale = NoiseScale(2.0 / (eps * n))
@@ -85,8 +83,7 @@ def clipping_range(q: QuantileResult, n: int, theta: float, beta: float) -> floa
     """
     if n < 2:
         raise TooFewSamples(f"clipping range needs n >= 2, got {n}")
-    if not (0.0 < beta <= 1.0):
-        raise OutOfRegime(f"beta must lie in (0, 1], got {beta!r}")
+    check_in("beta", beta, 0.0, 1.0, ends="(]")
     log_n = math.log(n)
     c = (QUANTILE_APPROX_FACTOR / math.log(1.0 / theta)) * (1.0 + math.log(1.0 / beta) / log_n)
     return c * q.quantile_value * log_n

@@ -249,8 +249,14 @@ class TestInputErrors:
         (["estimate", "--in", ONES, *MLE_RUN, "--delta", "2"], "delta"),
         (["estimate", "--in", ONES, "--learner", "mle", "--epsilon", "1",
           "--clip-r", "-1"], "clipping"),
+        ([*MLE_EXPERIMENT, "--n", "100", "--delta", "2"], "delta"),
+        ([*MLE_EXPERIMENT, "--delta", "2"], "delta"),
+        (["estimate", "--in", ONES, "--learner", "mle", "--epsilon", "1",
+          "--clip-r", "2", "--delta", "2"], "delta"),
+        ([*MLE_EXPERIMENT, "--safety-factor", "nan"], "safety_factor"),
     ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
-            "n-grid", "delta", "clip-r"])
+            "n-grid", "delta", "clip-r", "experiment-delta",
+            "experiment-delta-autosized", "clip-r-delta", "safety-factor"])
     def test_out_of_range_input(self, capsys, argv, word):
         assert_one_error_line(capsys, argv, word)
 
@@ -280,6 +286,23 @@ class TestInputErrors:
             "calc-tau", "calc-delta"])
     def test_calculator_out_of_regime(self, capsys, argv, word):
         assert_one_error_line(capsys, argv, word)
+
+
+class TestDeltaCharge:
+    # delta is range-checked for every learner but charged only to a run
+    # that spends it, the same way in estimate as in a trial
+
+    @pytest.mark.parametrize("argv, charged", [
+        ([*MLE_RUN, "--delta", "0.1"], 0.0),
+        (["--learner", "mle", "--epsilon", "1", "--clip-r", "2",
+          "--delta", "0.1"], 0.0),
+        (["--learner", "bounds-finder", "--epsilon", "1", "--delta", "0.1"],
+         0.1),
+    ], ids=["mle", "clip-r", "bounds-finder"])
+    def test_estimate_charges_only_spent_delta(self, capsys, argv, charged):
+        assert main(["estimate", "--in", ONES, "--noiseless", *argv]) == 0
+        spent = json.loads(capsys.readouterr().out)["budget_spent"]
+        assert spent == {"epsilon": 1.0, "delta": charged}
 
 
 class TestConsoleEntry:

@@ -1,0 +1,167 @@
+"""The numeric parameter contract: every real-valued parameter is checked by
+errors.check_in, which accepts an int or a float (never a bool) inside the
+parameter's interval and raises the site's named PrivexpError otherwise."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from privexp.analysis import SampleBound, build_packing, lower_bound_n, required_n
+from privexp.bounds import learn_without_bounds, noisy_histogram
+from privexp.dataset import Dataset, RateBounds
+from privexp.distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossing,
+                                   pareto_kl_equal_scale, sample, separation_T)
+from privexp.errors import (BadSplit, IncompleteInputs, InvalidRate, InvalidRatio,
+                            InvalidScale, InvalidShape, OutOfRegime, check_in)
+from privexp.harness import ExperimentSpec, Learner, run_experiment
+from privexp.learners import LearnerConfig, private_mle
+from privexp.pareto import learn_pareto, log_transform
+from privexp.privacy import NoiseScale, PrivacyBudget, RngStream
+from privexp.quantile import QuantileResult, clipping_range, svt_quantile
+
+BOUNDS = RateBounds(0.5, 5.0)
+CALC = dict(alpha=0.2, beta=0.1, epsilon=1.0, delta=1e-6, lam=4.0,
+            bounds=(0.01, 100.0), clip_r=3.0)
+DATA = Dataset([1.0, 2.0, 3.0, 4.0])
+PARETO_DATA = sample(ParetoModel(1.0, 2.0), 4000, RngStream(3))
+EXP_DATA = sample(ExpModel(1.0), 20000, RngStream(4))
+SPEC = ExperimentSpec(Learner.QUANTILE, 0.2, 0.1, 1.0, bounds=RateBounds(0.1, 10.0),
+                      true_lambda=1.0, trials=1)
+
+
+def calc(bound, name):
+    return lambda v: required_n(bound, **{**CALC, name: v})
+
+
+def pareto_run(tau):
+    return learn_pareto(PARETO_DATA, LearnerConfig(0.2, 0.1, BOUNDS),
+                        PrivacyBudget(1.0), RngStream(0, noiseless=True), tau=tau)
+
+
+# id -> (entry point taking the value, error class, word the message names,
+#        in-range values: an int (None when the interval holds none) and a
+#        float, one value outside the interval)
+SITES = {
+    "required_n-epsilon": (calc(SampleBound.CLIPPED_MLE, "epsilon"),
+                           OutOfRegime, "epsilon", 1, 1.0, -1.0),
+    "required_n-lam": (calc(SampleBound.CLIPPED_MLE, "lam"),
+                       OutOfRegime, "lam", 4, 4.0, 0.0),
+    "required_n-clip_r": (calc(SampleBound.CLIPPED_MLE, "clip_r"),
+                          OutOfRegime, "clip_r", 3, 3.0, -3.0),
+    "required_n-alpha": (calc(SampleBound.QUANTILE_SEARCH, "alpha"),
+                         OutOfRegime, "alpha", None, 0.2, 1.0),
+    "required_n-beta": (calc(SampleBound.QUANTILE_SEARCH, "beta"),
+                        OutOfRegime, "beta", None, 0.1, 0.0),
+    "required_n-delta": (calc(SampleBound.BOUNDS_FINDER, "delta"),
+                         OutOfRegime, "delta", None, 1e-6, 0.0),
+    "required_n-tau": (calc(SampleBound.PARETO_LEARNING, "tau"),
+                       OutOfRegime, "tau", None, 0.2, 0.3),
+    "lower_bound_n-alpha": (lambda v: lower_bound_n(v, 0.1, 1.0, BOUNDS),
+                            OutOfRegime, "alpha", None, 0.1, 0.5),
+    "lower_bound_n-beta": (lambda v: lower_bound_n(0.1, v, 1.0, BOUNDS),
+                           OutOfRegime, "beta", None, 0.1, 0.5),
+    "lower_bound_n-epsilon": (lambda v: lower_bound_n(0.1, 0.1, v, BOUNDS),
+                              OutOfRegime, "epsilon", 1, 1.0, 0.0),
+    "build_packing": (lambda v: build_packing(BOUNDS, v),
+                      OutOfRegime, "alpha", None, 0.2, 0.5),
+    "RateBounds-lower": (lambda v: RateBounds(v, 10.0),
+                         InvalidRatio, "lower", 1, 1.0, 0.0),
+    "RateBounds-upper": (lambda v: RateBounds(0.5, v),
+                         InvalidRatio, "upper", 1, 1.0, -1.0),
+    "ExpModel": (ExpModel, InvalidRate, "rate", 1, 1.0, 0.0),
+    "exp_tv": (lambda v: exp_tv(v, 3.0), InvalidRate, "lambda1", 2, 2.0, -2.0),
+    "exp_tv_crossing": (lambda v: exp_tv_crossing(3.0, v),
+                        InvalidRate, "lambda2", 2, 2.0, 0.0),
+    "ParetoModel-scale": (lambda v: ParetoModel(v, 2.0),
+                          InvalidScale, "scale", 1, 1.0, 0.0),
+    "ParetoModel-shape": (lambda v: ParetoModel(1.0, v),
+                          InvalidShape, "shape", 2, 2.0, -2.0),
+    "separation_T": (separation_T, InvalidRatio, "ratio", 2, 2.0, 0.5),
+    "pareto_kl_equal_scale": (lambda v: pareto_kl_equal_scale(v, 2.0),
+                              InvalidShape, "alpha1", 1, 1.0, 0.0),
+    "LearnerConfig-alpha": (lambda v: LearnerConfig(v, 0.1, BOUNDS),
+                            OutOfRegime, "alpha", None, 0.2, 1.0),
+    "LearnerConfig-beta": (lambda v: LearnerConfig(0.2, v, BOUNDS),
+                           OutOfRegime, "beta", None, 0.1, 0.0),
+    "private_mle": (lambda v: private_mle(DATA, v, PrivacyBudget(1.0),
+                                          RngStream(0, noiseless=True)),
+                    OutOfRegime, "clipping", 2, 2.0, -1.0),
+    "log_transform": (lambda v: log_transform(DATA, v),
+                      OutOfRegime, "pivot", 1, 1.0, 0.0),
+    "learn_pareto": (pareto_run, OutOfRegime, "tau", None, 0.2, 0.05),
+    "NoiseScale": (NoiseScale, InvalidScale, "scale", 1, 1.0, 0.0),
+    "PrivacyBudget-epsilon": (PrivacyBudget, OutOfRegime, "epsilon", 1, 1.0, 0.0),
+    "PrivacyBudget-delta": (lambda v: PrivacyBudget(1.0, v),
+                            OutOfRegime, "delta", 0, 0.1, 1.0),
+    "split-fraction": (lambda v: PrivacyBudget(1.0).split([v]),
+                       BadSplit, "fraction", 1, 1.0, 0.0),
+    "split-delta-fraction": (
+        lambda v: PrivacyBudget(1.0, 0.1).split([1.0], delta_fractions=[v]),
+        BadSplit, "delta fraction", 1, 1.0, -1.0),
+    "noisy_histogram": (lambda v: noisy_histogram(DATA, PrivacyBudget(1.0, v),
+                                                  RngStream(0)),
+                        OutOfRegime, "delta", None, 1e-3, 0.0),
+    "learn_without_bounds": (
+        lambda v: learn_without_bounds(EXP_DATA, 0.2, 0.1, PrivacyBudget(1.0, v),
+                                       RngStream(0, noiseless=True)),
+        OutOfRegime, "delta", None, 1e-3, 0.0),
+    "experiment-delta": (lambda v: run_experiment(replace(SPEC, delta=v)),
+                         OutOfRegime, "delta", 0, 0.1, 1.0),
+    "experiment-safety_factor": (
+        lambda v: run_experiment(replace(SPEC, safety_factor=v)),
+        OutOfRegime, "safety_factor", 4, 4.0, 0.0),
+    "svt_quantile": (lambda v: svt_quantile(DATA, BOUNDS, v, PrivacyBudget(1.0),
+                                            RngStream(0)),
+                     OutOfRegime, "theta", None, 0.5, 0.95),
+    "clipping_range": (lambda v: clipping_range(QuantileResult(1.0, 0), 10, 0.1, v),
+                       OutOfRegime, "beta", 1, 0.1, 0.0),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_refused_with_the_sites_named_error(site):
+    entry, error, word, _, good, outside = SITES[site]
+    for bad in (True, False, "1", None, 10**400, -10**400, math.nan, math.inf,
+                -math.inf, np.float32(0.5), np.float32(good), outside):
+        # required_n reads None as an input not given
+        expected = (IncompleteInputs if bad is None and site.startswith("required_n")
+                    else error)
+        with pytest.raises(expected) as exc_info:
+            entry(bad)
+        assert type(exc_info.value) is expected, bad
+        assert word in str(exc_info.value), bad
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_in_range_int_float_and_float64_accepted(site):
+    entry, _, _, whole, good, _ = SITES[site]
+    for value in (whole, good, np.float64(good)):
+        if value is not None:
+            entry(value)
+
+
+class TestCheckIn:
+    def test_returns_a_python_float(self):
+        for value in (2, 2.0, np.float64(2.0)):
+            x = check_in("x", value, 0.0, math.inf)
+            assert type(x) is float and x == 2.0
+
+    def test_ends_open_or_closed(self):
+        for ends, low_ok, high_ok in (("()", False, False), ("[)", True, False),
+                                      ("(]", False, True), ("[]", True, True)):
+            for value, ok in ((0.0, low_ok), (1.0, high_ok), (0.5, True)):
+                if ok:
+                    assert check_in("x", value, 0.0, 1.0, ends=ends) == value
+                else:
+                    with pytest.raises(OutOfRegime):
+                        check_in("x", value, 0.0, 1.0, ends=ends)
+
+    def test_message_names_parameter_interval_and_value(self):
+        with pytest.raises(InvalidRate) as exc_info:
+            check_in("rate", -1, 0.0, math.inf, InvalidRate)
+        assert str(exc_info.value) == "rate must lie in (0.0, inf), got -1"
+        with pytest.raises(OutOfRegime) as exc_info:
+            check_in("tau", "0.2", 0.1, 0.25, ends="[]")
+        assert str(exc_info.value) == "tau must lie in [0.1, 0.25], got '0.2'"
