@@ -18,23 +18,42 @@ class Dataset:
     Keeps a sorted copy so counting queries (#{x < t}) cost O(log n) via
     binary search; the learners issue many of these per invocation. Input
     is checked at that copy's ends: sorting puts -inf first, +inf and NaN last.
+
+    Dataset(values) copies its input and sorts a second copy. An array
+    adopted with Dataset._adopt is kept as one read-only buffer that serves
+    both as values and as the sorted copy, so its values are ascending.
     """
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64)  # a private copy
-        if arr.ndim != 1:
-            raise InputError(f"expected a flat sequence, got shape {arr.shape}")
-        if arr.size == 0:
-            raise EmptyDataset("dataset must contain at least one value")
-        self._sorted = np.sort(arr)
-        if not np.isfinite(self._sorted[[0, -1]]).all():
+        _check_shape(arr)
+        self._keep(arr, np.sort(arr))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> Dataset:
+        """A Dataset over arr, a fresh float64 array the caller gives up.
+
+        Ascending order is checked, not trusted: arr is sorted in place when
+        one comparison pass finds it out of order (NaN compares false).
+        """
+        _check_shape(arr)
+        if not (arr[:-1] <= arr[1:]).all():
+            arr.sort()
+        data = cls.__new__(cls)
+        data._keep(arr, arr)
+        return data
+
+    def _keep(self, values: np.ndarray, sorted_values: np.ndarray) -> None:
+        """Check the sorted copy's ends, then freeze and keep both arrays."""
+        if not np.isfinite(sorted_values[[0, -1]]).all():
             raise InputError("dataset values must be finite")
-        if self._sorted[0] < 0:
+        if sorted_values[0] < 0:
             raise InputError("dataset values must be nonnegative")
-        self._values = arr
-        self._values.setflags(write=False)
-        self._sorted.setflags(write=False)
-        self.n = int(arr.size)
+        values.setflags(write=False)
+        sorted_values.setflags(write=False)
+        self._values = values
+        self._sorted = sorted_values
+        self.n = int(values.size)
 
     @property
     def values(self) -> np.ndarray:
@@ -58,6 +77,13 @@ class Dataset:
 
     def __repr__(self):  # pragma: no cover
         return f"Dataset(n={self.n})"
+
+
+def _check_shape(arr: np.ndarray) -> None:
+    if arr.ndim != 1:
+        raise InputError(f"expected a flat sequence, got shape {arr.shape}")
+    if arr.size == 0:
+        raise EmptyDataset("dataset must contain at least one value")
 
 
 @dataclass(frozen=True)

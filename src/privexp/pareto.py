@@ -52,20 +52,22 @@ class ParetoEstimate:
 
 
 def log_transform(data: Dataset, pivot: float) -> Dataset:
-    """{ ln(x / pivot) : x in data, x >= pivot }, order preserved."""
+    """{ ln(x / pivot) : x in data, x >= pivot }, ascending."""
     check_in("pivot", pivot, 0.0, math.inf)
-    logs = data.values[data.values >= pivot]  # a copy: the log goes in place
-    if logs.size == 0:
+    kept = data._sorted[data.count_below(pivot):]  # a view: exactly x >= pivot
+    if kept.size == 0:
         raise EmptyTail(f"no samples at or above pivot {pivot}")
     with np.errstate(over="ignore"):
-        np.log(np.divide(logs, pivot, out=logs), out=logs)
-    # x / pivot overflows for x near the float maximum and a pivot below 1;
-    # only there take the difference of logs, so finite quotients keep the
-    # log of the ratio bit for bit.
-    over = np.isinf(logs)
-    if over.any():
-        logs[over] = np.log(data.values[data.values >= pivot][over]) - np.log(pivot)
-    return Dataset(logs)
+        logs = np.divide(kept, pivot)  # the one fresh buffer; the log goes in place
+    # x / pivot overflows for x near the float maximum and a pivot below 1.
+    # Division is monotone, so those quotients are a suffix; only there take
+    # the difference of logs, so finite quotients keep the log of the ratio
+    # bit for bit.
+    finite = int(logs.searchsorted(math.inf))
+    np.log(logs, out=logs)
+    if finite < logs.size:
+        logs[finite:] = np.log(kept[finite:]) - np.log(pivot)
+    return Dataset._adopt(logs)
 
 
 def recover_scale(quantile_value: float, tau: float, shape_hat: float) -> float:

@@ -72,6 +72,47 @@ class TestDataset:
         assert d.count_below(threshold) == sum(1 for v in values if v < threshold)
 
 
+class TestAdopt:
+    # Dataset._adopt keeps a fresh array the caller gives up as one buffer
+    # for values and the sorted copy; it must check what Dataset(...) checks
+
+    def test_non_ascending_is_sorted_not_trusted(self):
+        d = Dataset._adopt(np.array([3.0, 1.0, 2.0, 1.0]))
+        assert list(d.values) == [1.0, 1.0, 2.0, 3.0]
+        assert d.count_below(2.0) == 2 and d.count_below(1.0) == 0
+        assert d.min() == 1.0 and d.max() == 3.0 and d.n == 4
+
+    @pytest.mark.parametrize("values", [
+        [1.0, -0.5], [1.0, math.nan], [1.0, math.inf], [-1.0, math.nan],
+        [-math.inf, 1.0], [math.nan], [-1.0, math.inf, 2.0],
+        [1.0, math.nan, 2.0], [0.0, 1.0, math.inf], [-2.0, -1.0], [], [[1.0]]])
+    def test_rejects_what_the_constructor_rejects(self, values):
+        with pytest.raises((InputError, EmptyDataset)) as want:
+            Dataset(values)
+        with pytest.raises(type(want.value)) as got:
+            Dataset._adopt(np.array(values, dtype=np.float64))
+        assert str(got.value) == str(want.value)
+
+    def test_one_read_only_buffer(self):
+        arr = np.array([0.5, 1.5, 2.5])
+        d = Dataset._adopt(arr)
+        assert np.shares_memory(d.values, arr)
+        assert np.shares_memory(d.values, d._sorted)
+        with pytest.raises(ValueError):
+            d.values[0] = 5.0
+        with pytest.raises(ValueError):
+            d._sorted[0] = 5.0
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50),
+           st.floats(-1.0, 1e6 + 1))
+    def test_matches_the_constructor(self, values, threshold):
+        d = Dataset._adopt(np.array(values, dtype=np.float64))
+        assert d.values.tobytes() == np.sort(Dataset(values).values).tobytes()
+        assert d.count_below(threshold) == sum(1 for v in values if v < threshold)
+
+
 class TestRateBounds:
     def test_valid(self):
         b = RateBounds(0.5, 2.0)

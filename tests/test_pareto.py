@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_learn_pareto, oracle_learn_pareto_known_scale, oracle_log_transform
 from privexp.analysis import SampleBound, required_n
@@ -16,7 +19,7 @@ from privexp.errors import (
     ScaleViolation,
     SearchExhausted,
 )
-from privexp.learners import CoarseFailed, LearnerConfig
+from privexp.learners import CoarseFailed, LearnerConfig, _band_search, best_of_both, mle_learning
 from privexp.pareto import (
     DEFAULT_TAIL_QUANTILE,
     _pivot_grid,
@@ -44,8 +47,9 @@ class TestLogTransform:
         assert list(out.values) == [np.log(1.5)]
 
     def test_order_preserved(self):
+        # the exceedances come back ascending, whatever the sample order
         out = log_transform(Dataset([5.0, 2.0, 3.0]), 2.0)
-        assert list(out.values) == [np.log(2.5), 0.0, np.log(1.5)]
+        assert list(out.values) == [0.0, np.log(1.5), np.log(2.5)]
 
     def test_empty_tail(self):
         with pytest.raises(EmptyTail):
@@ -95,8 +99,8 @@ class TestLogTransform:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = log_transform(Dataset([1e308, 2.0, 3.0]), 0.5)
-        assert list(out.values) == [np.log(1e308) - np.log(0.5),
-                                    np.log(4.0), np.log(6.0)]
+        assert list(out.values) == [np.log(4.0), np.log(6.0),
+                                    np.log(1e308) - np.log(0.5)]
 
     def test_matches_oracle(self):
         gen = np.random.default_rng(3)
@@ -112,9 +116,55 @@ class TestLogTransform:
                 want = type(exc)
             try:
                 got = log_transform(Dataset(values), pivot)
-                assert list(got.values) == want
+                assert list(got.values) == sorted(want)
             except EmptyTail as exc:
                 assert type(exc) is want
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_equals_sorted_oracle(self, data):
+        # ties, a pivot equal to a sample value, quotients that overflow (a
+        # suffix of the ascending tail) and a pivot above the maximum
+        base = data.draw(st.lists(st.one_of(
+            st.floats(0.0, 1e3), st.sampled_from([0.0, 1.0, 2.0, 2.5]),
+            st.floats(1.7e308, 1.79e308)), min_size=1, max_size=40))
+        values = base + data.draw(st.lists(st.sampled_from(base), max_size=20))
+        positive = [v for v in values if v > 0.0]
+        pivots = {"below one": st.floats(1e-3, 0.9), "wide": st.floats(0.5, 2e3),
+                  "tiny": st.floats(5e-324, 1e-300),
+                  "above max": st.just(float(np.nextafter(max(values), math.inf))),
+                  "a sample value": st.sampled_from(positive or [1.0])}
+        pivot = data.draw(pivots[data.draw(st.sampled_from(sorted(pivots)))])
+        try:
+            want = sorted(oracle_log_transform(values, pivot))
+        except EmptyTail:
+            with pytest.raises(EmptyTail):
+                log_transform(Dataset(values), pivot)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_transform(Dataset(values), pivot)
+        assert got.values.tobytes() == np.array(want).tobytes()
+        assert (got.values[:-1] <= got.values[1:]).all()
+        thresholds = data.draw(st.lists(st.one_of(
+            st.floats(-1.0, 800.0), st.sampled_from(want)), max_size=10))
+        for t in thresholds:
+            assert got.count_below(t) == sum(1 for v in want if v < t)
+
+    def test_peak_memory_is_one_tail_buffer(self):
+        # the exceedances are divided into one fresh array, logged in place
+        # and adopted; the order check adds a bool per value
+        data = sample(ParetoModel(1.0, 2.0), 100_000, RngStream(1))
+        pivot = 1.07
+        tail = data.n - data.count_below(pivot)
+        assert tail >= 80_000
+        tracemalloc.start()
+        try:
+            log_transform(data, pivot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * tail
 
 
 class TestRecoverScale:
@@ -166,6 +216,20 @@ class TestKnownScale:
         want, _ = oracle_learn_pareto_known_scale(values, 0.5, 0.01, 100.0, 0.1)
         assert got.shape_hat == want
         assert math.isfinite(got.shape_hat) and got.shape_hat > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noisy_release_equals_sample_order_tail(self, seed):
+        # the ascending tail releases the same bits, on the same noisy
+        # stream, as the tail built in sample order
+        values = (1.0 + np.random.default_rng(seed).pareto(2.0, 4000)).tolist()
+        got = learn_pareto_known_scale(Dataset(values), 1.0, config(),
+                                       PrivacyBudget(1.0), RngStream(seed, 7))
+        rng = RngStream(seed, 7)
+        want = mle_learning(Dataset(oracle_log_transform(values, 1.0)),
+                            config(), PrivacyBudget(1.0), rng)
+        assert rng.laplace_draws > 0
+        assert (got.shape_hat, got.scale_hat, got.route) == (want.lambda_hat,
+                                                             1.0, want.route)
 
     def test_statistical_success_rate(self):
         shape = 5.0
@@ -234,6 +298,26 @@ class TestLearnPareto:
         assert est.scale_hat == recover_scale(pivot, tau, inner.lambda_hat)
         assert est.tail_count == tail.n
         assert est.route == inner.route.value
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noisy_release_equals_sample_order_tail(self, seed):
+        # the same pipeline on one noisy stream, with the tail built in
+        # sample order, releases the same bits
+        values = (1.0 + np.random.default_rng(seed).pareto(2.0, 20_000)).tolist()
+        tau = DEFAULT_TAIL_QUANTILE
+        got = learn_pareto(Dataset(values), config(), PrivacyBudget(1.0),
+                           RngStream(seed, 7), tau)
+        rng = RngStream(seed, 7)
+        pivot_b, shape_b = PrivacyBudget(1.0).split([0.5, 0.5])
+        lo, step, n_steps, half_band = _pivot_grid(0.2, WIDE, tau)
+        pivot = _band_search(Dataset(values), lo, step, n_steps, tau,
+                             half_band, pivot_b, rng)
+        tail = Dataset(oracle_log_transform(values, pivot))
+        inner = best_of_both(tail, config(), shape_b, rng)
+        assert rng.laplace_draws > 0
+        assert (got.shape_hat, got.scale_hat, got.route, got.tail_count) == (
+            inner.lambda_hat, recover_scale(pivot, tau, inner.lambda_hat),
+            inner.route, tail.n)
 
     @pytest.mark.parametrize("x_m", [1e-3, 1000.0])
     @pytest.mark.parametrize("noiseless", [True, False])
