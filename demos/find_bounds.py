@@ -25,7 +25,7 @@ def main() -> None:
 
     released = noisy_histogram(data, PrivacyBudget(EPS, DELTA), RngStream(6))
     print(f"\nstability threshold = {released.threshold:.5f}")
-    print(f"bins surviving the threshold: {sorted(released.survivor_set)}")
+    print(f"bins surviving the threshold: {sorted(released.noisy_bins)}")
 
     bounds = find_bounds(data, PrivacyBudget(EPS, DELTA), RngStream(6))
     print(f"\nreleased rate window: [{bounds.lower:.4f}, {bounds.upper:.4f}]")

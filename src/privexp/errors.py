@@ -90,8 +90,8 @@ class RegimeViolation(PrivexpError):
 
 class InputError(PrivexpError):
     """Input data was unusable: a data file could not be accessed or
-    parsed, or in-memory values were not a flat sequence of nonnegative
-    finite reals.
+    parsed, in-memory values were not a flat sequence of nonnegative
+    finite reals, or a counting threshold was NaN.
 
     Carries the 1-based line number of the offending record when the
     failure is tied to one (parse errors); file-level failures leave it

@@ -145,8 +145,7 @@ def _bounds_finder(data, spec, budget, rng):
 
 def _pareto(data, spec, budget, rng):
     est = learn_pareto(data, _config(spec), budget, rng, tau=spec.tau)
-    return (est.shape_hat, est.route.value,
-            {"scale_hat": est.scale_hat, "tail_count": est.tail_count})
+    return est.shape_hat, est.route.value, {"scale_hat": est.scale_hat}
 
 
 def _pareto_known_scale(data, spec, budget, rng):

@@ -41,32 +41,32 @@ TAU_MAX = 0.25
 
 @dataclass(frozen=True)
 class ParetoEstimate:
-    """Estimated (shape, scale) pair plus the tail pivot bookkeeping."""
+    """Estimated (shape, scale) pair plus the tail level of the pivot."""
 
     shape_hat: float
     scale_hat: float
     tail_quantile_tau: float
-    tail_count: int
     route: Route
     budget_spent: PrivacyBudget
 
 
 def log_transform(data: Dataset, pivot: float) -> Dataset:
-    """{ ln(x / pivot) : x in data, x >= pivot }, ascending."""
-    check_in("pivot", pivot, 0.0, math.inf)
-    kept = data._sorted[data.count_below(pivot):]  # a view: exactly x >= pivot
-    if kept.size == 0:
+    """{ ln(x / pivot) : x in data, x >= pivot }, in sample order."""
+    pivot = check_in("pivot", pivot, 0.0, math.inf)
+    kept = data.values >= pivot
+    logs = data.values[kept]  # the one fresh buffer; divided and logged in place
+    if logs.size == 0:
         raise EmptyTail(f"no samples at or above pivot {pivot}")
     with np.errstate(over="ignore"):
-        logs = np.divide(kept, pivot)  # the one fresh buffer; the log goes in place
-    # x / pivot overflows for x near the float maximum and a pivot below 1.
-    # Division is monotone, so those quotients are a suffix; only there take
-    # the difference of logs, so finite quotients keep the log of the ratio
-    # bit for bit.
-    finite = int(logs.searchsorted(math.inf))
+        np.divide(logs, pivot, out=logs)
     np.log(logs, out=logs)
-    if finite < logs.size:
-        logs[finite:] = np.log(kept[finite:]) - np.log(pivot)
+    # x / pivot overflows for x near the float maximum and a pivot below 1,
+    # which happens iff it does for the maximum. Only there take the
+    # difference of logs, so finite quotients keep the log of the ratio bit
+    # for bit.
+    if data.max() / pivot == math.inf:
+        over = np.isinf(logs)
+        logs[over] = np.log(data.values[kept][over]) - np.log(pivot)
     return Dataset._adopt(logs)
 
 
@@ -105,7 +105,7 @@ def learn_pareto_known_scale(data: Dataset, x_m: float, config: LearnerConfig,
         raise ScaleViolation(f"sample {data.min()} below declared scale {x_m}")
     transformed = log_transform(data, x_m)
     est = mle_learning(transformed, config, budget, rng)
-    return ParetoEstimate(est.lambda_hat, x_m, 0.0, data.n, est.route, budget)
+    return ParetoEstimate(est.lambda_hat, x_m, 0.0, est.route, budget)
 
 
 def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
@@ -131,5 +131,4 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     tail = log_transform(data, pivot)
     est = best_of_both(tail, config, shape_budget, rng)
     scale_hat = recover_scale(pivot, tau, est.lambda_hat)
-    return ParetoEstimate(est.lambda_hat, scale_hat, tau, tail.n, est.route,
-                          budget)
+    return ParetoEstimate(est.lambda_hat, scale_hat, tau, est.route, budget)

@@ -188,7 +188,7 @@ def oracle_learn_pareto(values, lower, upper, alpha, beta, tau):
     tail = oracle_log_transform(values, pivot)
     shape, route = oracle_best_of_both(tail, lower, upper, alpha, beta)
     scale = pivot * (1.0 - tau) ** (1.0 / shape)
-    return shape, scale, route, len(tail)
+    return shape, scale, route
 
 
 def oracle_learn_pareto_known_scale(values, x_m, lower, upper, beta):

@@ -182,7 +182,7 @@ def _compare_learners(values, theta, pareto_like, xm, failures):
     if pareto_like:
         par_errors = exp_errors + (EmptyTail, ScaleViolation)
         got = _outcome(lambda: (lambda est: (est.shape_hat, est.scale_hat,
-                                             est.route, est.tail_count))(
+                                             est.route))(
             learn_pareto(data, cfg, PrivacyBudget(1.0), stream())), par_errors)
         want = _outcome(lambda: oracle_learn_pareto(
             values, 0.1, 10.0, 0.2, 0.1, DEFAULT_TAIL_QUANTILE), par_errors)

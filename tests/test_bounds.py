@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from oracles import (
     oracle_find_bounds,
     oracle_learn_without_bounds,
 )
+from privexp import bounds
 from privexp.bounds import dyadic_histogram, find_bounds, learn_without_bounds, noisy_histogram
 from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import ExpModel
@@ -75,20 +77,18 @@ class TestDyadicHistogram:
         values = [v for v, times in runs for _ in range(times)]
         assert dyadic_histogram(Dataset(values)) == oracle_dyadic_bins(values)
 
-    def test_empty_stretch_costs_one_count(self):
-        # bins -1074..0 with only the two ends filled: a bisection reaches
-        # each of them in ceil(log2(1075)) = 11 counts, a walk over every
-        # edge would take 1,074
-        thresholds = []
-
-        class Counting(Dataset):
-            def count_below(self, threshold):
-                thresholds.append(threshold)
-                return super().count_below(threshold)
-
-        hist = dyadic_histogram(Counting([0.0, 1.0, 1.5]))
-        assert hist == {-1074: 1 / 3, 0: 2 / 3}
-        assert len(thresholds) <= 22
+    @pytest.mark.parametrize("block", [1, 2, 3, 64, 4096])
+    def test_blocks_add_up_to_the_whole_sample(self, monkeypatch, block):
+        # each block is sorted and searched on its own: the counts must add
+        # up across block boundaries and a short last block, also when the
+        # bins run from the zero bin to the top of the double range
+        monkeypatch.setattr(bounds, "_SORT_BLOCK", block)
+        gen = np.random.default_rng(block)
+        values = gen.exponential(1.0, 200).tolist() + [0.0, 1.0, 1.5, MAX]
+        values = gen.permutation(values).tolist()
+        assert dyadic_histogram(Dataset(values)) == oracle_dyadic_bins(values)
+        assert dyadic_histogram(Dataset(values[:block + 1])) == oracle_dyadic_bins(
+            values[:block + 1])
 
     def test_allocates_no_array_of_size_n(self):
         n = 100_000
@@ -118,15 +118,24 @@ class TestNoisyHistogram:
         assert hist.threshold == (2.0 / 40.0) * math.log(4.0) + 0.25
 
     def test_noiseless_releases_raw_fractions(self):
+        # only the survivors: at threshold 0.005 ln 20 + 0.25 = 0.265, bin 1
+        # (0.5) clears it and bins 0 and 3 (0.25 each) do not
         data = Dataset([1.0, 2.0, 2.5, 8.0])
-        hist = noisy_histogram(data, PrivacyBudget(1.0, 0.1),
+        hist = noisy_histogram(data, PrivacyBudget(100.0, 0.1),
                                RngStream(0, noiseless=True))
-        assert hist.noisy_bins == hist.bins == {0: 0.25, 1: 0.5, 3: 0.25}
+        assert dyadic_histogram(data) == {0: 0.25, 1: 0.5, 3: 0.25}
+        assert hist.noisy_bins == {1: 0.5}
+        assert hist.threshold == 0.005 * math.log(20.0) + 0.25
+        assert {f.name for f in dataclasses.fields(hist)} == {"noisy_bins",
+                                                             "threshold"}
 
     def test_empty_bins_not_released(self):
-        hist = noisy_histogram(Dataset([1.0] * 10), PrivacyBudget(1.0, 0.1),
-                               RngStream(0))
+        # neither an empty bin nor the nonempty bin 6 (1/11, below the
+        # threshold (2/11) ln 20 + 1/11) is released
+        hist = noisy_histogram(Dataset([1.0] * 10 + [100.0]),
+                               PrivacyBudget(1.0, 0.1), RngStream(0))
         assert set(hist.noisy_bins) == {0}
+        assert hist.noisy_bins[0] >= hist.threshold
 
     def test_budget_consumed(self):
         budget = PrivacyBudget(1.0, 0.1)
@@ -140,7 +149,7 @@ class TestNoisyHistogram:
                                 RngStream(0, noiseless=True))
         tight = noisy_histogram(data, PrivacyBudget(1.0, 1e-6),
                                 RngStream(0, noiseless=True))
-        assert tight.survivor_set <= loose.survivor_set
+        assert set(tight.noisy_bins) <= set(loose.noisy_bins)
 
 
 class TestFindBounds:

@@ -111,15 +111,16 @@ class TestSample:
 
     @pytest.mark.parametrize("model", [ExpModel(1.0), ParetoModel(1.0, 2.0)])
     def test_peak_memory_is_the_dataset_and_the_draws(self, model):
-        # the uniforms, the Dataset's copy and its sorted copy: 3 arrays of n
+        # the uniforms and the Dataset's copy: 2 arrays of n
         n = 100_000
+        rng = RngStream(1)
         tracemalloc.start()
         try:
-            sample(model, n, RngStream(1))
+            sample(model, n, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1 * 8 * n
+        assert peak <= 2.1 * 8 * n
 
     def test_rejects_zero_draws(self):
         with pytest.raises(EmptyRequest):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -97,6 +98,12 @@ class TestSpecValidation:
         for bad in (dict(alpha=5.0), dict(beta=0.0), dict(epsilon=-1.0)):
             with pytest.raises(OutOfRegime):
                 run_experiment(quantile_spec(**bad))
+
+    def test_pareto_detail_is_released_values_only(self):
+        # the scale is released; the exact count above the pivot is not
+        spec = dataclasses.replace(tiny_spec(Learner.PARETO), trials=3)
+        details = [r.detail for r in run_experiment(spec).records]
+        assert details and all(d.keys() == {"scale_hat"} for d in details)
 
     def test_pareto_needs_truth(self):
         spec = ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0, bounds=WIDE,
