@@ -115,7 +115,7 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
         u *= model.scale_xm
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return Dataset(u)
+    return Dataset._adopt(u)
 
 
 def exp_tv_crossing(lambda1: float, lambda2: float) -> float:

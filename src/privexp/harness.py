@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -328,55 +329,77 @@ def write_sample(path, model, n: int, seed: int) -> None:
 def read_values(path, require_positive: bool = False) -> list:
     """Parse one float per line; blank lines and '#' comments are skipped.
     Bad lines raise InputError with the 1-based line; unreadable files without one.
+
+    Files whose blank and '#' lines all come before the first value are
+    parsed in bulk, every other file line by line, to the same values and
+    errors.
     """
-    return _read_checked(path, require_positive)[0]
+    return _read_checked(path, require_positive).tolist()
 
 
-def _read_checked(path, require_positive: bool) -> tuple[list, np.ndarray]:
-    """read_values' list, and the float64 array it was checked as.
+def _read_checked(path, require_positive: bool) -> np.ndarray:
+    """read_values' values as one checked float64 array.
 
-    Lines are split as text-mode iteration splits them (universal newlines:
-    \\n, \\r\\n and a lone \\r), not as str.splitlines, which also breaks at
-    form feeds and other separators. The whole file is parsed and checked in
-    bulk; only a file that fails is scanned line by line, to name its first
-    bad line.
+    After the leading blank and '#' lines, np.loadtxt parses the file in C.
+    It converts each field with the correctly rounded conversion float()
+    uses, and opens the path (given as a str: it would iterate bytes) as
+    open() does, so lines split at universal newlines only. With
+    comments=None, a '#' after the first value fails the bulk parse. A file
+    with no value line, one loadtxt refuses (a comment after the first
+    value, '1_000', non-ASCII digits, a second column) and one that fails
+    the value check are read by _parse_lines instead.
     """
     try:
         with open(path) as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(str(exc)) from None
-    kept = [text for text in map(str.strip, lines) if text and text[0] != "#"]
-    try:
-        values = list(map(float, kept))
-    except ValueError:
-        pass
-    else:
-        arr = np.array(values, dtype=np.float64)
+            first = next((i for i, line in enumerate(fh) if _value_text(line)),
+                         None)
+        # with no value line, loadtxt would warn that the input has no data
+        arr = None if first is None else np.loadtxt(
+            os.fsdecode(path), dtype=np.float64, comments=None,
+            skiprows=first, ndmin=2)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        arr = None
+    if arr is not None and arr.shape[1] == 1:
+        arr = arr[:, 0]
         lowest_ok = arr > 0.0 if require_positive else arr >= 0.0
         if np.all(np.isfinite(arr) & lowest_ok):
-            return values, arr
-    _raise_first_bad_line(lines, require_positive)
+            return arr
+    return np.array(_parse_lines(path, require_positive), dtype=np.float64)
 
 
-def _raise_first_bad_line(lines, require_positive: bool) -> NoReturn:
-    """Raise the InputError of the first line that read_values rejects."""
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            value = float(text)
-        except ValueError:
-            raise InputError(f"could not parse {text!r} as a number",
-                             line=lineno) from None
-        if not math.isfinite(value):
-            raise InputError(f"non-finite value {text!r}", line=lineno)
-        if value < 0.0:
-            raise InputError(f"negative value {text!r}", line=lineno)
-        if require_positive and value == 0.0:
-            raise InputError("value must be strictly positive", line=lineno)
-    raise AssertionError("a bulk check failed but no line is bad")
+def _value_text(line: str) -> str:
+    """The line stripped, or '' for a blank or '#' comment line."""
+    text = line.strip()
+    return "" if text.startswith("#") else text
+
+
+def _parse_lines(path, require_positive: bool) -> list:
+    """The file's values, one float() per line over text-mode iteration, or
+    the InputError of its first bad line (without a line if the file cannot
+    be opened or decoded)."""
+    values = []
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = _value_text(raw)
+                if not text:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise InputError(f"could not parse {text!r} as a number",
+                                     line=lineno) from None
+                if not math.isfinite(value):
+                    raise InputError(f"non-finite value {text!r}", line=lineno)
+                if value < 0.0:
+                    raise InputError(f"negative value {text!r}", line=lineno)
+                if require_positive and value == 0.0:
+                    raise InputError("value must be strictly positive",
+                                     line=lineno)
+                values.append(value)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from None
+    return values
 
 
 def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
@@ -396,7 +419,7 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
                           true_xm=known_scale, tau=tau)
     uses_delta = row.uses_delta and clip_r is None
     _check_inputs(spec, row.needs if clip_r is None else (), uses_delta)
-    data = Dataset(_read_checked(path, row.pareto)[1])
+    data = Dataset._adopt(_read_checked(path, row.pareto))
     rng = RngStream(seed, noiseless=noiseless)
     budget = PrivacyBudget(epsilon, delta if uses_delta else 0.0)
 

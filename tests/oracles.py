@@ -208,13 +208,11 @@ def _decoded_lines(fh):
 def oracle_read_values(path, require_positive=False):
     """The sample-file reader as a per-line loop over text-mode iteration,
     checking each line as it goes: the reference for harness.read_values,
-    which parses and checks the whole file in bulk.
+    which parses most files in bulk.
 
     A byte the locale encoding cannot decode raises InputError without a
-    line. Text-mode iteration decodes in chunks, so past the first chunk, or
-    for a multi-byte sequence cut off at the end of the file, the error can
-    name another line or byte position than the bulk reader's; the
-    comparison holds for a bad byte inside a one-chunk file."""
+    line. Text-mode iteration decodes in chunks, so the message gives the
+    byte's position within its chunk."""
     values = []
     try:
         fh = open(path)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import oracle_read_values
 
 import privexp
+from privexp import harness
 from privexp.dataset import RateBounds
 from privexp.distributions import ExpModel, ParetoModel, sample
 from privexp.errors import (IncompleteInputs, InputError, OutOfRegime,
@@ -281,9 +282,23 @@ _PADS = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x0b", "\x1c"])
 _TOKENS = st.one_of(
     st.sampled_from(["1_000", "+1.5", "-0.0", "1e-320", "nan", "inf", "-1",
                      "0", "abc", "2.5", "1\x0c5", "3\x0b4", "", "#", "# 1.0",
-                     " # x", "#abc"]),
+                     " # x", "#abc", "1 2", "2.5 # x", "1\t2", "1 2 3"]),
     st.floats(min_value=0.0, allow_infinity=False).map(repr))
 _ENDINGS = st.sampled_from(["\n", "\r\n", "\r", ""])
+_MIXED_FILES = st.lists(st.tuples(_PADS, _TOKENS, _PADS, _ENDINGS),
+                        max_size=12).map(
+    lambda lines: "".join(a + token + b + end for a, token, b, end in lines))
+# Files in the shape the bulk parser takes: a head of blank and '#' lines,
+# then one float repr per line (in half the files any float, which may fail
+# the value check), with one line ending throughout and maybe none at the end.
+_BULK_FILES = st.builds(
+    lambda head, values, end, last: end.join(head + values) + end * last,
+    st.lists(st.sampled_from(["", " \t", "#", "# seed=1", " # note"]),
+             max_size=3),
+    st.one_of(*(st.lists(floats.map(repr), min_size=1, max_size=12)
+                for floats in (st.floats(min_value=0.0, allow_infinity=False),
+                               st.floats()))),
+    st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
 
 
 def _read_outcome(reader, path, require_positive):
@@ -305,6 +320,7 @@ class TestSampleFiles:
         values = read_values(path)
         expected = sample(ExpModel(2.0), 50, RngStream(9))
         assert values == list(expected.values)
+        assert read_values(os.fsencode(path)) == values
 
     def test_pareto_model_supported(self, tmp_path):
         path = tmp_path / "pareto.txt"
@@ -386,18 +402,55 @@ class TestSampleFiles:
         path.write_bytes(b"1\r\n2\r3\n\x0c4\x1c\n")
         assert read_values(path) == [1.0, 2.0, 3.0, 4.0]
 
-    @settings(max_examples=300)
-    @given(st.lists(st.tuples(_PADS, _TOKENS, _PADS, _ENDINGS), max_size=12),
-           st.booleans())
-    def test_matches_per_line_oracle(self, lines, require_positive):
-        text = "".join(a + token + b + end for a, token, b, end in lines)
+    @settings(max_examples=400)
+    @given(st.one_of(_MIXED_FILES, _BULK_FILES), st.booleans())
+    def test_matches_per_line_oracle(self, text, require_positive):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "values.txt")
             with open(path, "wb") as fh:
                 fh.write(text.encode("ascii"))
             want = _read_outcome(oracle_read_values, path, require_positive)
-            got = _read_outcome(read_values, path, require_positive)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _read_outcome(read_values, path, require_positive)
         assert got == want
+
+    @pytest.mark.parametrize("body", [b"", b"# a\n#b\n", b"\n \n\t\n",
+                                      b"1 2\n"])
+    def test_files_without_a_value_column_match_oracle(self, tmp_path, body):
+        # no value line, where loadtxt would warn of empty input, and a
+        # second column, which it would take as one row of two
+        path = tmp_path / "shape.txt"
+        path.write_bytes(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _read_outcome(read_values, path, False)
+        assert got == _read_outcome(oracle_read_values, path, False)
+
+    @pytest.mark.parametrize("model", [ExpModel(2.0), ParetoModel(1.3, 2.5)])
+    def test_written_samples_take_the_bulk_path(self, tmp_path, monkeypatch,
+                                                model):
+        def refuse(path, require_positive):
+            raise AssertionError("the per-line parser ran")
+        monkeypatch.setattr(harness, "_parse_lines", refuse)
+        path = tmp_path / "sample.txt"
+        write_sample(path, model, 2000, seed=3)
+        want = sample(model, 2000, RngStream(3)).values.tolist()
+        assert read_values(path) == want
+        assert read_values(path, require_positive=True) == want
+
+    def test_comment_after_a_value_is_read_line_by_line(self, tmp_path,
+                                                        monkeypatch):
+        parse, calls = harness._parse_lines, []
+
+        def spy(path, require_positive):
+            calls.append(path)
+            return parse(path, require_positive)
+        monkeypatch.setattr(harness, "_parse_lines", spy)
+        path = tmp_path / "late_comment.txt"
+        path.write_text("# head\n1.5\n# note\n2.5\n")
+        assert read_values(path) == oracle_read_values(path) == [1.5, 2.5]
+        assert calls == [path]
 
 
 class TestEstimateFromFile:
