@@ -330,9 +330,9 @@ def read_values(path, require_positive: bool = False) -> list:
     """Parse one float per line; blank lines and '#' comments are skipped.
     Bad lines raise InputError with the 1-based line; unreadable files without one.
 
-    Files whose blank and '#' lines all come before the first value are
-    parsed in bulk, every other file line by line, to the same values and
-    errors.
+    Regular files whose blank and '#' lines all come before the first
+    value are parsed in bulk; every other input is read once, line by line,
+    to the same values and errors.
     """
     return _read_checked(path, require_positive).tolist()
 
@@ -340,31 +340,54 @@ def read_values(path, require_positive: bool = False) -> list:
 def _read_checked(path, require_positive: bool) -> np.ndarray:
     """read_values' values as one checked float64 array.
 
-    After the leading blank and '#' lines, np.loadtxt parses the file in C.
-    It converts each field with the correctly rounded conversion float()
-    uses, and opens the path (given as a str: it would iterate bytes) as
-    open() does, so lines split at universal newlines only. With
-    comments=None, a '#' after the first value fails the bulk parse. A file
-    with no value line, one loadtxt refuses (a comment after the first
-    value, '1_000', non-ASCII digits, a second column) and one that fails
-    the value check are read by _parse_lines instead.
+    _load_column parses the common shape in bulk. A file it declines and
+    one whose values fail the check are read by _parse_lines instead.
     """
-    try:
-        with open(path) as fh:
-            first = next((i for i, line in enumerate(fh) if _value_text(line)),
-                         None)
-        # with no value line, loadtxt would warn that the input has no data
-        arr = None if first is None else np.loadtxt(
-            os.fsdecode(path), dtype=np.float64, comments=None,
-            skiprows=first, ndmin=2)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        arr = None
-    if arr is not None and arr.shape[1] == 1:
-        arr = arr[:, 0]
+    arr = _load_column(path)
+    if arr is not None:
         lowest_ok = arr > 0.0 if require_positive else arr >= 0.0
         if np.all(np.isfinite(arr) & lowest_ok):
             return arr
     return np.array(_parse_lines(path, require_positive), dtype=np.float64)
+
+
+# np.loadtxt opens a str path through numpy's DataSource, which picks a
+# decompressor by these suffixes and fetches a path that parses as a URL.
+_COMPRESSED_SUFFIXES = tuple(
+    ext for ext in np.lib._datasource._file_openers.keys() if ext)
+
+
+def _load_column(path) -> np.ndarray | None:
+    """The values of a file with one value per line after its leading blank
+    and '#' lines, parsed by np.loadtxt in C, or None.
+
+    loadtxt converts each field with the correctly rounded conversion
+    float() uses. It reopens the file by name, so it gets only a regular
+    file, by absolute path, without a compressed suffix, which it opens as
+    open() does (lines split at universal newlines only); a pipe or a file
+    descriptor is read once, line by line. With comments=None, a '#' after
+    the first value fails the parse. None also for a file with no value
+    line (loadtxt would warn that it has no data) and one loadtxt refuses:
+    a later comment, '1_000', non-ASCII digits, a second column, a byte the
+    locale cannot decode.
+    """
+    try:
+        name = os.path.abspath(os.fsdecode(path))
+    except TypeError:
+        return None
+    if not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    try:
+        with open(name) as fh:
+            first = next((i for i, line in enumerate(fh) if _value_text(line)),
+                         None)
+        if first is None:
+            return None
+        arr = np.loadtxt(name, dtype=np.float64, comments=None,
+                         skiprows=first, ndmin=2)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    return arr[:, 0] if arr.shape[1] == 1 else None
 
 
 def _value_text(line: str) -> str:

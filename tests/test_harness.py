@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import warnings
 
 import pytest
@@ -402,9 +403,8 @@ class TestSampleFiles:
         path.write_bytes(b"1\r\n2\r3\n\x0c4\x1c\n")
         assert read_values(path) == [1.0, 2.0, 3.0, 4.0]
 
-    @settings(max_examples=400)
-    @given(st.one_of(_MIXED_FILES, _BULK_FILES), st.booleans())
-    def test_matches_per_line_oracle(self, text, require_positive):
+    @staticmethod
+    def _assert_matches_oracle(text, require_positive):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "values.txt")
             with open(path, "wb") as fh:
@@ -414,6 +414,51 @@ class TestSampleFiles:
                 warnings.simplefilter("error")
                 got = _read_outcome(read_values, path, require_positive)
         assert got == want
+
+    @settings(max_examples=300)
+    @given(_MIXED_FILES, st.booleans())
+    def test_matches_per_line_oracle(self, text, require_positive):
+        self._assert_matches_oracle(text, require_positive)
+
+    @settings(max_examples=200)
+    @given(_BULK_FILES, st.booleans())
+    def test_bulk_shaped_files_match_per_line_oracle(self, text,
+                                                     require_positive):
+        self._assert_matches_oracle(text, require_positive)
+
+    @pytest.mark.parametrize("via", ["dev_fd", "fd"])
+    @pytest.mark.parametrize("n", [3, 5000])
+    def test_pipe_is_read_once(self, tmp_path, via, n):
+        # a pipe cannot be reopened: the reader must not scan it, then let
+        # loadtxt reopen it by name and parse only what the scan left
+        if via == "dev_fd" and not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        path = tmp_path / "sample.txt"
+        write_sample(path, ExpModel(2.0), n, seed=4)
+        body = path.read_bytes()
+        r, w = os.pipe()
+
+        def feed():
+            with open(w, "wb") as fh:
+                fh.write(body)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            got = read_values(f"/dev/fd/{r}" if via == "dev_fd" else r)
+        finally:
+            writer.join(timeout=10)
+            if via == "dev_fd":
+                os.close(r)  # an int descriptor is closed by the reader
+        assert got == oracle_read_values(path)
+        assert len(got) == n
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix(self, tmp_path, suffix):
+        # loadtxt would open these names through a decompressor
+        path = tmp_path / f"sample.txt{suffix}"
+        write_sample(path, ExpModel(2.0), 50, seed=4)
+        assert read_values(path) == oracle_read_values(path)
+        assert len(read_values(str(path))) == 50
 
     @pytest.mark.parametrize("body", [b"", b"# a\n#b\n", b"\n \n\t\n",
                                       b"1 2\n"])
