@@ -21,7 +21,7 @@ from enum import Enum
 
 from .dataset import RateBounds
 from .errors import IncompleteInputs, RegimeViolation, check_in
-from .learners import _probe_cap
+from .learners import _probe_cap, _search_grid
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
 
 __all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
@@ -139,7 +139,8 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
 
 
 def _search_depth(alpha, bounds) -> int:
-    return math.ceil(math.log2(math.log(bounds.ratio) / alpha))
+    """The probe cap quantile_learning runs at this alpha and these bounds."""
+    return _probe_cap(_search_grid(alpha, bounds)[1])
 
 
 def _quantile_search_value(epsilon, beta, alpha, bounds) -> float:

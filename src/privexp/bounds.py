@@ -5,7 +5,8 @@ most mass brackets the median within a factor of 2 on each side. Releasing
 noisy bin fractions and keeping only those above a threshold calibrated to
 (eps, delta) gives a private argmax bin, hence bounds with ratio exactly 4.
 Only nonempty bins receive noise; empty bins release exactly zero, which is
-what costs the delta.
+what costs the delta. The bin of a double is read off its exponent field,
+so the histogram counts those fields block by block and sorts nothing.
 """
 
 from __future__ import annotations
@@ -26,29 +27,47 @@ __all__ = ["DyadicHistogram", "dyadic_histogram", "find_bounds", "learn_without_
 # in k in [-1074, 1023]. Zero is assigned to the lowest representable bin.
 ZERO_BIN = -1074
 
-# Values per block of the histogram. A block's sorted copy (32 KB) is the
-# largest array it allocates. Smaller blocks mean more, shorter numpy calls,
-# each of which releases the GIL; with two threads, 2,048-value blocks made
-# the histogram twice as slow as these.
-_SORT_BLOCK = 1 << 12
+# Values per block of the histogram. A block's exponent fields (32 KB) are
+# the largest array it allocates. Smaller blocks mean more, shorter numpy
+# calls, each of which releases and retakes the GIL; with two threads each
+# counting its own 59,916 values, 2,048-value blocks took 1.29-1.41 ms a
+# histogram against 0.82-0.92 ms for these.
+_HIST_BLOCK = 1 << 12
 
 
 def dyadic_histogram(data: Dataset) -> dict[int, float]:
     """Fractions of data per power-of-two bin [2^k, 2^(k+1)); nonempty bins only.
 
-    Counts the values below each bin edge from the lowest bin to the
-    highest, one block of _SORT_BLOCK values at a time: sort the block and
-    search it for all edges at once. That is two numpy calls per block, not
-    one count per edge, and no array of n values.
+    A normal double lies in bin k = e - 1023, e being its biased exponent
+    field. One block of _HIST_BLOCK values at a time, the fields are shifted
+    out into a reused buffer, offset by the lowest field present and counted
+    by one bincount: nothing is sorted and no array of n values is made.
+    Zero, -0.0 and the subnormals all have field 0; in the blocks that hold
+    any, frexp files them under their own bins, zero under ZERO_BIN.
     """
-    first, last = (ZERO_BIN if x == 0 else math.frexp(x)[1] - 1
-                   for x in (data.min(), data.max()))
-    edges = np.ldexp(1.0, np.arange(first + 1, last + 1))
-    below = np.zeros(edges.size, dtype=np.int64)
-    for i in range(0, data.n, _SORT_BLOCK):
-        below += np.sort(data.values[i:i + _SORT_BLOCK]).searchsorted(edges)
-    counts = np.diff(below, prepend=0, append=data.n).tolist()
-    return {first + k: c / data.n for k, c in enumerate(counts) if c}
+    # biased exponent fields of the ends; the mask files -0.0 under 0
+    lo, hi = ((int(np.float64(x).view(np.int64)) >> 52) & 0x7FF
+              for x in (data.min(), data.max()))
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    tiny = np.zeros(-1022 - ZERO_BIN, dtype=np.int64)  # bins below 2^-1022
+    buf = np.empty(min(data.n, _HIST_BLOCK), dtype=np.int64)
+    for i in range(0, data.n, _HIST_BLOCK):
+        block = data.values[i:i + _HIST_BLOCK]
+        field = np.right_shift(block.view(np.int64), 52, out=buf[:block.size])
+        field -= lo
+        if lo == 0:
+            np.maximum(field, 0, out=field)  # -0.0 has the sign bit set
+        block_counts = np.bincount(field, minlength=counts.size)
+        counts += block_counts
+        if lo == 0 and block_counts[0]:
+            small = block[block < 2.0 ** -1022]
+            exponent = np.frexp(np.maximum(small, 5e-324))[1]  # zero -> ZERO_BIN
+            tiny += np.bincount(exponent - (ZERO_BIN + 1), minlength=tiny.size)
+    if lo == 0:
+        first, counts = ZERO_BIN, np.concatenate((tiny, counts[1:]))
+    else:
+        first = lo - 1023
+    return {first + k: c / data.n for k, c in enumerate(counts.tolist()) if c}
 
 
 @dataclass(frozen=True)

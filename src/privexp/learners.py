@@ -51,6 +51,12 @@ MLE_BRANCH_CUTOFF = 2.0
 # while a chunk holds at most 2^26 values.
 _SUM_CHUNK = 1 << 26
 
+# Values per block of _exact_sum, which reuses three buffers of one block
+# each. 2^12-value blocks took 0.29 ms a sum at n = 20,424 against 0.23 for
+# these; 2^15-value blocks took 0.44 ms, because each call mapped fresh
+# pages for its 256 KB buffers (99 minor faults a call).
+_SUM_BLOCK = 1 << 14
+
 
 class Route(str, Enum):
     MLE = "mle"
@@ -94,7 +100,7 @@ def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
     # The sum is exact and rounded once, so the released mean does not
     # depend on summation order and equals math.fsum's bit for bit; the
     # oracle tests rely on that.
-    clipped_mean = _exact_sum(data.values.clip(max=clip_r)) / n
+    clipped_mean = _exact_sum(data.values, clip_r) / n
     scale = NoiseScale(clip_r / (budget.epsilon * n))
     noisy_mean = clipped_mean + sample_laplace(scale, rng)
     if noisy_mean <= 0:
@@ -103,28 +109,46 @@ def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
     return 1.0 / noisy_mean
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """The sum of nonnegative finite float64 values, correctly rounded
-    (half to even) exactly like math.fsum, in a few whole-array passes.
+def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
+    """The sum of min(x, cap) over nonnegative finite float64 values,
+    correctly rounded (half to even) exactly like math.fsum.
 
-    Values are bucketed by biased exponent e, whose doubles are integer
+    Works one block of _SUM_BLOCK values at a time in three reused buffers
+    of one block each, so no array of n values is made: the peak memory is
+    those buffers (384 KB) and a few 2047-bucket sums. Each value is clipped
+    at cap and bucketed by its biased exponent e, whose doubles are integer
     multiples of 2^(max(e, 1) - 1075): subnormals share exponent 1's unit.
     Each value splits exactly into its 27 high significand bits and the
-    26-bit remainder; per bucket, each part sums exactly in float64 while a
-    chunk holds at most _SUM_CHUNK values. The buckets are then added as
-    Python ints in units of 2^-1074 and rounded once by int division.
+    26-bit remainder; per bucket, each part sums exactly in float64 across
+    the blocks of a chunk of at most _SUM_CHUNK values. At the end of each
+    chunk the buckets are added as Python ints in units of 2^-1074; the
+    total is rounded once by int division.
     Raises OverflowError when the sum rounds past the largest double.
     """
+    size = min(values.size, _SUM_BLOCK)
+    clipped = np.empty(size)
+    bits = np.empty(size, dtype=np.int64)
+    exponent = np.empty(size, dtype=np.int64)
     total = 0
     for start in range(0, values.size, _SUM_CHUNK):
         chunk = values[start:start + _SUM_CHUNK]
-        # The sign bit is set only on -0.0; clearing it files that under 0.
-        bits = chunk.view(np.int64) & np.int64(2**63 - 1)
-        exponent = bits >> 52
-        bits &= np.int64(-1 << 26)
-        high_part = bits.view(np.float64)
-        high = np.bincount(exponent, weights=high_part)
-        low = np.bincount(exponent, weights=chunk - high_part)
+        high = np.zeros(2047)
+        low = np.zeros(2047)
+        # A bucket past the largest double sums to inf, which the flush
+        # below turns into OverflowError.
+        with np.errstate(over="ignore"):
+            for i in range(0, chunk.size, _SUM_BLOCK):
+                block = chunk[i:i + _SUM_BLOCK]
+                x = np.minimum(block, cap, out=clipped[:block.size])
+                # The sign bit is set only on -0.0; clearing it files that under 0.
+                x_bits = np.bitwise_and(x.view(np.int64), 2**63 - 1,
+                                        out=x.view(np.int64))
+                field = np.right_shift(x_bits, 52, out=exponent[:block.size])
+                high_bits = np.bitwise_and(x_bits, -1 << 26, out=bits[:block.size])
+                high_part = high_bits.view(np.float64)
+                high += np.bincount(field, weights=high_part, minlength=2047)
+                low += np.bincount(field, weights=np.subtract(x, high_part, out=x),
+                                   minlength=2047)
         for e in np.flatnonzero(high + low).tolist():
             unit = max(e, 1) - 1075
             units = int(math.ldexp(high[e], -unit)) + int(math.ldexp(low[e], -unit))
@@ -158,14 +182,19 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
     """
     alpha = config.alpha
     bounds = config.bounds
-    step = 1.0 / (1.0 - alpha / 2.0)
-    n_steps = math.ceil(math.log(bounds.ratio) / math.log(step))
+    step, n_steps = _search_grid(alpha, bounds)
     position = _band_search(data, 1.0 / bounds.upper, step, n_steps,
                             _QUANTILE_LEVEL, alpha / (2.0 * math.e), budget, rng)
     if position is None:
         raise SearchExhausted("no position accepted within the probe cap; "
                               "rate outside bounds or n too small")
     return Estimate(1.0 / position, Route.QUANTILE, None, budget)
+
+
+def _search_grid(alpha: float, bounds: RateBounds) -> tuple[float, int]:
+    """(step, n_steps) of quantile_learning's positions (1/upper) step**k."""
+    step = 1.0 / (1.0 - alpha / 2.0)
+    return step, math.ceil(math.log(bounds.ratio) / math.log(step))
 
 
 def _probe_cap(n_steps: int) -> int:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from privexp import analysis
+from privexp import analysis, learners
 from privexp.analysis import (
     PackingFamily,
     SampleBound,
@@ -12,15 +12,17 @@ from privexp.analysis import (
     quantile_order_terms,
     required_n,
 )
-from privexp.dataset import RateBounds
+from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import exp_tv, separation_T
 from privexp.errors import (
     IncompleteInputs,
     InvalidRatio,
     OutOfRegime,
     RegimeViolation,
+    SearchExhausted,
 )
 from privexp.pareto import DEFAULT_TAIL_QUANTILE
+from privexp.privacy import PrivacyBudget, RngStream
 
 WIDE = (0.01, 100.0)
 BASE = dict(alpha=0.2, beta=0.1, epsilon=1.0, bounds=WIDE)
@@ -124,12 +126,31 @@ class TestExactCalculators:
     def test_quantile_search_formula(self):
         report = required_n(SampleBound.QUANTILE_SEARCH, epsilon=1.0, beta=0.1,
                             alpha=0.2, bounds=(1.0, 100.0))
-        depth = math.ceil(math.log2(math.log(100.0) / 0.2))
-        assert depth == 5
+        # depth: the probe cap of quantile_learning's grid, positions one
+        # step 1/(1 - alpha/2) apart across the ratio
+        n_steps = math.ceil(math.log(100.0) / math.log(1.0 / (1.0 - 0.1)))
+        depth = math.ceil(math.log2(n_steps + 1))
+        assert (n_steps, depth) == (44, 6)
         log_term = math.log(2.0 * depth / 0.1)
         want = max((2.0 * math.e * depth / 0.2) * log_term,
                    (2.0 / 0.04) * log_term)
-        assert report.n_required == math.ceil(want) == 626
+        assert report.n_required == math.ceil(want) == 781
+
+    @pytest.mark.parametrize("alpha, bounds", [(0.2, (1.0, 100.0)), (0.5, WIDE),
+                                               (0.05, (0.1, 1e5)), (0.9, (1.0, 1.5))])
+    def test_quantile_search_depth_is_the_probe_cap(self, monkeypatch, alpha, bounds):
+        # the calculator prices every probe quantile_learning can make: an
+        # exhausted search (all data above every position) makes them all
+        probes = []
+        def counting(*args):
+            probes.append(args[1])
+            return 0.0
+        monkeypatch.setattr(learners, "noisy_fraction_below", counting)
+        config = learners.LearnerConfig(alpha, 0.1, RateBounds(*bounds))
+        with pytest.raises(SearchExhausted):
+            learners.quantile_learning(Dataset([1.0]), config, PrivacyBudget(1.0),
+                                       RngStream(0, noiseless=True))
+        assert len(probes) == analysis._search_depth(alpha, RateBounds(*bounds))
 
     def test_bounds_finder_formula(self):
         report = required_n(SampleBound.BOUNDS_FINDER, epsilon=1.0, delta=1e-6,
@@ -166,7 +187,7 @@ class TestComposedCalculators:
         assert math.isclose(statistical, log_term / 0.04, rel_tol=1e-12)
 
     def test_best_of_both_pinned(self):
-        for lam, want in [(0.2, 1271), (1.0, 1271), (5.0, 9236)]:
+        for lam, want in [(0.2, 1527), (1.0, 1527), (5.0, 9236)]:
             report = required_n(SampleBound.BEST_OF_BOTH, lam=lam, **BASE)
             assert report.n_required == want
 

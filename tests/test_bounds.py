@@ -79,12 +79,14 @@ class TestDyadicHistogram:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64, 4096])
     def test_blocks_add_up_to_the_whole_sample(self, monkeypatch, block):
-        # each block is sorted and searched on its own: the counts must add
-        # up across block boundaries and a short last block, also when the
-        # bins run from the zero bin to the top of the double range
-        monkeypatch.setattr(bounds, "_SORT_BLOCK", block)
+        # each block's exponent fields are counted on their own, and its
+        # zeros and subnormals split by frexp: the counts must add up across
+        # block boundaries and a short last block, also when the bins run
+        # from the zero bin to the top of the double range
+        monkeypatch.setattr(bounds, "_HIST_BLOCK", block)
         gen = np.random.default_rng(block)
-        values = gen.exponential(1.0, 200).tolist() + [0.0, 1.0, 1.5, MAX]
+        values = gen.exponential(1.0, 200).tolist() + [
+            0.0, -0.0, 5e-324, 2.0 ** -1030, 2.0 ** -1022, 1.0, 1.5, MAX]
         values = gen.permutation(values).tolist()
         assert dyadic_histogram(Dataset(values)) == oracle_dyadic_bins(values)
         assert dyadic_histogram(Dataset(values[:block + 1])) == oracle_dyadic_bins(

@@ -159,7 +159,7 @@ class TestCalc:
                    "--lambda-max", "100"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"bound": "quantile-search", "n_required": 626,
+        assert payload == {"bound": "quantile-search", "n_required": 781,
                            "exact_constants": True,
                            "inputs": {"alpha": 0.2, "beta": 0.1, "epsilon": 1.0,
                                       "bounds": [1.0, 100.0]}}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,19 @@ class TestPrivateMle:
                               RngStream(0, noiseless=True))
             assert got == oracle_private_mle(values, clip_r)
 
+    def test_allocates_no_array_of_size_n(self):
+        # the clipped sum runs in blocks: no clipped copy of the data, no
+        # per-value temporaries of size n
+        n = 10 ** 6
+        data = Dataset(np.random.default_rng(9).exponential(0.25, n))
+        tracemalloc.start()
+        try:
+            private_mle(data, 3.0, PrivacyBudget(1.0), RngStream(0, noiseless=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * n
+
     def test_release_ignores_order(self):
         # magnitudes spread over 2^-40..2^40, so left-to-right float sums of
         # the permutations differ; the released value must not
@@ -135,10 +149,31 @@ SUM_ELEMENTS = st.one_of(
 )
 
 
+def clipped_fsum_or_overflow(values, cap):
+    return fsum_or_overflow([min(v, cap) for v in values])
+
+
+def clipped_exact_sum_or_overflow(values, cap):
+    try:
+        return learners._exact_sum(np.array(values, dtype=np.float64), cap)
+    except OverflowError:
+        return OverflowError
+
+
 class TestExactSum:
     @given(st.lists(SUM_ELEMENTS, max_size=60))
     def test_matches_fsum(self, values):
         assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
+
+    @given(st.lists(SUM_ELEMENTS, min_size=1, max_size=60).flatmap(
+        lambda values: st.tuples(st.just(values), st.one_of(
+            st.sampled_from([0.0, 5e-324, 2.0 ** -1040, math.inf]),
+            st.sampled_from(values)))))
+    def test_clipped_matches_fsum(self, values_and_cap):
+        # the cap: zero, a subnormal, one of the values, or none at all
+        values, cap = values_and_cap
+        assert (clipped_exact_sum_or_overflow(values, cap)
+                == clipped_fsum_or_overflow(values, cap))
 
     def test_negative_zero_is_zero(self):
         # -0.0 is the one accepted value with the sign bit set; it must be
@@ -161,13 +196,20 @@ class TestExactSum:
             learners._exact_sum(np.array([1.7e308, 1.7e308]))
 
     def test_chunk_boundaries(self, monkeypatch):
+        # blocks of every size, also larger than the 3-value chunk: each
+        # chunk is flushed whole and the buffers are reused across blocks
         monkeypatch.setattr(learners, "_SUM_CHUNK", 3)
         gen = np.random.default_rng(3)
-        for size in range(12):
-            values = np.ldexp(gen.random(size), gen.integers(-1074, 1000, size))
-            assert learners._exact_sum(values) == math.fsum(values)
-        near_max = np.full(7, 1.7976931348623157e308 / 8.0)
-        assert learners._exact_sum(near_max) == math.fsum(near_max)
+        for block in (1, 2, 3, 4, 1 << 14):
+            monkeypatch.setattr(learners, "_SUM_BLOCK", block)
+            for size in range(12):
+                values = np.ldexp(gen.random(size), gen.integers(-1074, 1000, size))
+                assert learners._exact_sum(values) == math.fsum(values)
+                cap = float(values[size // 2]) if size else 1.0
+                assert (learners._exact_sum(values, cap)
+                        == math.fsum(np.minimum(values, cap)))
+            near_max = np.full(7, 1.7976931348623157e308 / 8.0)
+            assert learners._exact_sum(near_max) == math.fsum(near_max)
 
 
 class TestMleLearning:
