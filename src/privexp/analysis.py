@@ -138,13 +138,10 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
                           f"{_FIXED_POINT_ITERATIONS} iterations")
 
 
-def _search_depth(alpha, bounds) -> int:
-    """The probe cap quantile_learning runs at this alpha and these bounds."""
-    return _probe_cap(_search_grid(alpha, bounds)[1])
-
-
 def _quantile_search_value(epsilon, beta, alpha, bounds) -> float:
-    return _band_search_value(epsilon, beta, alpha, _search_depth(alpha, bounds))
+    """quantile_learning's search: as deep as its probe cap."""
+    return _band_search_value(epsilon, beta, alpha,
+                              _probe_cap(_search_grid(alpha, bounds)[1]))
 
 
 def _band_search_value(epsilon, beta, alpha, depth) -> float:

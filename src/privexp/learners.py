@@ -46,16 +46,14 @@ MLE_RANGE_THETA = 0.1
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
 
-# _exact_sum adds the 27 high and the 26 low significand bits of each value
-# apart, per exponent, in float64. Such sums stay exact (below 2^53 units)
-# while a chunk holds at most 2^26 values.
-_SUM_CHUNK = 1 << 26
-
-# Values per block of _exact_sum, which reuses three buffers of one block
-# each. 2^12-value blocks took 0.29 ms a sum at n = 20,424 against 0.23 for
-# these; 2^15-value blocks took 0.44 ms, because each call mapped fresh
-# pages for its 256 KB buffers (99 minor faults a call).
-_SUM_BLOCK = 1 << 14
+# Values per block of _exact_sum, which reuses three buffers of one block.
+# Per exponent, a block's 27 high and 26 low significand bits sum exactly
+# in float64 (below 2^53 units) while it holds at most 2^26 values. Each
+# numpy call hands the GIL over: with two threads summing 36,944 values
+# each, 2^14-value blocks took 1.02 ms a sum and these 0.49 ms (0.54 ms for
+# one whole-array pass). Up to 2^16 values, the buffers are no larger than
+# the n-sized temporaries of such a pass.
+_SUM_BLOCK = 1 << 16
 
 
 class Route(str, Enum):
@@ -114,41 +112,32 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
     correctly rounded (half to even) exactly like math.fsum.
 
     Works one block of _SUM_BLOCK values at a time in three reused buffers
-    of one block each, so no array of n values is made: the peak memory is
-    those buffers (384 KB) and a few 2047-bucket sums. Each value is clipped
-    at cap and bucketed by its biased exponent e, whose doubles are integer
-    multiples of 2^(max(e, 1) - 1075): subnormals share exponent 1's unit.
-    Each value splits exactly into its 27 high significand bits and the
-    26-bit remainder; per bucket, each part sums exactly in float64 across
-    the blocks of a chunk of at most _SUM_CHUNK values. At the end of each
-    chunk the buckets are added as Python ints in units of 2^-1074; the
-    total is rounded once by int division.
+    of one block each, so the peak memory is bounded (1.5 MB) whatever n.
+    Each value is clipped at cap and bucketed by its biased exponent e,
+    whose doubles are integer multiples of 2^(max(e, 1) - 1075): subnormals
+    share exponent 1's unit. Each value splits exactly into its 27 high
+    significand bits and the 26-bit remainder, and per bucket each part
+    sums exactly in float64 over the block. The block's buckets are added
+    to the total as Python ints in units of 2^-1074, and the total is
+    rounded once by int division.
     Raises OverflowError when the sum rounds past the largest double.
     """
     size = min(values.size, _SUM_BLOCK)
     clipped = np.empty(size)
-    bits = np.empty(size, dtype=np.int64)
     exponent = np.empty(size, dtype=np.int64)
+    bits = np.empty(size, dtype=np.int64)
     total = 0
-    for start in range(0, values.size, _SUM_CHUNK):
-        chunk = values[start:start + _SUM_CHUNK]
-        high = np.zeros(2047)
-        low = np.zeros(2047)
-        # A bucket past the largest double sums to inf, which the flush
-        # below turns into OverflowError.
-        with np.errstate(over="ignore"):
-            for i in range(0, chunk.size, _SUM_BLOCK):
-                block = chunk[i:i + _SUM_BLOCK]
-                x = np.minimum(block, cap, out=clipped[:block.size])
-                # The sign bit is set only on -0.0; clearing it files that under 0.
-                x_bits = np.bitwise_and(x.view(np.int64), 2**63 - 1,
-                                        out=x.view(np.int64))
-                field = np.right_shift(x_bits, 52, out=exponent[:block.size])
-                high_bits = np.bitwise_and(x_bits, -1 << 26, out=bits[:block.size])
-                high_part = high_bits.view(np.float64)
-                high += np.bincount(field, weights=high_part, minlength=2047)
-                low += np.bincount(field, weights=np.subtract(x, high_part, out=x),
-                                   minlength=2047)
+    for start in range(0, values.size, _SUM_BLOCK):
+        block = values[start:start + _SUM_BLOCK]
+        x = np.minimum(block, cap, out=clipped[:block.size])
+        # Shifted as unsigned, -0.0 (the only value with the sign bit set)
+        # lands in bucket 2048, where it adds nothing.
+        field = exponent[:block.size]
+        np.right_shift(x.view(np.uint64), 52, out=field.view(np.uint64))
+        high_bits = np.bitwise_and(x.view(np.int64), -1 << 26, out=bits[:block.size])
+        high_part = high_bits.view(np.float64)
+        high = np.bincount(field, weights=high_part)
+        low = np.bincount(field, weights=np.subtract(x, high_part, out=x))
         for e in np.flatnonzero(high + low).tolist():
             unit = max(e, 1) - 1075
             units = int(math.ldexp(high[e], -unit)) + int(math.ldexp(low[e], -unit))

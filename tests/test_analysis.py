@@ -138,7 +138,7 @@ class TestExactCalculators:
 
     @pytest.mark.parametrize("alpha, bounds", [(0.2, (1.0, 100.0)), (0.5, WIDE),
                                                (0.05, (0.1, 1e5)), (0.9, (1.0, 1.5))])
-    def test_quantile_search_depth_is_the_probe_cap(self, monkeypatch, alpha, bounds):
+    def test_quantile_search_depth_is_the_probe_count(self, monkeypatch, alpha, bounds):
         # the calculator prices every probe quantile_learning can make: an
         # exhausted search (all data above every position) makes them all
         probes = []
@@ -150,7 +150,10 @@ class TestExactCalculators:
         with pytest.raises(SearchExhausted):
             learners.quantile_learning(Dataset([1.0]), config, PrivacyBudget(1.0),
                                        RngStream(0, noiseless=True))
-        assert len(probes) == analysis._search_depth(alpha, RateBounds(*bounds))
+        report = required_n(SampleBound.QUANTILE_SEARCH, epsilon=1.0, beta=0.1,
+                            alpha=alpha, bounds=bounds)
+        want = analysis._band_search_value(1.0, 0.1, alpha, len(probes))
+        assert report.n_required == math.ceil(want)
 
     def test_bounds_finder_formula(self):
         report = required_n(SampleBound.BOUNDS_FINDER, epsilon=1.0, delta=1e-6,

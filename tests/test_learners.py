@@ -196,11 +196,10 @@ class TestExactSum:
             learners._exact_sum(np.array([1.7e308, 1.7e308]))
 
     def test_chunk_boundaries(self, monkeypatch):
-        # blocks of every size, also larger than the 3-value chunk: each
-        # chunk is flushed whole and the buffers are reused across blocks
-        monkeypatch.setattr(learners, "_SUM_CHUNK", 3)
+        # blocks of every size: each block's buckets are added to the total
+        # apart, and the buffers are reused across blocks
         gen = np.random.default_rng(3)
-        for block in (1, 2, 3, 4, 1 << 14):
+        for block in (1, 2, 3, 4, 1 << 16):
             monkeypatch.setattr(learners, "_SUM_BLOCK", block)
             for size in range(12):
                 values = np.ldexp(gen.random(size), gen.integers(-1074, 1000, size))
