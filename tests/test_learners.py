@@ -128,9 +128,9 @@ def fsum_or_overflow(values):
         return OverflowError
 
 
-def exact_sum_or_overflow(values):
+def exact_sum_or_overflow(values, cap=math.inf):
     try:
-        return learners._exact_sum(np.array(values, dtype=np.float64))
+        return learners._exact_sum(np.array(values, dtype=np.float64), cap)
     except OverflowError:
         return OverflowError
 
@@ -149,17 +149,6 @@ SUM_ELEMENTS = st.one_of(
 )
 
 
-def clipped_fsum_or_overflow(values, cap):
-    return fsum_or_overflow([min(v, cap) for v in values])
-
-
-def clipped_exact_sum_or_overflow(values, cap):
-    try:
-        return learners._exact_sum(np.array(values, dtype=np.float64), cap)
-    except OverflowError:
-        return OverflowError
-
-
 class TestExactSum:
     @given(st.lists(SUM_ELEMENTS, max_size=60))
     def test_matches_fsum(self, values):
@@ -172,8 +161,8 @@ class TestExactSum:
     def test_clipped_matches_fsum(self, values_and_cap):
         # the cap: zero, a subnormal, one of the values, or none at all
         values, cap = values_and_cap
-        assert (clipped_exact_sum_or_overflow(values, cap)
-                == clipped_fsum_or_overflow(values, cap))
+        assert (exact_sum_or_overflow(values, cap)
+                == fsum_or_overflow([min(v, cap) for v in values]))
 
     def test_negative_zero_is_zero(self):
         # -0.0 is the one accepted value with the sign bit set; it must be
