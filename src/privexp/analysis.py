@@ -21,8 +21,10 @@ from enum import Enum
 
 from .dataset import RateBounds
 from .errors import IncompleteInputs, RegimeViolation, check_in
-from .learners import _probe_cap, _search_grid
+from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF,
+                       MLE_RANGE_THETA, SearchGrid, _search_grid)
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
+from .quantile import QuantileResult, clipping_range
 
 __all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
            "lower_bound_n", "required_n", "quantile_order_terms"]
@@ -114,12 +116,12 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
     composed pipeline terms."""
     stage_eps, stage_beta = epsilon / 2.0, beta / 2.0
     svt_need = _svt_quantile_value(stage_eps, stage_beta, bounds)
-    ln10 = math.log(10.0)
+    # The range stage's target, the (1 - theta)-quantile of Exp(lam).
+    quantile = QuantileResult(math.log(1.0 / MLE_RANGE_THETA) / lam, 0)
     n = 16.0
     for _ in range(_FIXED_POINT_ITERATIONS):
         log_n = math.log(n)
-        c = (6.0 / ln10) * (1.0 + math.log(1.0 / stage_beta) / log_n)
-        clip_r = c * (ln10 / lam) * log_n
+        clip_r = clipping_range(quantile, n, MLE_RANGE_THETA, stage_beta)
         try:
             mle_need = _clipped_mle_value(stage_eps, stage_beta, alpha, lam, clip_r)
         except RegimeViolation:
@@ -138,17 +140,13 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
                           f"{_FIXED_POINT_ITERATIONS} iterations")
 
 
-def _quantile_search_value(epsilon, beta, alpha, bounds) -> float:
-    """quantile_learning's search: as deep as its probe cap."""
-    return _band_search_value(epsilon, beta, alpha,
-                              _probe_cap(_search_grid(alpha, bounds)[1]))
-
-
-def _band_search_value(epsilon, beta, alpha, depth) -> float:
-    """Noisy binary search of the given depth with half-band alpha/(2e)."""
+def _band_search_value(epsilon, beta, grid: SearchGrid) -> float:
+    """A noisy binary search over grid: as deep as its probe cap, with
+    Laplace noise and sampling error each kept inside its half-band."""
+    depth, half_band = grid.probes, grid.half_band
     log_term = math.log(2.0 * depth / beta)
-    return max((2.0 * math.e * depth / (epsilon * alpha)) * log_term,
-               (2.0 / alpha ** 2) * log_term)
+    return max((depth / (epsilon * half_band)) * log_term,
+               log_term / (2.0 * (math.e * half_band) ** 2))
 
 
 def quantile_order_terms(epsilon, beta, alpha, bounds) -> tuple[float, float]:
@@ -162,25 +160,23 @@ def quantile_order_terms(epsilon, beta, alpha, bounds) -> tuple[float, float]:
             log_term / alpha ** 2)
 
 
-def _quantile_learning_value(epsilon, beta, alpha, bounds) -> float:
-    return max(quantile_order_terms(epsilon, beta, alpha, bounds))
-
-
 # Branch reachability for the adaptive learner: the coarse stage returns a
-# factor-3/2 estimate whp, so the MLE branch (coarse >= 2) is reachable only
-# when 1.5*lam >= 2 and the quantile branch only when lam/2 < 2.
-MLE_BRANCH_MIN_RATE = 4.0 / 3.0
-QUANTILE_BRANCH_MAX_RATE = 4.0
+# (1 +- COARSE_ALPHA) estimate whp, so the MLE branch (coarse >= cutoff) is
+# reachable only when (1 + COARSE_ALPHA) lam >= cutoff and the quantile
+# branch only when (1 - COARSE_ALPHA) lam < cutoff.
+MLE_BRANCH_MIN_RATE = MLE_BRANCH_CUTOFF / (1.0 + COARSE_ALPHA)
+QUANTILE_BRANCH_MAX_RATE = MLE_BRANCH_CUTOFF / (1.0 - COARSE_ALPHA)
 
 
 def _best_of_both_value(epsilon, beta, alpha, lam, bounds) -> float:
-    coarse = _quantile_search_value(epsilon / 3.0, beta / 3.0, 0.5, bounds)
-    need = coarse
-    main_eps, main_beta = 2.0 * epsilon / 3.0, 2.0 * beta / 3.0
+    coarse_share, main_share = BEST_OF_BOTH_SPLIT
+    need = _band_search_value(coarse_share * epsilon, coarse_share * beta,
+                              _search_grid(COARSE_ALPHA, bounds))
+    main_eps, main_beta = main_share * epsilon, main_share * beta
     if lam >= MLE_BRANCH_MIN_RATE:
         need = max(need, _mle_learning_value(main_eps, main_beta, alpha, lam, bounds))
     if lam < QUANTILE_BRANCH_MAX_RATE:
-        need = max(need, _quantile_search_value(main_eps, main_beta, alpha, bounds))
+        need = max(need, _band_search_value(main_eps, main_beta, _search_grid(alpha, bounds)))
     return need
 
 
@@ -197,17 +193,9 @@ def _learn_without_bounds_value(epsilon, delta, beta, alpha, lam) -> float:
                _best_of_both_value(epsilon / 2.0, beta / 2.0, alpha, lam, found))
 
 
-def _pareto_pivot_value(epsilon, beta, alpha, bounds, tau) -> float:
-    """The pivot search: depth ceil(log2(n_steps + 1)) and half-band h,
-    i.e. the quantile-search form at alpha = 2e*h."""
-    _, _, n_steps, half_band = _pivot_grid(alpha, bounds, tau)
-    return _band_search_value(epsilon, beta, 2.0 * math.e * half_band,
-                              _probe_cap(n_steps))
-
-
 def _pareto_value(epsilon, beta, alpha, shape, bounds, tau) -> float:
     # Pivot stage at eps/2, shape stage at eps/2 on ~(1-tau)*n exceedances.
-    pivot = _pareto_pivot_value(epsilon / 2.0, beta / 2.0, alpha, bounds, tau)
+    pivot = _band_search_value(epsilon / 2.0, beta / 2.0, _pivot_grid(alpha, bounds, tau))
     tail = _best_of_both_value(epsilon / 2.0, beta / 2.0, alpha, shape, bounds)
     return max(pivot, tail / (1.0 - tau))
 
@@ -223,9 +211,11 @@ _CALCULATORS = {
     SampleBound.MLE_LEARNING: (
         _mle_learning_value, ("epsilon", "beta", "alpha", "lam", "bounds"), False),
     SampleBound.QUANTILE_SEARCH: (
-        _quantile_search_value, ("epsilon", "beta", "alpha", "bounds"), True),
+        lambda e, b, a, bounds: _band_search_value(e, b, _search_grid(a, bounds)),
+        ("epsilon", "beta", "alpha", "bounds"), True),
     SampleBound.QUANTILE_LEARNING: (
-        _quantile_learning_value, ("epsilon", "beta", "alpha", "bounds"), False),
+        lambda e, b, a, bounds: max(quantile_order_terms(e, b, a, bounds)),
+        ("epsilon", "beta", "alpha", "bounds"), False),
     SampleBound.BEST_OF_BOTH: (
         _best_of_both_value, ("epsilon", "beta", "alpha", "lam", "bounds"), False),
     SampleBound.BOUNDS_FINDER: (

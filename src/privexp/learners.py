@@ -24,6 +24,8 @@ import numpy as np
 from .dataset import Dataset, RateBounds
 from .errors import (
     CoarseFailed,
+    IncompleteInputs,
+    InputError,
     NonpositiveMean,
     RangeEstimationFailed,
     SearchExhausted,
@@ -41,8 +43,10 @@ _QUANTILE_LEVEL = 1.0 - 1.0 / math.e
 # Quantile level used by the MLE pipeline's range-estimation stage.
 MLE_RANGE_THETA = 0.1
 
-# Coarse stage of best_of_both runs at this accuracy; a factor-3/2 estimate
-# is enough to separate the two branch regions.
+# best_of_both's (coarse, main) shares of the budget. The coarse stage runs
+# at this accuracy; a factor-3/2 estimate is enough to separate the two
+# branch regions.
+BEST_OF_BOTH_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
 
@@ -72,6 +76,10 @@ class LearnerConfig:
     def __post_init__(self):
         check_in("alpha", self.alpha, 0.0, 1.0)
         check_in("beta", self.beta, 0.0, 1.0)
+        # None is accepted here and refused by the learners, which read the
+        # bounds: a config may be built for a run that never does.
+        if not isinstance(self.bounds, (RateBounds, type(None))):
+            raise InputError(f"bounds must be a RateBounds, got {self.bounds!r}")
 
 
 @dataclass(frozen=True)
@@ -159,58 +167,60 @@ def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
 
 def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                       rng: RngStream) -> Estimate:
-    """Noisy binary search for the (1 - 1/e)-quantile position.
-
-    Candidate positions run geometrically from 1/upper to past 1/lower with
-    ratio 1/(1 - alpha/2), so adjacent positions correspond to rates one
-    accuracy step apart. Each probe compares a noisy CDF value against the
-    band (1 - 1/e) +- alpha/(2e); landing inside the band means the probed
-    position is within (1 +- alpha) of 1/rate, and its reciprocal is
-    returned. The iteration cap also fixes the per-probe noise scale, so the
-    whole search costs exactly the given budget.
-    """
-    alpha = config.alpha
-    bounds = config.bounds
-    step, n_steps = _search_grid(alpha, bounds)
-    position = _band_search(data, 1.0 / bounds.upper, step, n_steps,
-                            _QUANTILE_LEVEL, alpha / (2.0 * math.e), budget, rng)
+    """Noisy binary search over _search_grid for the (1 - 1/e)-quantile
+    position. Adjacent positions are rates one accuracy step apart, and a
+    position inside the band (1 - 1/e) +- alpha/(2e) is within (1 +- alpha)
+    of 1/rate, so its reciprocal is returned."""
+    position = _band_search(data, _search_grid(config.alpha, config.bounds), budget, rng)
     if position is None:
         raise SearchExhausted("no position accepted within the probe cap; "
                               "rate outside bounds or n too small")
     return Estimate(1.0 / position, Route.QUANTILE, None, budget)
 
 
-def _search_grid(alpha: float, bounds: RateBounds) -> tuple[float, int]:
-    """(step, n_steps) of quantile_learning's positions (1/upper) step**k."""
+@dataclass(frozen=True)
+class SearchGrid:
+    """Positions lo * step**k, k = 0..n_steps, searched for one whose noisy
+    CDF falls in level +- half_band within `probes` probes. The cap fixes the
+    per-probe noise scale, so a search spends exactly its budget, and the
+    calculators price it from the same cap and half-band."""
+
+    lo: float
+    step: float
+    n_steps: int
+    level: float
+    half_band: float
+
+    @property
+    def probes(self) -> int:
+        return math.ceil(math.log2(self.n_steps + 1))
+
+
+def _search_grid(alpha: float, bounds: RateBounds) -> SearchGrid:
+    """quantile_learning's grid: from 1/upper past 1/lower with ratio
+    1/(1 - alpha/2), around the level 1 - 1/e with half-band alpha/(2e)."""
+    if bounds is None:
+        raise IncompleteInputs("rate bounds are needed, got None")
     step = 1.0 / (1.0 - alpha / 2.0)
-    return step, math.ceil(math.log(bounds.ratio) / math.log(step))
+    return SearchGrid(1.0 / bounds.upper, step,
+                      math.ceil(math.log(bounds.ratio) / math.log(step)),
+                      _QUANTILE_LEVEL, alpha / (2.0 * math.e))
 
 
-def _probe_cap(n_steps: int) -> int:
-    """Probes a noisy binary search over n_steps + 1 positions may make."""
-    return math.ceil(math.log2(n_steps + 1))
-
-
-def _band_search(data: Dataset, lo: float, step: float, n_steps: int,
-                 level: float, half_band: float, budget: PrivacyBudget,
+def _band_search(data: Dataset, grid: SearchGrid, budget: PrivacyBudget,
                  rng: RngStream) -> Optional[float]:
-    """Noisy binary search over the positions lo * step**k, k = 0..n_steps,
-    for one whose noisy CDF falls in level +- half_band.
-
-    Returns the first such position, or None once the cap of
-    ceil(log2(n_steps + 1)) probes is used up. The cap fixes the per-probe
-    noise scale, so the search consumes exactly the given budget.
-    """
+    """The first position of grid whose noisy CDF falls in its band, or
+    None once grid.probes probes are used up."""
     budget.consume()
-    cap = _probe_cap(n_steps)
+    cap = grid.probes
     scale = NoiseScale(cap / (budget.epsilon * data.n))
-    band_lo = level - half_band
-    band_hi = level + half_band
+    band_lo = grid.level - grid.half_band
+    band_hi = grid.level + grid.half_band
 
-    low, high = 0, n_steps
+    low, high = 0, grid.n_steps
     for _ in range(cap):
         mid = (low + high) // 2
-        position = lo * step ** mid
+        position = grid.lo * grid.step ** mid
         value = noisy_fraction_below(data, position, scale, rng)
         if value > band_hi:
             high = mid
@@ -224,7 +234,7 @@ def _band_search(data: Dataset, lo: float, step: float, n_steps: int,
 def best_of_both(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
     """Coarse estimate at eps/3 picks the route; the winner runs at 2*eps/3."""
-    coarse_budget, main_budget = budget.split([1.0 / 3.0, 2.0 / 3.0])
+    coarse_budget, main_budget = budget.split(BEST_OF_BOTH_SPLIT)
     coarse_config = LearnerConfig(COARSE_ALPHA, config.beta, config.bounds)
     try:
         coarse = quantile_learning(data, coarse_config, coarse_budget, rng)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .dataset import Dataset, RateBounds
 from .errors import EmptyTail, RangeEstimationFailed, ScaleViolation, check_in
-from .learners import LearnerConfig, Route, _band_search, best_of_both, mle_learning
+from .learners import (LearnerConfig, Route, SearchGrid, _band_search, best_of_both,
+                       mle_learning)
 from .privacy import PrivacyBudget, RngStream
 from .quantile import svt_grid
 
@@ -75,26 +76,24 @@ def recover_scale(quantile_value: float, tau: float, shape_hat: float) -> float:
     return quantile_value * (1.0 - tau) ** (1.0 / shape_hat)
 
 
-def _pivot_grid(alpha: float, bounds: RateBounds,
-                tau: float) -> tuple[float, float, int, float]:
-    """(lo, step, n_steps, half_band) of the tail pivot search.
+def _pivot_grid(alpha: float, bounds: RateBounds, tau: float) -> SearchGrid:
+    """The tail pivot search's grid, around the level tau.
 
-    The positions lo * step**k, k = 0..n_steps, run from lo = 1/upper to the
-    top of svt_grid(bounds, 1 - tau). A pivot whose CDF lies within
-    tau +- half_band, half_band = alpha(1 - tau)/4, moves the log of the
-    recovered scale by at most -ln(1 - alpha/4)/shape, about
-    alpha/(4 shape). Inside the band, one step of
-    ln(step) = half_band/upper moves the CDF of any shape <= upper by at
+    The positions run from 1/upper to the top of svt_grid(bounds, 1 - tau).
+    A pivot whose CDF lies within tau +- half_band, half_band =
+    alpha(1 - tau)/4, moves the log of the recovered scale by at most
+    -ln(1 - alpha/4)/shape, about alpha/(4 shape). Inside the band, one step
+    of ln(step) = half_band/upper moves the CDF of any shape <= upper by at
     most (1 - tau + half_band) half_band, less than the band's width, so
     some position falls inside the band whenever the tau-quantile lies in
     the window.
     """
-    half_band = alpha * (1.0 - tau) / 4.0
-    lo = 1.0 / bounds.upper
     hi = float(svt_grid(bounds, 1.0 - tau)[-1])
+    lo = 1.0 / bounds.upper
+    half_band = alpha * (1.0 - tau) / 4.0
     ln_step = half_band / bounds.upper
-    n_steps = math.ceil(math.log(hi / lo) / ln_step)
-    return lo, math.exp(ln_step), n_steps, half_band
+    return SearchGrid(lo, math.exp(ln_step), math.ceil(math.log(hi / lo) / ln_step),
+                      tau, half_band)
 
 
 def learn_pareto_known_scale(data: Dataset, x_m: float, config: LearnerConfig,
@@ -122,8 +121,8 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     """
     check_in("tail level tau", tau, TAU_MIN, TAU_MAX, ends="[]")
     pivot_budget, shape_budget = budget.split([0.5, 0.5])
-    lo, step, n_steps, half_band = _pivot_grid(config.alpha, config.bounds, tau)
-    pivot = _band_search(data, lo, step, n_steps, tau, half_band, pivot_budget, rng)
+    pivot = _band_search(data, _pivot_grid(config.alpha, config.bounds, tau),
+                         pivot_budget, rng)
     if pivot is None:
         raise RangeEstimationFailed("tail pivot search found no position in "
                                     "its band; x_m outside the pivot window "

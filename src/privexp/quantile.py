@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import TooFewSamples, check_in
+from .errors import IncompleteInputs, TooFewSamples, check_in
 from .privacy import NoiseScale, PrivacyBudget, RngStream, noisy_fraction_below, sample_laplace
 
 __all__ = ["QuantileResult", "svt_grid", "svt_quantile", "clipping_range"]
@@ -46,6 +46,8 @@ def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
     Doubling from 1/upper with a few slack doublings covers that whole window
     while keeping the checkpoint count logarithmic in the bounds ratio.
     """
+    if bounds is None:
+        raise IncompleteInputs("rate bounds are needed, got None")
     span = math.ceil(math.log2(bounds.ratio))
     slack = math.ceil(math.log2(max(1.0, math.log(1.0 / theta))))
     i_max = span + slack + 2
@@ -61,12 +63,13 @@ def svt_quantile(data: Dataset, bounds: RateBounds, theta: float,
     once for the first positive report, not per query.
     """
     check_in("target level theta", theta, THETA_MIN, THETA_MAX, ends="[]")
+    grid = svt_grid(bounds, theta)
     budget.consume()
     eps, n = budget.epsilon, data.n
     threshold_scale = NoiseScale(2.0 / (eps * n))
     query_scale = NoiseScale(4.0 / (eps * n))
     threshold = (1.0 - theta) + sample_laplace(threshold_scale, rng)
-    for i, point in enumerate(svt_grid(bounds, theta)):
+    for i, point in enumerate(grid):
         value = noisy_fraction_below(data, point, query_scale, rng)
         if value >= threshold:
             return QuantileResult(float(point), i)

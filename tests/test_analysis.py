@@ -6,7 +6,7 @@ from privexp import analysis, learners
 from privexp.analysis import (
     PackingFamily,
     SampleBound,
-    _pareto_pivot_value,
+    _band_search_value,
     build_packing,
     lower_bound_n,
     quantile_order_terms,
@@ -18,10 +18,11 @@ from privexp.errors import (
     IncompleteInputs,
     InvalidRatio,
     OutOfRegime,
+    RangeEstimationFailed,
     RegimeViolation,
     SearchExhausted,
 )
-from privexp.pareto import DEFAULT_TAIL_QUANTILE
+from privexp.pareto import DEFAULT_TAIL_QUANTILE, _pivot_grid, learn_pareto
 from privexp.privacy import PrivacyBudget, RngStream
 
 WIDE = (0.01, 100.0)
@@ -136,24 +137,43 @@ class TestExactCalculators:
                    (2.0 / 0.04) * log_term)
         assert report.n_required == math.ceil(want) == 781
 
-    @pytest.mark.parametrize("alpha, bounds", [(0.2, (1.0, 100.0)), (0.5, WIDE),
-                                               (0.05, (0.1, 1e5)), (0.9, (1.0, 1.5))])
-    def test_quantile_search_depth_is_the_probe_count(self, monkeypatch, alpha, bounds):
-        # the calculator prices every probe quantile_learning can make: an
-        # exhausted search (all data above every position) makes them all
+    @pytest.mark.parametrize("search, alpha, bounds", [
+        ("quantile", 0.2, (1.0, 100.0)), ("quantile", 0.5, WIDE),
+        ("quantile", 0.05, (0.1, 1e5)), ("quantile", 0.9, (1.0, 1.5)),
+        ("pivot", 0.2, WIDE), ("pivot", 0.5, (1.0, 100.0)), ("pivot", 0.05, (0.1, 1e5))])
+    def test_band_search_depth_is_the_probe_count(self, monkeypatch, search, alpha, bounds):
+        # the calculator prices every probe a band search can make: an
+        # exhausted search (all data above every position) makes them all,
+        # and the grid priced is the grid searched
         probes = []
         def counting(*args):
             probes.append(args[1])
             return 0.0
         monkeypatch.setattr(learners, "noisy_fraction_below", counting)
+        priced = []
+        band_search_value = analysis._band_search_value
+        def recording(epsilon, beta, grid):
+            priced.append(grid)
+            return band_search_value(epsilon, beta, grid)
+        monkeypatch.setattr(analysis, "_band_search_value", recording)
         config = learners.LearnerConfig(alpha, 0.1, RateBounds(*bounds))
-        with pytest.raises(SearchExhausted):
-            learners.quantile_learning(Dataset([1.0]), config, PrivacyBudget(1.0),
-                                       RngStream(0, noiseless=True))
-        report = required_n(SampleBound.QUANTILE_SEARCH, epsilon=1.0, beta=0.1,
-                            alpha=alpha, bounds=bounds)
-        want = analysis._band_search_value(1.0, 0.1, alpha, len(probes))
-        assert report.n_required == math.ceil(want)
+        budget, rng = PrivacyBudget(1.0), RngStream(0, noiseless=True)
+        if search == "quantile":
+            grid = learners._search_grid(alpha, config.bounds)
+            with pytest.raises(SearchExhausted):
+                learners.quantile_learning(Dataset([1.0]), config, budget, rng)
+            report = required_n(SampleBound.QUANTILE_SEARCH, epsilon=1.0, beta=0.1,
+                                alpha=alpha, bounds=bounds)
+            assert report.n_required == math.ceil(band_search_value(1.0, 0.1, grid))
+        else:
+            grid = _pivot_grid(alpha, config.bounds, DEFAULT_TAIL_QUANTILE)
+            assert grid.lo * grid.step ** grid.n_steps < 1e300
+            with pytest.raises(RangeEstimationFailed):
+                learn_pareto(Dataset([1e300]), config, budget, rng)
+            required_n(SampleBound.PARETO_LEARNING, epsilon=1.0, beta=0.1,
+                       alpha=alpha, lam=2.0, bounds=bounds)
+        assert len(probes) == grid.probes
+        assert grid in priced
 
     def test_bounds_finder_formula(self):
         report = required_n(SampleBound.BOUNDS_FINDER, epsilon=1.0, delta=1e-6,
@@ -216,8 +236,8 @@ class TestComposedCalculators:
         assert report.n_required == 28081
         # the pivot search's own bound (about 4,400 here); the tail term
         # dominates
-        pivot = math.ceil(_pareto_pivot_value(0.5, 0.05, 0.2, RateBounds(*WIDE),
-                                              DEFAULT_TAIL_QUANTILE))
+        pivot = math.ceil(_band_search_value(
+            0.5, 0.05, _pivot_grid(0.2, RateBounds(*WIDE), DEFAULT_TAIL_QUANTILE)))
         bob = required_n(SampleBound.BEST_OF_BOTH, alpha=0.2, beta=0.05,
                          epsilon=0.5, lam=2.0, bounds=WIDE).n_required
         assert report.n_required >= pivot

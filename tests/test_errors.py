@@ -13,11 +13,13 @@ from privexp.bounds import learn_without_bounds, noisy_histogram
 from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossing,
                                    pareto_kl_equal_scale, sample, separation_T)
-from privexp.errors import (BadSplit, IncompleteInputs, InvalidRate, InvalidRatio,
-                            InvalidScale, InvalidShape, OutOfRegime, check_in)
+from privexp.errors import (BadSplit, IncompleteInputs, InputError, InvalidRate,
+                            InvalidRatio, InvalidScale, InvalidShape, OutOfRegime,
+                            check_in)
 from privexp.harness import ExperimentSpec, Learner, run_experiment
-from privexp.learners import LearnerConfig, private_mle
-from privexp.pareto import learn_pareto, log_transform
+from privexp.learners import (LearnerConfig, best_of_both, mle_learning, private_mle,
+                              quantile_learning)
+from privexp.pareto import learn_pareto, learn_pareto_known_scale, log_transform
 from privexp.privacy import NoiseScale, PrivacyBudget, RngStream
 from privexp.quantile import QuantileResult, clipping_range, svt_quantile
 
@@ -140,6 +142,33 @@ def test_in_range_int_float_and_float64_accepted(site):
     for value in (whole, good, np.float64(good)):
         if value is not None:
             entry(value)
+
+
+# LearnerConfig.bounds is not a number: bounds of another type are refused
+# when the config is built, and a config built without bounds (None) by
+# every learner, since only a run that reads them needs them.
+LEARNERS = {
+    "mle_learning": mle_learning,
+    "quantile_learning": quantile_learning,
+    "best_of_both": best_of_both,
+    "learn_pareto": learn_pareto,
+    "learn_pareto_known_scale":
+        lambda d, c, b, r: learn_pareto_known_scale(d, 1.0, c, b, r),
+}
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_config_without_bounds_refused_by_every_learner(learner):
+    config = LearnerConfig(0.2, 0.1, None)
+    with pytest.raises(IncompleteInputs, match="bounds"):
+        LEARNERS[learner](PARETO_DATA, config, PrivacyBudget(1.0),
+                          RngStream(0, noiseless=True))
+
+
+@pytest.mark.parametrize("bounds", [(0.1, 10.0), [0.1, 10.0], "0.1-10"])
+def test_config_bounds_of_another_type_refused(bounds):
+    with pytest.raises(InputError, match="RateBounds"):
+        LearnerConfig(0.2, 0.1, bounds)
 
 
 class TestCheckIn:

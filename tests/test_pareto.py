@@ -294,8 +294,7 @@ class TestLearnPareto:
 
         from privexp.learners import _band_search, best_of_both
         pivot_b, shape_b = PrivacyBudget(1.0).split([0.5, 0.5])
-        lo, step, n_steps, half_band = _pivot_grid(0.2, WIDE, tau)
-        pivot = _band_search(data, lo, step, n_steps, tau, half_band, pivot_b,
+        pivot = _band_search(data, _pivot_grid(0.2, WIDE, tau), pivot_b,
                              RngStream(1, noiseless=True))
         tail = log_transform(data, pivot)
         inner = best_of_both(tail, config(), shape_b, RngStream(1, noiseless=True))
@@ -313,9 +312,7 @@ class TestLearnPareto:
                            RngStream(seed, 7), tau)
         rng = RngStream(seed, 7)
         pivot_b, shape_b = PrivacyBudget(1.0).split([0.5, 0.5])
-        lo, step, n_steps, half_band = _pivot_grid(0.2, WIDE, tau)
-        pivot = _band_search(Dataset(values), lo, step, n_steps, tau,
-                             half_band, pivot_b, rng)
+        pivot = _band_search(Dataset(values), _pivot_grid(0.2, WIDE, tau), pivot_b, rng)
         tail = Dataset(oracle_log_transform(values, pivot))
         inner = best_of_both(tail, config(), shape_b, rng)
         assert rng.laplace_draws > 0
