@@ -78,7 +78,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RateBounds:
-    """An interval 0 < lower < upper of plausible rate (or shape) values."""
+    """An interval 0 < lower < upper of plausible rate (or shape) values,
+    whose ratio upper/lower is a finite double."""
 
     lower: float
     upper: float
@@ -88,6 +89,9 @@ class RateBounds:
         hi = check_in("upper", self.upper, 0.0, math.inf, InvalidRatio)
         if not lo < hi:
             raise InvalidRatio(f"need lower < upper, got ({lo!r}, {hi!r})")
+        if hi / lo == math.inf:
+            raise InvalidRatio(f"the ratio upper/lower of ({lo!r}, {hi!r}) "
+                               f"exceeds the largest double")
 
     @property
     def ratio(self) -> float:

@@ -33,7 +33,8 @@ class InvalidRate(PrivexpError):
 
 
 class InvalidRatio(PrivexpError):
-    """Bounds were degenerate: lower >= upper, or a nonpositive endpoint."""
+    """Bounds were degenerate (lower >= upper, or a nonpositive endpoint), or
+    their ratio or a grid built from them leaves the finite doubles."""
 
 
 class InvalidShape(PrivexpError):

@@ -27,6 +27,7 @@ from .errors import (
     IncompleteInputs,
     InputError,
     NonpositiveMean,
+    OutOfRegime,
     RangeEstimationFailed,
     SearchExhausted,
     check_in,
@@ -98,7 +99,8 @@ def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
     """1 / (noisy clipped mean): clip at clip_r, add Laplace(clip_r/(eps*n)).
 
     Raises NonpositiveMean when the noise swamps the mean; clamping instead
-    would silently break the multiplicative guarantee.
+    would silently break the multiplicative guarantee. Raises OutOfRegime
+    when the clipped sum exceeds the largest double.
     """
     check_in("clipping level clip_r", clip_r, 0.0, math.inf)
     budget.consume()
@@ -106,7 +108,11 @@ def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
     # The sum is exact and rounded once, so the released mean does not
     # depend on summation order and equals math.fsum's bit for bit; the
     # oracle tests rely on that.
-    clipped_mean = _exact_sum(data.values, clip_r) / n
+    try:
+        clipped_mean = _exact_sum(data.values, clip_r) / n
+    except OverflowError:
+        raise OutOfRegime(f"the sum of n = {n} values clipped at clip_r = "
+                          f"{clip_r!r} exceeds the largest double") from None
     scale = NoiseScale(clip_r / (budget.epsilon * n))
     noisy_mean = clipped_mean + sample_laplace(scale, rng)
     if noisy_mean <= 0:
@@ -121,20 +127,17 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
 
     Works one block of _SUM_BLOCK values at a time in three reused buffers
     of one block each, so the peak memory is bounded (1.5 MB) whatever n.
-    Each value is clipped at cap and bucketed by its biased exponent e,
-    whose doubles are integer multiples of 2^(max(e, 1) - 1075): subnormals
-    share exponent 1's unit. Each value splits exactly into its 27 high
-    significand bits and the 26-bit remainder, and per bucket each part
-    sums exactly in float64 over the block. The block's buckets are added
-    to the total as Python ints in units of 2^-1074, and the total is
-    rounded once by int division.
+    Each value is clipped at cap, bucketed by its biased exponent and split
+    exactly into its 27 high significand bits and the 26-bit remainder; per
+    bucket each part sums exactly in float64 over the block. These partials
+    add up exactly to the sum of min(x, cap), and math.fsum rounds them once.
     Raises OverflowError when the sum rounds past the largest double.
     """
     size = min(values.size, _SUM_BLOCK)
     clipped = np.empty(size)
     exponent = np.empty(size, dtype=np.int64)
     bits = np.empty(size, dtype=np.int64)
-    total = 0
+    partials = []
     for start in range(0, values.size, _SUM_BLOCK):
         block = values[start:start + _SUM_BLOCK]
         x = np.minimum(block, cap, out=clipped[:block.size])
@@ -146,11 +149,11 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
         high_part = high_bits.view(np.float64)
         high = np.bincount(field, weights=high_part)
         low = np.bincount(field, weights=np.subtract(x, high_part, out=x))
-        for e in np.flatnonzero(high + low).tolist():
-            unit = max(e, 1) - 1075
-            units = int(math.ldexp(high[e], -unit)) + int(math.ldexp(low[e], -unit))
-            total += units << (unit + 1074)
-    return total / (1 << 1074)
+        partials += high[high > 0].tolist() + low[low > 0].tolist()
+    total = math.fsum(partials)
+    if total == math.inf:  # a bucket's float64 sum overflowed
+        raise OverflowError("clipped sum exceeds the largest double")
+    return total
 
 
 def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,

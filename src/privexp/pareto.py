@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import EmptyTail, RangeEstimationFailed, ScaleViolation, check_in
+from .errors import (EmptyTail, InvalidRatio, RangeEstimationFailed, ScaleViolation,
+                     check_in)
 from .learners import (LearnerConfig, Route, SearchGrid, _band_search, best_of_both,
                        mle_learning)
 from .privacy import PrivacyBudget, RngStream
@@ -86,14 +87,18 @@ def _pivot_grid(alpha: float, bounds: RateBounds, tau: float) -> SearchGrid:
     of ln(step) = half_band/upper moves the CDF of any shape <= upper by at
     most (1 - tau + half_band) half_band, less than the band's width, so
     some position falls inside the band whenever the tau-quantile lies in
-    the window.
+    the window. Raises InvalidRatio when the step, the window or the step
+    count of these bounds is not a finite double.
     """
     hi = float(svt_grid(bounds, 1.0 - tau)[-1])
     lo = 1.0 / bounds.upper
     half_band = alpha * (1.0 - tau) / 4.0
     ln_step = half_band / bounds.upper
-    return SearchGrid(lo, math.exp(ln_step), math.ceil(math.log(hi / lo) / ln_step),
-                      tau, half_band)
+    try:
+        return SearchGrid(lo, math.exp(ln_step),
+                          math.ceil(math.log(hi / lo) / ln_step), tau, half_band)
+    except ArithmeticError:  # the step or step count overflows, or ln_step is 0
+        raise InvalidRatio(f"the pivot grid of {bounds} leaves the doubles") from None
 
 
 def learn_pareto_known_scale(data: Dataset, x_m: float, config: LearnerConfig,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import IncompleteInputs, TooFewSamples, check_in
+from .errors import IncompleteInputs, InvalidRatio, TooFewSamples, check_in
 from .privacy import NoiseScale, PrivacyBudget, RngStream, noisy_fraction_below, sample_laplace
 
 __all__ = ["QuantileResult", "svt_grid", "svt_quantile", "clipping_range"]
@@ -45,12 +45,15 @@ def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
     rate in [lower, upper] ranges over [ln(1/theta)/upper, ln(1/theta)/lower].
     Doubling from 1/upper with a few slack doublings covers that whole window
     while keeping the checkpoint count logarithmic in the bounds ratio.
+    Raises InvalidRatio when its top point is not a finite double.
     """
     if bounds is None:
         raise IncompleteInputs("rate bounds are needed, got None")
     span = math.ceil(math.log2(bounds.ratio))
     slack = math.ceil(math.log2(max(1.0, math.log(1.0 / theta))))
     i_max = span + slack + 2
+    if i_max > 1023 or 2.0 ** i_max / bounds.upper == math.inf:  # 2.0 ** 1024 overflows
+        raise InvalidRatio(f"the SVT grid of {bounds} leaves the doubles")
     return np.array([2.0 ** i / bounds.upper for i in range(i_max + 1)])
 
 

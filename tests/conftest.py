@@ -14,6 +14,15 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
+
+def src_on_path() -> dict:
+    """The environment with this checkout's src directory first on
+    PYTHONPATH, for child processes that import the package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 # Acceptance tests record one [PASS]/[FAIL] line per criterion; echo them in
 # the terminal summary so they are visible without -s.
 ACCEPTANCE_LINES: list = []

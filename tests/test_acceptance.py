@@ -451,7 +451,7 @@ def test_13_cli_outputs_are_byte_reproducible(tmp_path):
     ]:
         out = tmp_path / f"{name}.txt"
         proc = subprocess.run([*base, *args, *extra, "--out", str(out)],
-                              capture_output=True)
+                              capture_output=True, env=conftest.src_on_path())
         assert proc.returncode == 0, proc.stderr.decode()
         outputs[name] = out.read_bytes()
     ok = (outputs["exp_a"] == outputs["exp_b"] == outputs["exp_par"]

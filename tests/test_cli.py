@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import src_on_path
 from privexp.cli import build_parser, main
 from privexp.harness import _LEARNERS, Learner
 
@@ -254,10 +255,17 @@ class TestInputErrors:
         (["estimate", "--in", ONES, "--learner", "mle", "--epsilon", "1",
           "--clip-r", "2", "--delta", "2"], "delta"),
         ([*MLE_EXPERIMENT, "--safety-factor", "nan"], "safety_factor"),
+        (["estimate", "--in", "near_max.txt", "--learner", "mle", "--epsilon",
+          "1", "--clip-r", "1e308"], "clip_r"),
     ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
             "n-grid", "delta", "clip-r", "experiment-delta",
-            "experiment-delta-autosized", "clip-r-delta", "safety-factor"])
-    def test_out_of_range_input(self, capsys, argv, word):
+            "experiment-delta-autosized", "clip-r-delta", "safety-factor",
+            "clipped-sum-overflow"])
+    def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
+        # near_max.txt: two values whose sum clipped at 1e308 is past the
+        # largest double
+        (tmp_path / "near_max.txt").write_text("1.7e308\n1.7e308\n")
+        monkeypatch.chdir(tmp_path)
         assert_one_error_line(capsys, argv, word)
 
 
@@ -311,8 +319,9 @@ class TestConsoleEntry:
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         cmd = [sys.executable, "-m", "privexp.cli", "experiment",
                *EXPERIMENT_ARGS, "--n", "300", "--trials", "5"]
-        ra = subprocess.run([*cmd, "--out", str(out_a)], capture_output=True)
+        ra = subprocess.run([*cmd, "--out", str(out_a)], capture_output=True,
+                            env=src_on_path())
         rb = subprocess.run([*cmd, "--workers", "3", "--out", str(out_b)],
-                            capture_output=True)
+                            capture_output=True, env=src_on_path())
         assert ra.returncode == rb.returncode == 0
         assert out_a.read_bytes() == out_b.read_bytes()

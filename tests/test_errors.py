@@ -3,25 +3,29 @@ errors.check_in, which accepts an int or a float (never a bool) inside the
 parameter's interval and raises the site's named PrivexpError otherwise."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from privexp.analysis import SampleBound, build_packing, lower_bound_n, required_n
+from privexp.analysis import (_CALCULATORS, SampleBound, build_packing, lower_bound_n,
+                              required_n)
 from privexp.bounds import learn_without_bounds, noisy_histogram
 from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossing,
                                    pareto_kl_equal_scale, sample, separation_T)
 from privexp.errors import (BadSplit, IncompleteInputs, InputError, InvalidRate,
                             InvalidRatio, InvalidScale, InvalidShape, OutOfRegime,
-                            check_in)
+                            PrivexpError, check_in)
 from privexp.harness import ExperimentSpec, Learner, run_experiment
 from privexp.learners import (LearnerConfig, best_of_both, mle_learning, private_mle,
                               quantile_learning)
 from privexp.pareto import learn_pareto, learn_pareto_known_scale, log_transform
 from privexp.privacy import NoiseScale, PrivacyBudget, RngStream
-from privexp.quantile import QuantileResult, clipping_range, svt_quantile
+from privexp.quantile import QuantileResult, clipping_range, svt_grid, svt_quantile
 
 BOUNDS = RateBounds(0.5, 5.0)
 CALC = dict(alpha=0.2, beta=0.1, epsilon=1.0, delta=1e-6, lam=4.0,
@@ -169,6 +173,52 @@ def test_config_without_bounds_refused_by_every_learner(learner):
 def test_config_bounds_of_another_type_refused(bounds):
     with pytest.raises(InputError, match="RateBounds"):
         LearnerConfig(0.2, 0.1, bounds)
+
+
+# Positive doubles, log-uniform over the binades from the smallest subnormal
+# to the largest double, and those ends themselves.
+POSITIVE_DOUBLES = st.one_of(
+    st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+              st.integers(-1074, 1023)),
+    st.sampled_from([5e-324, sys.float_info.min, sys.float_info.max]))
+SMALL_PARETO = sample(ParetoModel(1.0, 2.0), 200, RngStream(5))
+BOUNDS_CALCULATORS = [bound for bound, (_, names, _) in _CALCULATORS.items()
+                      if "bounds" in names]
+
+
+@given(POSITIVE_DOUBLES, POSITIVE_DOUBLES)
+def test_any_bounds_return_or_fail_by_name(a, b):
+    # Bounds anywhere in the doubles are refused or used: every entry point
+    # that reads them returns or raises a PrivexpError, never a bare one.
+    try:
+        bounds = RateBounds(min(a, b), max(a, b))
+    except InvalidRatio:
+        return
+    config = LearnerConfig(0.2, 0.1, bounds)
+    calls = [lambda f=f: f(SMALL_PARETO, config, PrivacyBudget(1.0), RngStream(0))
+             for f in LEARNERS.values()]
+    calls += [lambda: svt_grid(bounds, 0.5), lambda: build_packing(bounds, 0.2),
+              lambda: lower_bound_n(0.2, 0.1, 1.0, bounds)]
+    calls += [lambda bound=bound: required_n(bound, **{**CALC, "bounds": bounds})
+              for bound in BOUNDS_CALCULATORS]
+    for call in calls:
+        try:
+            call()
+        except PrivexpError:
+            pass
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (1e-5, 5e-5), (1e-300, 1e-10), (1.0, 2.0 ** 1019), (1e300, 1.7e308),
+    (1e-320, 1e-310), (1e-10, 1e298), (5e-324, 1.0), (1e-300, 1e300)])
+def test_bounds_whose_grids_leave_the_doubles_are_invalid_ratio(lower, upper):
+    # the pivot grid's step, window or step count, the SVT grid's top point,
+    # or the ratio itself is not a finite double
+    with pytest.raises(InvalidRatio):
+        learn_pareto(SMALL_PARETO, LearnerConfig(0.2, 0.1, RateBounds(lower, upper)),
+                     PrivacyBudget(1.0), RngStream(0))
+    with pytest.raises(InvalidRatio):
+        required_n(SampleBound.PARETO_LEARNING, **{**CALC, "bounds": (lower, upper)})
 
 
 class TestCheckIn:
