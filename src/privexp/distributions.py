@@ -105,7 +105,11 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
     """n i.i.d. draws via inverse CDF on uniforms in [0, 1)."""
     if n < 1:
         raise EmptyRequest(f"need at least one draw, got n={n}")
-    u = rng.random(int(n))
+    return Dataset._adopt(_draw(model, rng.random(int(n))))
+
+
+def _draw(model, u: np.ndarray) -> np.ndarray:
+    """Turn u, uniforms in [0, 1), into draws of model in place; returns u."""
     # -log1p(-u) in place: the expression's ufuncs in its order, same bits
     np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
     if isinstance(model, ExpModel):
@@ -115,7 +119,7 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
         u *= model.scale_xm
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return Dataset._adopt(u)
+    return u
 
 
 def exp_tv_crossing(lambda1: float, lambda2: float) -> float:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import statistics
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -23,7 +24,7 @@ import numpy as np
 from .analysis import SampleBound, required_n
 from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
-from .distributions import ExpModel, ParetoModel, sample
+from .distributions import ExpModel, ParetoModel, _draw, sample
 from .errors import (IncompleteInputs, InputError, NoBinSurvived, OutOfRegime,
                      PrivexpError, check_in)
 from .learners import (Estimate, LearnerConfig, best_of_both, mle_learning,
@@ -252,12 +253,21 @@ def resolve_n(spec: ExperimentSpec) -> int:
     return max(1, math.ceil(spec.safety_factor * report.n_required))
 
 
-def _run_trial(spec: ExperimentSpec, n: int, trial_id: int) -> TrialRecord:
+def _run_trial(spec: ExperimentSpec, n: int, trial_id: int,
+               buffers: threading.local) -> TrialRecord:
+    """Trial trial_id on the draws sample(model, n, RngStream(seed, trial_id))
+    would give, made in this thread's n-sized buffer of the experiment."""
     row = _LEARNERS[spec.learner]
     rng = RngStream(spec.base_seed, trial_id, noiseless=spec.noiseless)
     model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
              else ExpModel(spec.true_lambda))
-    data = sample(model, n, rng)
+    buf = getattr(buffers, "sample", None)
+    if buf is None:
+        buf = buffers.sample = np.empty(n)
+    rng.generator.random(out=buf)
+    # Reusing the buffer is safe because no Dataset outlives its trial: a
+    # record keeps floats only. The Dataset freezes a view, not the buffer.
+    data = Dataset._adopt(_draw(model, buf)[:])
     budget = PrivacyBudget(spec.epsilon, spec.delta if row.uses_delta else 0.0)
     try:
         estimate, route, detail = row.run(data, spec, budget, rng)
@@ -273,11 +283,14 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     _check_spec(spec)
     n = resolve_n(spec)
     ids = range(spec.trials)
+    # One sample buffer per thread, freed with the experiment: allocating a
+    # fresh one per trial page-faulted it in again each time.
+    buffers = threading.local()
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _run_trial(spec, n, i), ids))
+            results = list(pool.map(lambda i: _run_trial(spec, n, i, buffers), ids))
     else:
-        results = [_run_trial(spec, n, i) for i in ids]
+        results = [_run_trial(spec, n, i, buffers) for i in ids]
     records = tuple(results)
 
     successes = sum(1 for r in records if r.outcome == OUTCOME_SUCCESS)

@@ -15,6 +15,7 @@ estimate of the rate when given enough samples:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -51,14 +52,17 @@ BEST_OF_BOTH_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
 
-# Values per block of _exact_sum, which reuses three buffers of one block.
+# Values per block of _exact_sum, which works in three buffers of one block.
 # Per exponent, a block's 27 high and 26 low significand bits sum exactly
 # in float64 (below 2^53 units) while it holds at most 2^26 values. Each
 # numpy call hands the GIL over: with two threads summing 36,944 values
 # each, 2^14-value blocks took 1.02 ms a sum and these 0.49 ms (0.54 ms for
-# one whole-array pass). Up to 2^16 values, the buffers are no larger than
-# the n-sized temporaries of such a pass.
+# one whole-array pass). The buffers are kept per thread across calls, so
+# a sum allocates nothing of its size: freeing and re-allocating them cost
+# 88 page faults per 20,424-value MLE release. They grow to at most one
+# block each, 1.5 MB a thread.
 _SUM_BLOCK = 1 << 16
+_sum_buffers = threading.local()
 
 
 class Route(str, Enum):
@@ -125,8 +129,9 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
     """The sum of min(x, cap) over nonnegative finite float64 values,
     correctly rounded (half to even) exactly like math.fsum.
 
-    Works one block of _SUM_BLOCK values at a time in three reused buffers
-    of one block each, so the peak memory is bounded (1.5 MB) whatever n.
+    Works one block of _SUM_BLOCK values at a time in three buffers of one
+    block each, kept per thread across calls, so the peak memory is bounded
+    (1.5 MB) whatever n.
     Each value is clipped at cap, bucketed by its biased exponent and split
     exactly into its 27 high significand bits and the 26-bit remainder; per
     bucket each part sums exactly in float64 over the block. These partials
@@ -134,9 +139,11 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
     Raises OverflowError when the sum rounds past the largest double.
     """
     size = min(values.size, _SUM_BLOCK)
-    clipped = np.empty(size)
-    exponent = np.empty(size, dtype=np.int64)
-    bits = np.empty(size, dtype=np.int64)
+    buffers = getattr(_sum_buffers, "blocks", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _sum_buffers.blocks = (np.empty(size), np.empty(size, dtype=np.int64),
+                                         np.empty(size, dtype=np.int64))
+    clipped, exponent, bits = buffers
     partials = []
     for start in range(0, values.size, _SUM_BLOCK):
         block = values[start:start + _SUM_BLOCK]
@@ -199,12 +206,23 @@ class SearchGrid:
         return math.ceil(math.log2(self.n_steps + 1))
 
 
+def _grid_step(step: float, error: type, grid: str) -> float:
+    """step, or error naming grid unless step is a finite double above 1:
+    a step that rounds to 1 would put every probe at the grid's bottom."""
+    if not 1.0 < step < math.inf:
+        raise error(f"{grid} has step {step!r}, not a finite double above 1")
+    return step
+
+
 def _search_grid(alpha: float, bounds: RateBounds) -> SearchGrid:
     """quantile_learning's grid: from 1/upper past 1/lower with ratio
-    1/(1 - alpha/2), around the level 1 - 1/e with half-band alpha/(2e)."""
+    1/(1 - alpha/2), around the level 1 - 1/e with half-band alpha/(2e).
+    Raises OutOfRegime for an alpha so small (about 2^-53 or less) that the
+    ratio rounds to 1."""
     if bounds is None:
         raise IncompleteInputs("rate bounds are needed, got None")
-    step = 1.0 / (1.0 - alpha / 2.0)
+    step = _grid_step(1.0 / (1.0 - alpha / 2.0), OutOfRegime,
+                      f"the quantile search at alpha = {alpha!r}")
     return SearchGrid(1.0 / bounds.upper, step,
                       math.ceil(math.log(bounds.ratio) / math.log(step)),
                       _QUANTILE_LEVEL, alpha / (2.0 * math.e))

@@ -24,8 +24,8 @@ import numpy as np
 from .dataset import Dataset, RateBounds
 from .errors import (EmptyTail, InvalidRatio, RangeEstimationFailed, ScaleViolation,
                      check_in)
-from .learners import (LearnerConfig, Route, SearchGrid, _band_search, best_of_both,
-                       mle_learning)
+from .learners import (LearnerConfig, Route, SearchGrid, _band_search, _grid_step,
+                       best_of_both, mle_learning)
 from .privacy import PrivacyBudget, RngStream
 from .quantile import svt_grid
 
@@ -88,16 +88,19 @@ def _pivot_grid(alpha: float, bounds: RateBounds, tau: float) -> SearchGrid:
     most (1 - tau + half_band) half_band, less than the band's width, so
     some position falls inside the band whenever the tau-quantile lies in
     the window. Raises InvalidRatio when the step, the window or the step
-    count of these bounds is not a finite double.
+    count of these bounds is not a finite double, or the step rounds to 1
+    (half_band/upper below about 2^-53).
     """
     hi = float(svt_grid(bounds, 1.0 - tau)[-1])
     lo = 1.0 / bounds.upper
     half_band = alpha * (1.0 - tau) / 4.0
     ln_step = half_band / bounds.upper
     try:
-        return SearchGrid(lo, math.exp(ln_step),
-                          math.ceil(math.log(hi / lo) / ln_step), tau, half_band)
-    except ArithmeticError:  # the step or step count overflows, or ln_step is 0
+        step = _grid_step(math.exp(ln_step), InvalidRatio,
+                          f"the pivot grid of {bounds} at alpha = {alpha!r}")
+        return SearchGrid(lo, step, math.ceil(math.log(hi / lo) / ln_step), tau,
+                          half_band)
+    except ArithmeticError:  # the step or the step count overflows
         raise InvalidRatio(f"the pivot grid of {bounds} leaves the doubles") from None
 
 

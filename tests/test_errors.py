@@ -210,15 +210,27 @@ def test_any_bounds_return_or_fail_by_name(a, b):
 
 @pytest.mark.parametrize("lower, upper", [
     (1e-5, 5e-5), (1e-300, 1e-10), (1.0, 2.0 ** 1019), (1e300, 1.7e308),
-    (1e-320, 1e-310), (1e-10, 1e298), (5e-324, 1.0), (1e-300, 1e300)])
+    (1e-320, 1e-310), (1e-10, 1e298), (5e-324, 1.0), (1e-300, 1e300),
+    (1e10, 1e20)])
 def test_bounds_whose_grids_leave_the_doubles_are_invalid_ratio(lower, upper):
     # the pivot grid's step, window or step count, the SVT grid's top point,
-    # or the ratio itself is not a finite double
+    # or the ratio itself is not a finite double, or the pivot grid's step
+    # rounds to 1 (the last bounds: every probe would be at 1/upper)
     with pytest.raises(InvalidRatio):
         learn_pareto(SMALL_PARETO, LearnerConfig(0.2, 0.1, RateBounds(lower, upper)),
                      PrivacyBudget(1.0), RngStream(0))
     with pytest.raises(InvalidRatio):
         required_n(SampleBound.PARETO_LEARNING, **{**CALC, "bounds": (lower, upper)})
+
+
+@pytest.mark.parametrize("alpha", [1e-17, 2.0 ** -53, 5e-324])
+def test_an_alpha_whose_search_step_rounds_to_one_is_out_of_regime(alpha):
+    # 1/(1 - alpha/2) is exactly 1.0: the search grid would have no spacing
+    config = LearnerConfig(alpha, 0.1, RateBounds(0.1, 10.0))
+    with pytest.raises(OutOfRegime, match="alpha"):
+        quantile_learning(EXP_DATA, config, PrivacyBudget(1.0), RngStream(0))
+    with pytest.raises(OutOfRegime, match="alpha"):
+        required_n(SampleBound.QUANTILE_SEARCH, **{**CALC, "alpha": alpha})
 
 
 class TestCheckIn:

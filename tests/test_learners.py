@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -198,6 +200,56 @@ class TestExactSum:
                         == math.fsum(np.minimum(values, cap)))
             near_max = np.full(7, 1.7976931348623157e308 / 8.0)
             assert learners._exact_sum(near_max) == math.fsum(near_max)
+
+    @staticmethod
+    def _in_thread(work, *args):
+        thread = threading.Thread(target=work, args=args)
+        thread.start()
+        return thread
+
+    def test_threads_sum_in_their_own_buffers(self):
+        # the block buffers are kept per thread: threads summing different
+        # arrays at once, switching often, each get their own fsum
+        gen = np.random.default_rng(6)
+        arrays = [gen.exponential(scale, size) for scale, size in
+                  ((1.0, 70_000), (3.0, 5_000), (0.5, 140_000), (2.0, 30))]
+        caps = [2.0, 1e9, 0.25, 1.0]
+        want = [math.fsum(np.minimum(a, cap)) for a, cap in zip(arrays, caps)]
+        got = [[] for _ in arrays]
+
+        def work(k):
+            for _ in range(200):
+                got[k].append(learners._exact_sum(arrays[k], caps[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [self._in_thread(work, k) for k in range(len(arrays))]
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[w] * 200 for w in want]
+
+    def test_buffers_grow_to_one_block_and_no_further(self):
+        # in a fresh thread: the buffers grow for a larger sum, serve smaller
+        # ones as they are, and several blocks of a larger one
+        gen = np.random.default_rng(7)
+        arrays = [np.ldexp(gen.random(size), gen.integers(-60, 60, size))
+                  for size in (10, 70_000, 10, 140_000)]
+        sums, sizes = [], []
+
+        def work():
+            for values in arrays:
+                sums.append(learners._exact_sum(values, 2.0 ** 50))
+                sizes.append(learners._sum_buffers.blocks[0].size)
+
+        thread = self._in_thread(work)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sums == [math.fsum(np.minimum(a, 2.0 ** 50)) for a in arrays]
+        assert sizes == [10, 1 << 16, 1 << 16, 1 << 16]
 
 
 class TestMleLearning:
