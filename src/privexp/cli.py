@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noiseless", action="store_true")
         p.add_argument("--safety-factor", type=float, default=4.0)
         p.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="threads for trials of n >= 2^16 values; "
+                            "smaller trials run on one (same output either way)")
         p.add_argument("--out", default=None)
 
     exp = sub.add_parser("experiment", help="Monte Carlo validation run")

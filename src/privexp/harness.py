@@ -253,6 +253,24 @@ def resolve_n(spec: ExperimentSpec) -> int:
     return max(1, math.ceil(spec.safety_factor * report.n_required))
 
 
+# Values per trial from which run_experiment hands trials to its threads.
+# Each numpy call of a trial releases and retakes the GIL; on smaller trials
+# the calls are so short that two threads spend their time handing it over.
+# Two-thread over serial time per trial (8 trials, medians of 9 interleaved
+# repeats, 2-core Xeon VM):
+#
+#   n                      16,384  32,768  49,152  65,536  98,304  131,072
+#   pareto                   1.28    0.95    0.96    0.78    0.66     0.64
+#   pareto-known-scale       1.39    1.09    0.88    0.81    0.83     0.79
+#   best-of-both (rate 5)    1.33    1.25    1.16    1.00    0.88     0.84
+#   bounds-finder            2.30    1.29    1.18    1.10    1.15     0.84
+#   mle                      1.53    1.19    1.09    1.03    0.73     0.75
+#
+# quantile read 3.11 at 616 values and 0.91 at 65,536. From 2^16 on, both
+# Pareto learners gain and none of the others loses more than a tenth.
+_POOL_MIN_N = 1 << 16
+
+
 def _run_trial(spec: ExperimentSpec, n: int, trial_id: int,
                buffers: threading.local) -> TrialRecord:
     """Trial trial_id on the draws sample(model, n, RngStream(seed, trial_id))
@@ -280,13 +298,15 @@ def _run_trial(spec: ExperimentSpec, n: int, trial_id: int,
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentSummary:
+    """Run spec.trials trials; up to `workers` threads share them when the
+    trials are of at least _POOL_MIN_N values, else they run on this thread."""
     _check_spec(spec)
     n = resolve_n(spec)
     ids = range(spec.trials)
     # One sample buffer per thread, freed with the experiment: allocating a
     # fresh one per trial page-faulted it in again each time.
     buffers = threading.local()
-    if workers is not None and workers > 1:
+    if workers is not None and workers > 1 and n >= _POOL_MIN_N:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda i: _run_trial(spec, n, i, buffers), ids))
     else:

@@ -54,13 +54,15 @@ MLE_BRANCH_CUTOFF = 2.0
 
 # Values per block of _exact_sum, which works in three buffers of one block.
 # Per exponent, a block's 27 high and 26 low significand bits sum exactly
-# in float64 (below 2^53 units) while it holds at most 2^26 values. Each
-# numpy call hands the GIL over: with two threads summing 36,944 values
-# each, 2^14-value blocks took 1.02 ms a sum and these 0.49 ms (0.54 ms for
-# one whole-array pass). The buffers are kept per thread across calls, so
-# a sum allocates nothing of its size: freeing and re-allocating them cost
-# 88 page faults per 20,424-value MLE release. They grow to at most one
-# block each, 1.5 MB a thread.
+# in float64 (below 2^53 units) while it holds at most 2^26 values. Fewer,
+# longer numpy calls pay: on one thread, 36,944 values took 0.31 ms a sum
+# in 2^14-value blocks against 0.22 ms in these (medians, 2-core Xeon VM).
+# Each call also hands the GIL over; with two threads each summing its own
+# 131,072 values, a size the harness runs threaded, 2^14-value blocks took
+# 2.70 ms a sum against 1.86 ms for these. The buffers are kept per thread
+# across calls, so a sum allocates nothing of its size: freeing and
+# re-allocating them cost 88 page faults per 20,424-value MLE release. They
+# grow to at most one block each, 1.5 MB a thread.
 _SUM_BLOCK = 1 << 16
 _sum_buffers = threading.local()
 

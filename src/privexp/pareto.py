@@ -55,12 +55,19 @@ class ParetoEstimate:
 def log_transform(data: Dataset, pivot: float) -> Dataset:
     """{ ln(x / pivot) : x in data, x >= pivot }, in sample order."""
     pivot = check_in("pivot", pivot, 0.0, math.inf)
-    kept = data.values >= pivot
-    logs = data.values[kept]  # the one fresh buffer; divided and logged in place
-    if logs.size == 0:
-        raise EmptyTail(f"no samples at or above pivot {pivot}")
-    with np.errstate(over="ignore"):
-        np.divide(logs, pivot, out=logs)
+    # The one fresh buffer, divided and logged in place. When nothing is
+    # dropped (always so with a known scale), no mask is built.
+    if data.min() >= pivot:
+        kept = slice(None)
+        with np.errstate(over="ignore"):
+            logs = np.divide(data.values, pivot)
+    else:
+        kept = data.values >= pivot
+        logs = data.values[kept]
+        if logs.size == 0:
+            raise EmptyTail(f"no samples at or above pivot {pivot}")
+        with np.errstate(over="ignore"):
+            np.divide(logs, pivot, out=logs)
     np.log(logs, out=logs)
     # x / pivot overflows for x near the float maximum and a pivot below 1,
     # which happens iff it does for the maximum. Only there take the

@@ -441,6 +441,8 @@ def test_13_cli_outputs_are_byte_reproducible(tmp_path):
                   "--beta", "0.1", "--epsilon", "1", "--lambda-min", "0.1",
                   "--lambda-max", "10", "--true-lambda", "1", "--trials", "10",
                   "--n-grid", "100,400"]
+    # exp_args at n = 2^16, the smallest trials that worker threads take
+    big_args = [*exp_args[:-4], "--n", "65536", "--trials", "4"]
     outputs = {}
     for name, args, extra in [
         ("exp_a", exp_args, []),
@@ -448,6 +450,8 @@ def test_13_cli_outputs_are_byte_reproducible(tmp_path):
         ("exp_par", exp_args, ["--workers", "4"]),
         ("sweep_a", sweep_args, []),
         ("sweep_b", sweep_args, ["--workers", "4"]),
+        ("big_a", big_args, []),
+        ("big_par", big_args, ["--workers", "2"]),
     ]:
         out = tmp_path / f"{name}.txt"
         proc = subprocess.run([*base, *args, *extra, "--out", str(out)],
@@ -455,7 +459,8 @@ def test_13_cli_outputs_are_byte_reproducible(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs[name] = out.read_bytes()
     ok = (outputs["exp_a"] == outputs["exp_b"] == outputs["exp_par"]
-          and outputs["sweep_a"] == outputs["sweep_b"])
+          and outputs["sweep_a"] == outputs["sweep_b"]
+          and outputs["big_a"] == outputs["big_par"])
     _criterion(13, "experiment and sweep runs with identical flags are "
                    "byte-identical across reruns and worker counts",
                ok)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import src_on_path
+from privexp import harness
 from privexp.cli import build_parser, main
 from privexp.harness import _LEARNERS, Learner
 
@@ -132,7 +133,8 @@ class TestExperimentAndSweep:
         assert rc == 0
         assert out.read_bytes() == golden("golden_sweep.csv")
 
-    def test_workers_flag_preserves_bytes(self, tmp_path):
+    def test_workers_flag_preserves_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_POOL_MIN_N", 1)  # threads at this n
         serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
         base = ["experiment", *EXPERIMENT_ARGS, "--n", "400", "--trials", "12"]
         assert main([*base, "--out", str(serial)]) == 0

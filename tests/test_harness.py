@@ -166,7 +166,8 @@ class TestDeterminism:
         spec = quantile_spec()
         assert run_experiment(spec).to_json() == run_experiment(spec).to_json()
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(harness, "_POOL_MIN_N", 1)  # threads at this n
         spec = quantile_spec(trials=16)
         serial = run_experiment(spec).to_json()
         parallel = run_experiment(spec, workers=4).to_json()
@@ -184,9 +185,29 @@ class TestDeterminism:
         assert dicts[0]["outcome"] == "success"
         assert summary.success_rate == 1.0
 
-    def test_records_ordered_by_trial_id(self):
+    def test_records_ordered_by_trial_id(self, monkeypatch):
+        monkeypatch.setattr(harness, "_POOL_MIN_N", 1)
         summary = run_experiment(quantile_spec(trials=12), workers=4)
         assert [r.trial_id for r in summary.records] == list(range(12))
+
+    @pytest.mark.parametrize("n, pooled", [((1 << 16) - 1, False), (1 << 16, True)])
+    def test_threads_only_from_the_pool_threshold(self, monkeypatch, n, pooled):
+        # with workers, trials of fewer than 2^16 values run on the calling
+        # thread, and larger ones on the pool's threads
+        row = _LEARNERS[Learner.QUANTILE]
+        threads = []
+
+        def run(*args):
+            threads.append(threading.get_ident())
+            return row.run(*args)
+
+        monkeypatch.setitem(_LEARNERS, Learner.QUANTILE, row._replace(run=run))
+        run_experiment(quantile_spec(n=n, trials=3), workers=4)
+        assert len(threads) == 3
+        if pooled:
+            assert threading.get_ident() not in threads
+        else:
+            assert set(threads) == {threading.get_ident()}
 
     def test_trial_streams_are_independent_of_count(self):
         # trial i uses stream i: adding trials never changes earlier records
@@ -200,9 +221,11 @@ class TestSampleBuffer:
 
     @pytest.mark.parametrize("workers", [None, 4])
     @pytest.mark.parametrize("learner", list(Learner), ids=lambda l: l.value)
-    def test_records_equal_a_replay_through_sample(self, learner, workers):
+    def test_records_equal_a_replay_through_sample(self, learner, workers,
+                                                   monkeypatch):
         # what a trial leaves in the buffer must not reach a later trial:
         # each record is the one fresh draws from sample() give
+        monkeypatch.setattr(harness, "_POOL_MIN_N", 1)
         spec = dataclasses.replace(tiny_spec(learner), trials=5)
         row = _LEARNERS[learner]
         model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
