@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import RateBounds
-from .errors import IncompleteInputs, RegimeViolation, check_in
+from .errors import IncompleteInputs, OutOfRegime, RegimeViolation, check_in
 from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF,
-                       MLE_RANGE_THETA, SearchGrid, _search_grid)
+                       MLE_RANGE_THETA, SearchGrid, _grid_step, _search_grid)
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
 from .quantile import QuantileResult, clipping_range
 
@@ -65,8 +65,11 @@ class PackingFamily:
 
 
 def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
-    """Rates lower * (1 + 8*alpha)^i for i = 0 .. floor(log(ratio)/log(1+8*alpha))."""
-    r = 1.0 + PACKING_RATIO_FACTOR * check_in("alpha", alpha, 0.0, 0.5)
+    """Rates lower * (1 + 8*alpha)^i for i = 0 .. floor(log(ratio)/log(1+8*alpha)).
+    Raises OutOfRegime for an alpha so small (below about 2^-56) that
+    1 + 8*alpha rounds to 1."""
+    r = _grid_step(1.0 + PACKING_RATIO_FACTOR * check_in("alpha", alpha, 0.0, 0.5),
+                   OutOfRegime, f"the packing at alpha = {alpha!r}")
     count = math.floor(math.log(bounds.ratio) / math.log(r))
     rates = tuple(bounds.lower * r ** i for i in range(count + 1))
     return PackingFamily(rates, alpha, bounds)
@@ -74,6 +77,15 @@ def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
 
 def _as_bounds(bounds) -> RateBounds:
     return bounds if isinstance(bounds, RateBounds) else RateBounds(*bounds)
+
+
+def _sample_size(value: float, bound: str) -> int:
+    """max(1, ceil(value)), or RegimeViolation naming the bound when value
+    is not a finite double (alpha, epsilon or lam so small that the size
+    leaves the doubles)."""
+    if not value < math.inf:
+        raise RegimeViolation(f"the {bound} sample size exceeds the largest double")
+    return max(1, math.ceil(value))
 
 
 def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
@@ -84,8 +96,8 @@ def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
     check_in("epsilon", epsilon, 0.0, math.inf)
     bounds = _as_bounds(bounds)
     inner = (math.log(bounds.ratio) / (16.0 * alpha)) / beta
-    value = math.log(inner) / (6.0 * epsilon * alpha)
-    return max(1, math.ceil(value))
+    return _sample_size(math.log(inner) / (6.0 * epsilon * alpha),
+                        SampleBound.PACKING_LOWER_BOUND.value)
 
 
 # --- raw (un-ceiled) term values per guarantee -----------------------------
@@ -237,10 +249,11 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
     """Evaluate the sample-size bound for one guarantee.
 
     Raises IncompleteInputs when the selected bound needs an input that was
-    not provided (e.g. the clipped-MLE bound needs both lam and clip_r), and
+    not provided (e.g. the clipped-MLE bound needs both lam and clip_r),
     OutOfRegime when it reads an epsilon, lam or clip_r that is not positive
     and finite, an alpha, beta or delta outside (0, 1), or a tau outside
-    [TAU_MIN, TAU_MAX].
+    [TAU_MIN, TAU_MAX], and RegimeViolation when the size is not a finite
+    double.
     The report records every input given; tau only where the bound reads it.
     """
     value_of, names, exact = _CALCULATORS[bound_id]
@@ -259,7 +272,11 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
             check_in(k, given[k], 0.0, 1.0)
     if "tau" in names:
         check_in("tau", tau, TAU_MIN, TAU_MAX, ends="[]")
-    value = value_of(*(given[k] for k in names))
+    try:
+        value = value_of(*(given[k] for k in names))
+    except ZeroDivisionError:  # a term's denominator, such as alpha**2, underflowed
+        value = math.inf
     inputs = {k: v for k, v in given.items()
               if v is not None and (k != "tau" or k in names)}
-    return SampleSizeReport(bound_id, max(1, math.ceil(value)), inputs, exact)
+    return SampleSizeReport(bound_id, _sample_size(value, bound_id.value), inputs,
+                            exact)

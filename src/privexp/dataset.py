@@ -60,9 +60,6 @@ class Dataset:
             raise InputError("count threshold must not be NaN")
         return int(np.count_nonzero(self._values < threshold))
 
-    def fraction_below(self, threshold: float) -> float:
-        return self.count_below(threshold) / self.n
-
     def min(self) -> float:
         return self._min
 

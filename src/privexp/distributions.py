@@ -109,13 +109,17 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
 
 
 def _draw(model, u: np.ndarray) -> np.ndarray:
-    """Turn u, uniforms in [0, 1), into draws of model in place; returns u."""
-    # -log1p(-u) in place: the expression's ufuncs in its order, same bits
-    np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+    """Turn u, uniforms in [0, 1), into draws of model in place; returns u.
+
+    The bits of -log1p(-u) / rate and xm * exp(-log1p(-u) / shape): dividing
+    log1p(-u) by the negated parameter skips the outer negation's pass,
+    since IEEE division is sign-symmetric, signed zeros included.
+    """
+    np.log1p(np.negative(u, out=u), out=u)
     if isinstance(model, ExpModel):
-        u /= model.rate_lambda
+        u /= -model.rate_lambda
     elif isinstance(model, ParetoModel):
-        np.exp(np.divide(u, model.shape_alpha_p, out=u), out=u)
+        np.exp(np.divide(u, -model.shape_alpha_p, out=u), out=u)
         u *= model.scale_xm
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")

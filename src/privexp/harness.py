@@ -13,6 +13,7 @@ import json
 import math
 import os
 import statistics
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -119,7 +120,10 @@ class ExperimentSummary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _config(spec: ExperimentSpec) -> LearnerConfig:
+def _config(spec: ExperimentSpec) -> LearnerConfig | None:
+    """The spec's LearnerConfig, or None for a learner that reads none."""
+    if _LEARNERS[spec.learner].needs != _CONFIG_NEEDS:
+        return None
     return LearnerConfig(spec.alpha, spec.beta, spec.bounds)
 
 
@@ -128,7 +132,8 @@ def _in_band(value: float, center: float, alpha: float) -> bool:
 
 
 # --- one row per learner -----------------------------------------------------
-# A run returns (estimate, route, detail) or raises a PrivexpError. Runs look
+# A run takes (data, spec, config, budget, rng), config being _config(spec),
+# and returns (estimate, route, detail) or raises a PrivexpError. Runs look
 # the learners up by name when called, so a learner rebound in this module's
 # namespace (as a tracer does) is the one that runs.
 
@@ -138,22 +143,22 @@ def _rate(est: Estimate):
     return est.lambda_hat, est.route.value, detail
 
 
-def _bounds_finder(data, spec, budget, rng):
+def _bounds_finder(data, spec, config, budget, rng):
     found = find_bounds(data, budget, rng)
     if found is None:
         raise NoBinSurvived("no histogram bin cleared the release threshold")
     return None, "bounds-finder", {"lower": found.lower, "upper": found.upper}
 
 
-def _pareto(data, spec, budget, rng):
-    est = learn_pareto(data, _config(spec), budget, rng, tau=spec.tau)
+def _pareto(data, spec, config, budget, rng):
+    est = learn_pareto(data, config, budget, rng, tau=spec.tau)
     return est.shape_hat, est.route.value, {"scale_hat": est.scale_hat}
 
 
-def _pareto_known_scale(data, spec, budget, rng):
+def _pareto_known_scale(data, spec, config, budget, rng):
     if spec.true_xm is None:
         raise IncompleteInputs("pareto-known-scale needs the known scale value")
-    est = learn_pareto_known_scale(data, spec.true_xm, _config(spec), budget, rng)
+    est = learn_pareto_known_scale(data, spec.true_xm, config, budget, rng)
     return est.shape_hat, est.route.value, {}
 
 
@@ -175,7 +180,7 @@ def _pareto_in_band(spec, estimate, detail) -> bool:
 
 
 class _Row(NamedTuple):
-    run: Callable        # (data, spec, budget, rng)
+    run: Callable        # (data, spec, config, budget, rng)
     score: Callable      # (spec, estimate, detail) -> in the accuracy band?
     bound: SampleBound   # auto-sizes experiments
     pareto: bool         # Pareto data, sized by the shape; else exponential
@@ -189,13 +194,13 @@ _CONFIG_NEEDS = (("alpha", "beta"), ("bounds",))  # builds a LearnerConfig
 
 _LEARNERS = {
     Learner.MLE: _Row(
-        lambda d, s, b, r: _rate(mle_learning(d, _config(s), b, r)),
+        lambda d, s, c, b, r: _rate(mle_learning(d, c, b, r)),
         _rate_in_band, SampleBound.MLE_LEARNING, False, _CONFIG_NEEDS),
     Learner.QUANTILE: _Row(
-        lambda d, s, b, r: _rate(quantile_learning(d, _config(s), b, r)),
+        lambda d, s, c, b, r: _rate(quantile_learning(d, c, b, r)),
         _rate_in_band, SampleBound.QUANTILE_LEARNING, False, _CONFIG_NEEDS),
     Learner.BEST_OF_BOTH: _Row(
-        lambda d, s, b, r: _rate(best_of_both(d, _config(s), b, r)),
+        lambda d, s, c, b, r: _rate(best_of_both(d, c, b, r)),
         _rate_in_band, SampleBound.BEST_OF_BOTH, False, _CONFIG_NEEDS),
     Learner.BOUNDS_FINDER: _Row(
         _bounds_finder, lambda s, e, d: d["lower"] < s.true_lambda < d["upper"],
@@ -224,24 +229,29 @@ def _check_inputs(spec: ExperimentSpec, needs, uses_delta: bool) -> None:
         raise IncompleteInputs(f"{spec.learner.value} needs delta > 0")
 
 
+def _check_count(name: str, value) -> None:
+    """OutOfRegime naming the field unless value is an int (not a bool) in
+    [1, sys.maxsize], a size an array and a range can take."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 1 <= value <= sys.maxsize):
+        raise OutOfRegime(f"{name} must be an int in [1, {sys.maxsize}], "
+                          f"got {value!r}")
+
+
 def _check_spec(spec: ExperimentSpec) -> None:
-    if spec.trials < 1:
-        raise OutOfRegime(f"trials must be >= 1, got {spec.trials!r}")
-    if spec.n is not None and spec.n < 1:
-        raise OutOfRegime(f"n must be >= 1, got {spec.n!r}")
+    _check_count("trials", spec.trials)
+    if spec.n is not None:
+        _check_count("n", spec.n)
     check_in("safety_factor", spec.safety_factor, 0.0, math.inf)
     row = _LEARNERS[spec.learner]
     truth = ("true_xm", "true_shape") if row.pareto else ("true_lambda",)
     _check_inputs(spec, (*row.needs, truth), row.uses_delta)
-    # Trials build the config inside their try, so an out-of-range alpha or
-    # beta would be recorded as a failure per trial; raise it here once.
-    if row.needs == _CONFIG_NEEDS:
-        _config(spec)
 
 
 def resolve_n(spec: ExperimentSpec) -> int:
     """Explicit n wins; otherwise size the experiment from the learner's
-    sample-size bound times the safety factor."""
+    sample-size bound times the safety factor. Raises OutOfRegime when that
+    size exceeds sys.maxsize."""
     if spec.n is not None:
         return spec.n
     row = _LEARNERS[spec.learner]
@@ -250,7 +260,10 @@ def resolve_n(spec: ExperimentSpec) -> int:
                         delta=spec.delta if spec.delta > 0 else None,
                         lam=spec.true_shape if row.pareto else spec.true_lambda,
                         bounds=spec.bounds, tau=spec.tau)
-    return max(1, math.ceil(spec.safety_factor * report.n_required))
+    size = spec.safety_factor * report.n_required
+    if not size <= sys.maxsize:
+        raise OutOfRegime(f"the sized n, {size!r}, exceeds {sys.maxsize}")
+    return max(1, math.ceil(size))
 
 
 # Values per trial from which run_experiment hands trials to its threads.
@@ -271,14 +284,11 @@ def resolve_n(spec: ExperimentSpec) -> int:
 _POOL_MIN_N = 1 << 16
 
 
-def _run_trial(spec: ExperimentSpec, n: int, trial_id: int,
-               buffers: threading.local) -> TrialRecord:
+def _run_trial(spec: ExperimentSpec, row: _Row, model, config: LearnerConfig | None,
+               n: int, trial_id: int, buffers: threading.local) -> TrialRecord:
     """Trial trial_id on the draws sample(model, n, RngStream(seed, trial_id))
     would give, made in this thread's n-sized buffer of the experiment."""
-    row = _LEARNERS[spec.learner]
     rng = RngStream(spec.base_seed, trial_id, noiseless=spec.noiseless)
-    model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
-             else ExpModel(spec.true_lambda))
     buf = getattr(buffers, "sample", None)
     if buf is None:
         buf = buffers.sample = np.empty(n)
@@ -288,7 +298,7 @@ def _run_trial(spec: ExperimentSpec, n: int, trial_id: int,
     data = Dataset._adopt(_draw(model, buf)[:])
     budget = PrivacyBudget(spec.epsilon, spec.delta if row.uses_delta else 0.0)
     try:
-        estimate, route, detail = row.run(data, spec, budget, rng)
+        estimate, route, detail = row.run(data, spec, config, budget, rng)
     except PrivexpError as exc:
         return TrialRecord(trial_id, OUTCOME_FAILURE, None, None,
                            type(exc).__name__, {})
@@ -299,19 +309,29 @@ def _run_trial(spec: ExperimentSpec, n: int, trial_id: int,
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentSummary:
     """Run spec.trials trials; up to `workers` threads share them when the
-    trials are of at least _POOL_MIN_N values, else they run on this thread."""
+    trials are of at least _POOL_MIN_N values, else they run on this thread.
+
+    What the trials share is built once here: the config, the model, and a
+    sample buffer per thread."""
     _check_spec(spec)
+    row = _LEARNERS[spec.learner]
+    config = _config(spec)
     n = resolve_n(spec)
-    ids = range(spec.trials)
+    model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
+             else ExpModel(spec.true_lambda))
     # One sample buffer per thread, freed with the experiment: allocating a
     # fresh one per trial page-faulted it in again each time.
     buffers = threading.local()
+
+    def trial(i: int) -> TrialRecord:
+        return _run_trial(spec, row, model, config, n, i, buffers)
+
+    ids = range(spec.trials)
     if workers is not None and workers > 1 and n >= _POOL_MIN_N:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _run_trial(spec, n, i, buffers), ids))
+            records = tuple(pool.map(trial, ids))
     else:
-        results = [_run_trial(spec, n, i, buffers) for i in ids]
-    records = tuple(results)
+        records = tuple(map(trial, ids))
 
     successes = sum(1 for r in records if r.outcome == OUTCOME_SUCCESS)
     breakdown: dict = {}
@@ -483,8 +503,9 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
         estimate = private_mle(data, clip_r, budget, rng)
         route, extra = "mle", {}
     else:
+        config = _config(spec)
         try:
-            estimate, route, detail = row.run(data, spec, budget, rng)
+            estimate, route, detail = row.run(data, spec, config, budget, rng)
         except NoBinSurvived:
             # An empty survivor set is a release too: no interval found.
             estimate, route, detail = None, learner.value, None

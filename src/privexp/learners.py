@@ -14,6 +14,7 @@ estimate of the rate when given enough samples:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -216,6 +217,9 @@ def _grid_step(step: float, error: type, grid: str) -> float:
     return step
 
 
+# The grids of recent (alpha, bounds) pairs, by value: an experiment's
+# trials, best_of_both's coarse stage and the calculators share one.
+@functools.lru_cache(maxsize=128)
 def _search_grid(alpha: float, bounds: RateBounds) -> SearchGrid:
     """quantile_learning's grid: from 1/upper past 1/lower with ratio
     1/(1 - alpha/2), around the level 1 - 1/e with half-band alpha/(2e).

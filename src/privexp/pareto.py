@@ -16,6 +16,7 @@ not, the search raises RangeEstimationFailed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +85,7 @@ def recover_scale(quantile_value: float, tau: float, shape_hat: float) -> float:
     return quantile_value * (1.0 - tau) ** (1.0 / shape_hat)
 
 
+@functools.lru_cache(maxsize=128)  # by value, as learners._search_grid
 def _pivot_grid(alpha: float, bounds: RateBounds, tau: float) -> SearchGrid:
     """The tail pivot search's grid, around the level tau.
 

@@ -94,7 +94,7 @@ def noisy_fraction_below(data, threshold: float, scale: NoiseScale,
     """
     if data.n == 0:
         raise EmptyDataset("fraction query needs at least one sample")
-    return data.fraction_below(threshold) + sample_laplace(scale, rng)
+    return data.count_below(threshold) / data.n + sample_laplace(scale, rng)
 
 
 class PrivacyBudget:

@@ -9,6 +9,7 @@ is released, which is what keeps the whole scan at a single epsilon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,8 +39,10 @@ class QuantileResult:
     grid_index: int
 
 
+@functools.lru_cache(maxsize=128)  # by value, as learners._search_grid
 def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
-    """Geometric grid of candidate quantile values.
+    """Geometric grid of candidate quantile values, as a read-only array
+    that calls with equal arguments share.
 
     The target (1-theta)-quantile of Exp(rate) is ln(1/theta)/rate, which for
     rate in [lower, upper] ranges over [ln(1/theta)/upper, ln(1/theta)/lower].
@@ -54,7 +57,9 @@ def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
     i_max = span + slack + 2
     if i_max > 1023 or 2.0 ** i_max / bounds.upper == math.inf:  # 2.0 ** 1024 overflows
         raise InvalidRatio(f"the SVT grid of {bounds} leaves the doubles")
-    return np.array([2.0 ** i / bounds.upper for i in range(i_max + 1)])
+    grid = np.array([2.0 ** i / bounds.upper for i in range(i_max + 1)])
+    grid.setflags(write=False)
+    return grid
 
 
 def svt_quantile(data: Dataset, bounds: RateBounds, theta: float,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from privexp.dataset import Dataset, RateBounds
 from privexp.errors import EmptyDataset, InputError, InvalidRatio
+from privexp.privacy import NoiseScale, RngStream, noisy_fraction_below
 
 MAX = float(np.finfo(np.float64).max)
 
@@ -60,7 +61,6 @@ class TestDataset:
     def test_counting_query(self):
         d = Dataset([0.5, 1.5, 2.5, 3.5])
         assert d.count_below(2.0) == 2
-        assert d.fraction_below(2.0) == 0.5
         assert d.count_below(0.5) == 0  # strict: x < t
         assert d.count_below(100.0) == 4
 
@@ -100,7 +100,8 @@ class TestDataset:
                 d.count_below(nan)
             assert type(exc_info.value) is InputError
             with pytest.raises(InputError):
-                d.fraction_below(nan)
+                noisy_fraction_below(d, nan, NoiseScale(1.0),
+                                     RngStream(0, noiseless=True))
 
     def test_peak_memory_is_one_private_copy(self):
         n = 100_000

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import quad_exp_tv, quad_pareto_kl, quad_pareto_tv
-from privexp.distributions import (ExpModel, ParetoModel, exp_tv,
+from privexp.distributions import (ExpModel, ParetoModel, _draw, exp_tv,
                                    exp_tv_crossing, pareto_kl_equal_scale,
                                    pareto_tv_bound, sample, separation_T)
 from privexp.errors import (EmptyRequest, InvalidRate, InvalidRatio,
@@ -108,6 +108,24 @@ class TestSample:
         pareto = sample(ParetoModel(1.3, 2.5), n, RngStream(5, 2)).values
         u = RngStream(5, 2).random(n)
         assert pareto.tobytes() == (1.3 * np.exp(-np.log1p(-u) / 2.5)).tobytes()
+
+    # The ends of [0, 1) and the binade edges below 1, then random uniforms.
+    EDGE_UNIFORMS = np.concatenate([
+        [0.0, 5e-324, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+        np.random.default_rng(11).random(100_000)])
+
+    @pytest.mark.parametrize("rate", [1e-300, 0.01, 0.37, 1.0, 3.0, 1e300])
+    def test_exp_draw_equals_the_written_expression(self, rate):
+        u = self.EDGE_UNIFORMS
+        got = _draw(ExpModel(rate), u.copy())
+        assert got.tobytes() == (-np.log1p(-u) / rate).tobytes()
+
+    @pytest.mark.parametrize("xm, shape", [(1.0, 2.0), (1.3, 2.5), (1e-3, 0.5),
+                                           (1e5, 7.0), (2.0, 1e3)])
+    def test_pareto_draw_equals_the_written_expression(self, xm, shape):
+        u = self.EDGE_UNIFORMS
+        got = _draw(ParetoModel(xm, shape), u.copy())
+        assert got.tobytes() == (xm * np.exp(-np.log1p(-u) / shape)).tobytes()
 
     @pytest.mark.parametrize("model", [ExpModel(1.0), ParetoModel(1.0, 2.0)])
     def test_peak_memory_is_the_dataset_and_the_draws(self, model):

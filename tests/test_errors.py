@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from privexp.analysis import (_CALCULATORS, SampleBound, build_packing, lower_bound_n,
@@ -19,11 +19,11 @@ from privexp.distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossin
                                    pareto_kl_equal_scale, sample, separation_T)
 from privexp.errors import (BadSplit, IncompleteInputs, InputError, InvalidRate,
                             InvalidRatio, InvalidScale, InvalidShape, OutOfRegime,
-                            PrivexpError, check_in)
+                            PrivexpError, RegimeViolation, check_in)
 from privexp.harness import ExperimentSpec, Learner, run_experiment
-from privexp.learners import (LearnerConfig, best_of_both, mle_learning, private_mle,
-                              quantile_learning)
-from privexp.pareto import learn_pareto, learn_pareto_known_scale, log_transform
+from privexp.learners import (LearnerConfig, _search_grid, best_of_both, mle_learning,
+                              private_mle, quantile_learning)
+from privexp.pareto import _pivot_grid, learn_pareto, learn_pareto_known_scale, log_transform
 from privexp.privacy import NoiseScale, PrivacyBudget, RngStream
 from privexp.quantile import QuantileResult, clipping_range, svt_grid, svt_quantile
 
@@ -206,6 +206,63 @@ def test_any_bounds_return_or_fail_by_name(a, b):
             call()
         except PrivexpError:
             pass
+
+
+# Accepted alphas, log-uniform over the binades from the smallest subnormal
+# up to 1, and the values whose calculators overflowed or divided by zero.
+SMALL_ALPHAS = (1e-160, 1e-200, 1e-300, 5e-324, 2.0 ** -57)
+ALPHAS = st.one_of(
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+              st.integers(-1073, 0)),
+    st.sampled_from(SMALL_ALPHAS))
+WIDE_BOUNDS = RateBounds(0.01, 100.0)
+
+
+@given(ALPHAS, st.floats(0.1, 0.25))
+@example(1e-160, 0.1)
+@example(1e-200, 0.25)
+@example(1e-300, 0.18)
+@example(5e-324, 0.1)
+@example(2.0 ** -57, 0.2)
+def test_any_alpha_and_tau_return_or_fail_by_name(alpha, tau):
+    # Every entry point that reads alpha (and tau) returns or raises a
+    # PrivexpError at any accepted alpha, never a bare one.
+    config = LearnerConfig(alpha, 0.1, WIDE_BOUNDS)
+    learners = [*LEARNERS.values(),
+                lambda d, c, b, r: learn_pareto(d, c, b, r, tau=tau),
+                lambda d, c, b, r: learn_without_bounds(d, c.alpha, c.beta,
+                                                        PrivacyBudget(1.0, 1e-6), r)]
+    calls = [lambda f=f: f(SMALL_PARETO, config, PrivacyBudget(1.0), RngStream(0))
+             for f in learners]
+    calls += [lambda: _search_grid(alpha, WIDE_BOUNDS),
+              lambda: _pivot_grid(alpha, WIDE_BOUNDS, tau),
+              lambda: lower_bound_n(alpha, 0.1, 1.0, WIDE_BOUNDS)]
+    calls += [lambda bound=bound: required_n(bound, **{**CALC, "alpha": alpha,
+                                                       "tau": tau})
+              for bound in _CALCULATORS]
+    # Above 2^-56 the packing has log(ratio)/(8 alpha) rates, far too many
+    # to build below about 1e-7; below it, 1 + 8 alpha rounds to 1.
+    if alpha < 2.0 ** -56:
+        calls.append(lambda: build_packing(WIDE_BOUNDS, alpha))
+    for call in calls:
+        try:
+            call()
+        except PrivexpError:
+            pass
+
+
+@pytest.mark.parametrize("alpha", SMALL_ALPHAS)
+def test_tiny_alphas_fail_by_name(alpha):
+    # 1 + 8 alpha rounds to 1; below 1e-150 a term such as 1/alpha**2
+    # overflows or divides by an underflowed zero
+    with pytest.raises(OutOfRegime, match="packing"):
+        build_packing(WIDE_BOUNDS, alpha)
+    if alpha < 1e-150:
+        with pytest.raises(RegimeViolation, match="quantile-learning"):
+            required_n(SampleBound.QUANTILE_LEARNING, **{**CALC, "alpha": alpha})
+    if alpha == 5e-324:
+        with pytest.raises(RegimeViolation, match="packing-lower-bound"):
+            lower_bound_n(alpha, 0.1, 1.0, WIDE_BOUNDS)
 
 
 @pytest.mark.parametrize("lower, upper", [

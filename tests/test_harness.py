@@ -19,7 +19,7 @@ from conftest import src_on_path
 from oracles import oracle_read_values
 
 import privexp
-from privexp import harness
+from privexp import harness, learners
 from privexp.dataset import RateBounds
 from privexp.distributions import ExpModel, ParetoModel, sample
 from privexp.errors import (IncompleteInputs, InputError, OutOfRegime,
@@ -87,6 +87,23 @@ class TestSpecValidation:
         with pytest.raises(OutOfRegime):
             run_experiment(quantile_spec(n=0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 100.5), ("n", True), ("n", 10 ** 30), ("n", sys.maxsize + 1),
+        ("trials", 2.5), ("trials", True)])
+    def test_counts_are_ints_up_to_maxsize(self, field, value):
+        # refused by name before anything of that size is allocated
+        with pytest.raises(OutOfRegime, match=f"^{field} must be an int"):
+            run_experiment(quantile_spec(**{field: value}))
+
+    def test_sized_n_past_maxsize_is_refused(self):
+        # the quantile bound at alpha 1e-150 is finite (about 3e302) but no
+        # array of that size can be made
+        spec = quantile_spec(n=None, alpha=1e-150)
+        with pytest.raises(OutOfRegime, match="sized n"):
+            resolve_n(spec)
+        with pytest.raises(OutOfRegime, match="sized n"):
+            run_experiment(spec)
+
     def test_exp_learner_needs_rate_and_bounds(self):
         with pytest.raises(IncompleteInputs):
             run_experiment(quantile_spec(true_lambda=None))
@@ -141,7 +158,7 @@ class TestNoiseSwitch:
         data = sample(model, spec.n, rng)
         state = rng.generator.bit_generator.state
         budget = PrivacyBudget(spec.epsilon, spec.delta)
-        row.run(data, spec, budget, rng)
+        row.run(data, spec, harness._config(spec), budget, rng)
         assert budget.spent() == (spec.epsilon, spec.delta)
         assert rng.laplace_draws == 0
         assert rng.generator.bit_generator.state == state
@@ -216,6 +233,29 @@ class TestDeterminism:
         assert [r.to_dict() for r in few] == [r.to_dict() for r in many[:4]]
 
 
+class TestBuiltOnce:
+    def test_experiment_inputs_are_built_once(self, monkeypatch):
+        # the config, the model and the search grid are the same for every
+        # trial of an experiment, so they are built once, not per trial
+        built = {"config": 0, "model": 0}
+
+        def counted(cls, key):
+            def build(*args):
+                built[key] += 1
+                return cls(*args)
+            return build
+
+        monkeypatch.setattr(harness, "LearnerConfig",
+                            counted(harness.LearnerConfig, "config"))
+        monkeypatch.setattr(harness, "ExpModel", counted(ExpModel, "model"))
+        learners._search_grid.cache_clear()
+        summary = run_experiment(quantile_spec(trials=50))
+        assert len(summary.records) == 50
+        assert built == {"config": 1, "model": 1}
+        info = learners._search_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
+
 class TestSampleBuffer:
     """Each thread of an experiment samples its trials into one buffer."""
 
@@ -235,7 +275,8 @@ class TestSampleBuffer:
             data = sample(model, spec.n, rng)
             budget = PrivacyBudget(spec.epsilon, spec.delta if row.uses_delta else 0.0)
             try:
-                estimate, route, detail = row.run(data, spec, budget, rng)
+                estimate, route, detail = row.run(data, spec, harness._config(spec),
+                                                  budget, rng)
             except PrivexpError as exc:
                 assert record.failure_name == type(exc).__name__
                 continue

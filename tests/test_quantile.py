@@ -25,6 +25,14 @@ class TestSvtGrid:
         grid = svt_grid(BOUNDS, 0.5)
         assert list(grid) == [1.0, 2.0, 4.0, 8.0]
 
+    def test_grid_is_read_only_and_shared_by_equal_arguments(self):
+        # the cached array is handed to every caller, so none may write it
+        grid = svt_grid(RateBounds(0.5, 1.0), 0.5)
+        assert svt_grid(RateBounds(0.5, 1.0), 0.5) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
     def test_matches_oracle_shape(self):
         for lo, hi, theta in [(0.01, 100.0, 0.1), (0.1, 10.0, 0.9),
                               (1.0, 3.0, 0.5), (0.25, 1e4, 0.13)]:
