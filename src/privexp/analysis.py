@@ -22,14 +22,15 @@ from enum import Enum
 from .dataset import RateBounds
 from .errors import IncompleteInputs, OutOfRegime, RegimeViolation, check_in
 from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF,
-                       MLE_RANGE_THETA, SearchGrid, _grid_step, _search_grid)
+                       MLE_RANGE_THETA, _best_of_both_grids, _check_alpha, _search_grid)
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
-from .quantile import QuantileResult, clipping_range
+from .quantile import QuantileResult, SearchGrid, clipping_range, svt_grid
 
 __all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
            "lower_bound_n", "required_n", "quantile_order_terms"]
 
 PACKING_RATIO_FACTOR = 8.0  # adjacent packing rates differ by 1 + 8*alpha
+_PACKING_MAX_RATES = 1 << 20
 
 
 class SampleBound(Enum):
@@ -66,11 +67,16 @@ class PackingFamily:
 
 def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
     """Rates lower * (1 + 8*alpha)^i for i = 0 .. floor(log(ratio)/log(1+8*alpha)).
-    Raises OutOfRegime for an alpha so small (below about 2^-56) that
-    1 + 8*alpha rounds to 1."""
-    r = _grid_step(1.0 + PACKING_RATIO_FACTOR * check_in("alpha", alpha, 0.0, 0.5),
-                   OutOfRegime, f"the packing at alpha = {alpha!r}")
+    Raises OutOfRegime, naming the packing, for an alpha below the grids'
+    floor (learners._check_alpha) or a family, built in full, of more than
+    _PACKING_MAX_RATES = 2^20 rates (about 32 MB)."""
+    a = check_in("alpha", alpha, 0.0, 0.5)
+    _check_alpha(a, "the packing")
+    r = 1.0 + PACKING_RATIO_FACTOR * a
     count = math.floor(math.log(bounds.ratio) / math.log(r))
+    if count >= _PACKING_MAX_RATES:
+        raise OutOfRegime(f"the packing at alpha = {alpha!r} has {count + 1} rates, "
+                          f"more than {_PACKING_MAX_RATES}")
     rates = tuple(bounds.lower * r ** i for i in range(count + 1))
     return PackingFamily(rates, alpha, bounds)
 
@@ -103,6 +109,7 @@ def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
 # --- raw (un-ceiled) term values per guarantee -----------------------------
 
 def _svt_quantile_value(epsilon, beta, bounds) -> float:
+    svt_grid(bounds, MLE_RANGE_THETA)  # refuse the bounds mle_learning's scan refuses
     log_ratio = math.log(bounds.ratio)
     return max((5.0 / epsilon) * math.log(4.0 * log_ratio / beta),
                200.0 * math.log(4.0 / beta))
@@ -181,14 +188,14 @@ QUANTILE_BRANCH_MAX_RATE = MLE_BRANCH_CUTOFF / (1.0 - COARSE_ALPHA)
 
 
 def _best_of_both_value(epsilon, beta, alpha, lam, bounds) -> float:
+    coarse_grid, quantile_grid = _best_of_both_grids(alpha, bounds)
     coarse_share, main_share = BEST_OF_BOTH_SPLIT
-    need = _band_search_value(coarse_share * epsilon, coarse_share * beta,
-                              _search_grid(COARSE_ALPHA, bounds))
+    need = _band_search_value(coarse_share * epsilon, coarse_share * beta, coarse_grid)
     main_eps, main_beta = main_share * epsilon, main_share * beta
     if lam >= MLE_BRANCH_MIN_RATE:
         need = max(need, _mle_learning_value(main_eps, main_beta, alpha, lam, bounds))
     if lam < QUANTILE_BRANCH_MAX_RATE:
-        need = max(need, _band_search_value(main_eps, main_beta, _search_grid(alpha, bounds)))
+        need = max(need, _band_search_value(main_eps, main_beta, quantile_grid))
     return need
 
 
@@ -253,7 +260,9 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
     OutOfRegime when it reads an epsilon, lam or clip_r that is not positive
     and finite, an alpha, beta or delta outside (0, 1), or a tau outside
     [TAU_MIN, TAU_MAX], and RegimeViolation when the size is not a finite
-    double.
+    double. A bound that prices a learner refuses what that learner's grids
+    refuse: InvalidRatio for bounds, OutOfRegime for an alpha below the
+    grids' floor.
     The report records every input given; tau only where the bound reads it.
     """
     value_of, names, exact = _CALCULATORS[bound_id]
@@ -276,7 +285,12 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
         value = value_of(*(given[k] for k in names))
     except ZeroDivisionError:  # a term's denominator, such as alpha**2, underflowed
         value = math.inf
+    n = _sample_size(value, bound_id.value)
+    # The order form is priced without the grid its learner searches; that
+    # grid is built after the size, so a size past the doubles stays a
+    # RegimeViolation.
+    if bound_id is SampleBound.QUANTILE_LEARNING:
+        _search_grid(alpha, bounds)
     inputs = {k: v for k, v in given.items()
               if v is not None and (k != "tau" or k in names)}
-    return SampleSizeReport(bound_id, _sample_size(value, bound_id.value), inputs,
-                            exact)
+    return SampleSizeReport(bound_id, n, inputs, exact)

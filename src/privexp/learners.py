@@ -35,7 +35,7 @@ from .errors import (
     check_in,
 )
 from .privacy import NoiseScale, PrivacyBudget, RngStream, noisy_fraction_below, sample_laplace
-from .quantile import clipping_range, svt_quantile
+from .quantile import SearchGrid, clipping_range, svt_grid, svt_quantile
 
 __all__ = ["Route", "LearnerConfig", "Estimate", "private_mle",
            "mle_learning", "quantile_learning", "best_of_both"]
@@ -52,6 +52,9 @@ MLE_RANGE_THETA = 0.1
 BEST_OF_BOTH_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
+
+# The smallest alpha any grid is built for; _check_alpha derives it.
+_ALPHA_MIN = 2.0 ** -40
 
 # Values per block of _exact_sum, which works in three buffers of one block.
 # Per exponent, a block's 27 high and 26 low significand bits sum exactly
@@ -185,36 +188,27 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
     position inside the band (1 - 1/e) +- alpha/(2e) is within (1 +- alpha)
     of 1/rate, so its reciprocal is returned."""
     position = _band_search(data, _search_grid(config.alpha, config.bounds), budget, rng)
-    if position is None:
-        raise SearchExhausted("no position accepted within the probe cap; "
-                              "rate outside bounds or n too small")
     return Estimate(1.0 / position, Route.QUANTILE, None, budget)
 
 
-@dataclass(frozen=True)
-class SearchGrid:
-    """Positions lo * step**k, k = 0..n_steps, searched for one whose noisy
-    CDF falls in level +- half_band within `probes` probes. The cap fixes the
-    per-probe noise scale, so a search spends exactly its budget, and the
-    calculators price it from the same cap and half-band."""
+def _check_alpha(alpha: float, grid: str) -> None:
+    """OutOfRegime naming alpha and grid for an alpha below _ALPHA_MIN =
+    2^-40 (about 9.1e-13), the smallest whose grid steps are faithful.
 
-    lo: float
-    step: float
-    n_steps: int
-    level: float
-    half_band: float
-
-    @property
-    def probes(self) -> int:
-        return math.ceil(math.log2(self.n_steps + 1))
-
-
-def _grid_step(step: float, error: type, grid: str) -> float:
-    """step, or error naming grid unless step is a finite double above 1:
-    a step that rounds to 1 would put every probe at the grid's bottom."""
-    if not 1.0 < step < math.inf:
-        raise error(f"{grid} has step {step!r}, not a finite double above 1")
-    return step
+    A step 1 + x is stored within 2^-53 of it, the spacing of the doubles
+    in [1, 2) halved, so its excess x is off by up to 2^-53/x; the quantile
+    step 1/(1 - alpha/2), rounded twice, by up to 1.5 * 2^-53/x. x is
+    alpha/2 for that step, 8 alpha for the packing ratio 1 + 8 alpha, and
+    alpha (1 - tau)/(4 upper) >= 0.1875 alpha for the pivot step of shape
+    bounds up to 1. At 2^-40 these errors are 3 * 2^-13, 2^-16 and 2^-10.6
+    of x, all within 2^-10 (0.1%); below it they grow as 1/alpha (the
+    quantile step's x is off by 2.1% at 1e-14, by 33% at 1e-15, and is 0
+    from about 2^-53). The pivot's x also shrinks as 1/upper; SearchGrid
+    refuses its step once it rounds to 1.
+    """
+    if not alpha >= _ALPHA_MIN:
+        raise OutOfRegime(f"{grid} needs alpha >= 2^-40 for a faithful step, "
+                          f"got alpha = {alpha!r}")
 
 
 # The grids of recent (alpha, bounds) pairs, by value: an experiment's
@@ -222,22 +216,29 @@ def _grid_step(step: float, error: type, grid: str) -> float:
 @functools.lru_cache(maxsize=128)
 def _search_grid(alpha: float, bounds: RateBounds) -> SearchGrid:
     """quantile_learning's grid: from 1/upper past 1/lower with ratio
-    1/(1 - alpha/2), around the level 1 - 1/e with half-band alpha/(2e).
-    Raises OutOfRegime for an alpha so small (about 2^-53 or less) that the
-    ratio rounds to 1."""
+    1/(1 - alpha/2), around the level 1 - 1/e with half-band alpha/(2e)."""
     if bounds is None:
         raise IncompleteInputs("rate bounds are needed, got None")
-    step = _grid_step(1.0 / (1.0 - alpha / 2.0), OutOfRegime,
-                      f"the quantile search at alpha = {alpha!r}")
-    return SearchGrid(1.0 / bounds.upper, step,
-                      math.ceil(math.log(bounds.ratio) / math.log(step)),
+    _check_alpha(alpha, "the quantile search")
+    step = 1.0 / (1.0 - alpha / 2.0)
+    return SearchGrid(f"the quantile search grid of {bounds} at alpha = {alpha!r}",
+                      1.0 / bounds.upper, step, math.log(bounds.ratio) / math.log(step),
                       _QUANTILE_LEVEL, alpha / (2.0 * math.e))
 
 
+def _best_of_both_grids(alpha: float, bounds: RateBounds) -> tuple[SearchGrid, SearchGrid]:
+    """best_of_both's coarse and quantile-route grids, built with the MLE
+    route's SVT grid, so that bounds either route would refuse are refused
+    whatever route the data takes."""
+    quantile_grid = _search_grid(alpha, bounds)  # first, for its alpha check
+    svt_grid(bounds, MLE_RANGE_THETA)
+    return _search_grid(COARSE_ALPHA, bounds), quantile_grid
+
+
 def _band_search(data: Dataset, grid: SearchGrid, budget: PrivacyBudget,
-                 rng: RngStream) -> Optional[float]:
-    """The first position of grid whose noisy CDF falls in its band, or
-    None once grid.probes probes are used up."""
+                 rng: RngStream) -> float:
+    """The first position of grid whose noisy CDF falls in its band; raises
+    SearchExhausted once grid.probes probes are used up."""
     budget.consume()
     cap = grid.probes
     scale = NoiseScale(cap / (budget.epsilon * data.n))
@@ -255,19 +256,19 @@ def _band_search(data: Dataset, grid: SearchGrid, budget: PrivacyBudget,
             low = mid
         else:
             return position
-    return None
+    raise SearchExhausted("no position accepted within the probe cap; "
+                          "rate outside bounds or n too small")
 
 
 def best_of_both(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
     """Coarse estimate at eps/3 picks the route; the winner runs at 2*eps/3."""
+    coarse_grid, _ = _best_of_both_grids(config.alpha, config.bounds)
     coarse_budget, main_budget = budget.split(BEST_OF_BOTH_SPLIT)
-    coarse_config = LearnerConfig(COARSE_ALPHA, config.beta, config.bounds)
     try:
-        coarse = quantile_learning(data, coarse_config, coarse_budget, rng)
+        lambda_0 = 1.0 / _band_search(data, coarse_grid, coarse_budget, rng)
     except SearchExhausted as exc:
         raise CoarseFailed("coarse rate estimate did not converge") from exc
-    lambda_0 = coarse.lambda_hat
     if lambda_0 >= MLE_BRANCH_CUTOFF:
         inner = mle_learning(data, config, main_budget, rng)
     else:

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import (EmptyTail, InvalidRatio, RangeEstimationFailed, ScaleViolation,
+from .errors import (EmptyTail, RangeEstimationFailed, ScaleViolation, SearchExhausted,
                      check_in)
-from .learners import (LearnerConfig, Route, SearchGrid, _band_search, _grid_step,
-                       best_of_both, mle_learning)
+from .learners import (LearnerConfig, Route, _band_search, _best_of_both_grids,
+                       _check_alpha, best_of_both, mle_learning)
 from .privacy import PrivacyBudget, RngStream
-from .quantile import svt_grid
+from .quantile import SearchGrid, svt_grid
 
 __all__ = ["DEFAULT_TAIL_QUANTILE", "ParetoEstimate", "log_transform",
            "recover_scale", "learn_pareto_known_scale", "learn_pareto"]
@@ -40,6 +41,9 @@ DEFAULT_TAIL_QUANTILE = 1.0 / (4.0 * math.log(7.0))
 # The scale-recovery analysis needs the pivot level in this window.
 TAU_MIN = 0.1
 TAU_MAX = 0.25
+
+# The largest x whose math.exp(x) is a finite double.
+_LN_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -96,21 +100,17 @@ def _pivot_grid(alpha: float, bounds: RateBounds, tau: float) -> SearchGrid:
     of ln(step) = half_band/upper moves the CDF of any shape <= upper by at
     most (1 - tau + half_band) half_band, less than the band's width, so
     some position falls inside the band whenever the tau-quantile lies in
-    the window. Raises InvalidRatio when the step, the window or the step
-    count of these bounds is not a finite double, or the step rounds to 1
-    (half_band/upper below about 2^-53).
+    the window.
     """
+    _check_alpha(alpha, "the pivot search")
     hi = float(svt_grid(bounds, 1.0 - tau)[-1])
     lo = 1.0 / bounds.upper
     half_band = alpha * (1.0 - tau) / 4.0
     ln_step = half_band / bounds.upper
-    try:
-        step = _grid_step(math.exp(ln_step), InvalidRatio,
-                          f"the pivot grid of {bounds} at alpha = {alpha!r}")
-        return SearchGrid(lo, step, math.ceil(math.log(hi / lo) / ln_step), tau,
-                          half_band)
-    except ArithmeticError:  # the step or the step count overflows
-        raise InvalidRatio(f"the pivot grid of {bounds} leaves the doubles") from None
+    # math.exp raises past the doubles, where SearchGrid refuses the step
+    step = math.exp(ln_step) if ln_step <= _LN_MAX else math.inf
+    return SearchGrid(f"the pivot grid of {bounds} at alpha = {alpha!r}", lo, step,
+                      math.log(hi / lo) / ln_step, tau, half_band)
 
 
 def learn_pareto_known_scale(data: Dataset, x_m: float, config: LearnerConfig,
@@ -134,16 +134,19 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     2^(span+2)/upper] with span = ceil(log2(upper/lower)). When the
     tau-quantile x_m (1 - tau)^(-1/shape) lies outside it (x_m too small or
     too large for the bounds), no position falls in the band and
-    RangeEstimationFailed is raised.
+    RangeEstimationFailed is raised. Bounds that the pivot grid or a grid of
+    the shape stage refuses are refused before the search, whatever the data.
     """
     check_in("tail level tau", tau, TAU_MIN, TAU_MAX, ends="[]")
+    grid = _pivot_grid(config.alpha, config.bounds, tau)
+    _best_of_both_grids(config.alpha, config.bounds)
     pivot_budget, shape_budget = budget.split([0.5, 0.5])
-    pivot = _band_search(data, _pivot_grid(config.alpha, config.bounds, tau),
-                         pivot_budget, rng)
-    if pivot is None:
+    try:
+        pivot = _band_search(data, grid, pivot_budget, rng)
+    except SearchExhausted:
         raise RangeEstimationFailed("tail pivot search found no position in "
                                     "its band; x_m outside the pivot window "
-                                    "or n too small")
+                                    "or n too small") from None
     tail = log_transform(data, pivot)
     est = best_of_both(tail, config, shape_budget, rng)
     scale_hat = recover_scale(pivot, tau, est.lambda_hat)

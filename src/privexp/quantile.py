@@ -39,6 +39,42 @@ class QuantileResult:
     grid_index: int
 
 
+@dataclass(frozen=True)
+class SearchGrid:
+    """Positions lo * step**k, k = 0..n_steps, of the grid `name`.
+
+    A band search looks for a position whose noisy CDF falls in level +-
+    half_band within `probes` probes, a cap that fixes its per-probe noise
+    scale, and the calculators price it from the same cap and half-band; the
+    SVT scan has the level 1 - theta and no band. This is the one check of
+    the package's grids: a step that is not a finite double above 1, a step
+    count (kept rounded up) that is not positive and finite, or a top
+    position lo * step**n_steps past the doubles raises InvalidRatio.
+    """
+
+    name: str
+    lo: float
+    step: float
+    n_steps: int
+    level: float
+    half_band: float
+
+    def __post_init__(self):
+        if 1.0 < self.step < math.inf and 0 < self.n_steps < math.inf:
+            object.__setattr__(self, "n_steps", math.ceil(self.n_steps))
+            try:
+                if self.lo * self.step ** self.n_steps < math.inf:
+                    return
+            except OverflowError:  # float ** raises past the largest double
+                pass
+        raise InvalidRatio(f"{self.name} leaves the doubles: step {self.step!r}, "
+                           f"{self.n_steps!r} steps from {self.lo!r}")
+
+    @property
+    def probes(self) -> int:
+        return math.ceil(math.log2(self.n_steps + 1))
+
+
 @functools.lru_cache(maxsize=128)  # by value, as learners._search_grid
 def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
     """Geometric grid of candidate quantile values, as a read-only array
@@ -48,18 +84,19 @@ def svt_grid(bounds: RateBounds, theta: float) -> np.ndarray:
     rate in [lower, upper] ranges over [ln(1/theta)/upper, ln(1/theta)/lower].
     Doubling from 1/upper with a few slack doublings covers that whole window
     while keeping the checkpoint count logarithmic in the bounds ratio.
-    Raises InvalidRatio when its top point is not a finite double.
+    The points are 2^i/upper, which (1/upper) * 2^i equals only while
+    1/upper is a normal double. Raises InvalidRatio when they leave the
+    doubles.
     """
     if bounds is None:
         raise IncompleteInputs("rate bounds are needed, got None")
     span = math.ceil(math.log2(bounds.ratio))
     slack = math.ceil(math.log2(max(1.0, math.log(1.0 / theta))))
-    i_max = span + slack + 2
-    if i_max > 1023 or 2.0 ** i_max / bounds.upper == math.inf:  # 2.0 ** 1024 overflows
-        raise InvalidRatio(f"the SVT grid of {bounds} leaves the doubles")
-    grid = np.array([2.0 ** i / bounds.upper for i in range(i_max + 1)])
-    grid.setflags(write=False)
-    return grid
+    grid = SearchGrid(f"the SVT grid of {bounds}", 1.0 / bounds.upper, 2.0,
+                      span + slack + 2, 1.0 - theta, 0.0)
+    points = np.array([2.0 ** i / bounds.upper for i in range(grid.n_steps + 1)])
+    points.setflags(write=False)
+    return points
 
 
 def svt_quantile(data: Dataset, bounds: RateBounds, theta: float,

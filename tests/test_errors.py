@@ -5,14 +5,15 @@ parameter's interval and raises the site's named PrivexpError otherwise."""
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from privexp.analysis import (_CALCULATORS, SampleBound, build_packing, lower_bound_n,
-                              required_n)
+from privexp.analysis import (_CALCULATORS, _PACKING_MAX_RATES, SampleBound, build_packing,
+                              lower_bound_n, required_n)
 from privexp.bounds import learn_without_bounds, noisy_histogram
 from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossing,
@@ -21,8 +22,8 @@ from privexp.errors import (BadSplit, IncompleteInputs, InputError, InvalidRate,
                             InvalidRatio, InvalidScale, InvalidShape, OutOfRegime,
                             PrivexpError, RegimeViolation, check_in)
 from privexp.harness import ExperimentSpec, Learner, run_experiment
-from privexp.learners import (LearnerConfig, _search_grid, best_of_both, mle_learning,
-                              private_mle, quantile_learning)
+from privexp.learners import (_ALPHA_MIN, LearnerConfig, _search_grid, best_of_both,
+                              mle_learning, private_mle, quantile_learning)
 from privexp.pareto import _pivot_grid, learn_pareto, learn_pareto_known_scale, log_transform
 from privexp.privacy import NoiseScale, PrivacyBudget, RngStream
 from privexp.quantile import QuantileResult, clipping_range, svt_grid, svt_quantile
@@ -186,26 +187,50 @@ BOUNDS_CALCULATORS = [bound for bound, (_, names, _) in _CALCULATORS.items()
                       if "bounds" in names]
 
 
+# Each learner that reads bounds and the calculators that price it.
+PRICED_BY = {
+    "quantile_learning": (SampleBound.QUANTILE_SEARCH, SampleBound.QUANTILE_LEARNING),
+    "best_of_both": (SampleBound.BEST_OF_BOTH,),
+    "mle_learning": (SampleBound.MLE_LEARNING, SampleBound.SVT_QUANTILE),
+    "learn_pareto": (SampleBound.PARETO_LEARNING,),
+}
+
+
+def outcome(call):
+    """The class of the PrivexpError that call raises, or None if it returns."""
+    try:
+        call()
+    except PrivexpError as exc:
+        return type(exc)
+    return None
+
+
 @given(POSITIVE_DOUBLES, POSITIVE_DOUBLES)
+@example(1e-310, 1e-3)
+@example(5e-324, 1e-16)
 def test_any_bounds_return_or_fail_by_name(a, b):
     # Bounds anywhere in the doubles are refused or used: every entry point
     # that reads them returns or raises a PrivexpError, never a bare one.
+    # A learner and each calculator that prices it refuse the same bounds:
+    # when either raises InvalidRatio, or the calculator raises at all, both
+    # raise the same class. The learner alone may also fail on its data.
     try:
         bounds = RateBounds(min(a, b), max(a, b))
     except InvalidRatio:
         return
     config = LearnerConfig(0.2, 0.1, bounds)
-    calls = [lambda f=f: f(SMALL_PARETO, config, PrivacyBudget(1.0), RngStream(0))
-             for f in LEARNERS.values()]
-    calls += [lambda: svt_grid(bounds, 0.5), lambda: build_packing(bounds, 0.2),
-              lambda: lower_bound_n(0.2, 0.1, 1.0, bounds)]
-    calls += [lambda bound=bound: required_n(bound, **{**CALC, "bounds": bounds})
-              for bound in BOUNDS_CALCULATORS]
-    for call in calls:
-        try:
-            call()
-        except PrivexpError:
-            pass
+    learned = {name: outcome(lambda: f(SMALL_PARETO, config, PrivacyBudget(1.0),
+                                       RngStream(0)))
+               for name, f in LEARNERS.items()}
+    priced = {bound: outcome(lambda: required_n(bound, **{**CALC, "bounds": bounds}))
+              for bound in BOUNDS_CALCULATORS}
+    for call in (lambda: svt_grid(bounds, 0.5), lambda: build_packing(bounds, 0.2),
+                 lambda: lower_bound_n(0.2, 0.1, 1.0, bounds)):
+        outcome(call)
+    for learner, bound_ids in PRICED_BY.items():
+        for bound in bound_ids:
+            if priced[bound] is not None or learned[learner] is InvalidRatio:
+                assert priced[bound] is learned[learner], (learner, bound)
 
 
 # Accepted alphas, log-uniform over the binades from the smallest subnormal
@@ -240,10 +265,7 @@ def test_any_alpha_and_tau_return_or_fail_by_name(alpha, tau):
     calls += [lambda bound=bound: required_n(bound, **{**CALC, "alpha": alpha,
                                                        "tau": tau})
               for bound in _CALCULATORS]
-    # Above 2^-56 the packing has log(ratio)/(8 alpha) rates, far too many
-    # to build below about 1e-7; below it, 1 + 8 alpha rounds to 1.
-    if alpha < 2.0 ** -56:
-        calls.append(lambda: build_packing(WIDE_BOUNDS, alpha))
+    calls.append(lambda: build_packing(WIDE_BOUNDS, alpha))
     for call in calls:
         try:
             call()
@@ -288,6 +310,74 @@ def test_an_alpha_whose_search_step_rounds_to_one_is_out_of_regime(alpha):
         quantile_learning(EXP_DATA, config, PrivacyBudget(1.0), RngStream(0))
     with pytest.raises(OutOfRegime, match="alpha"):
         required_n(SampleBound.QUANTILE_SEARCH, **{**CALC, "alpha": alpha})
+
+
+@pytest.mark.parametrize("lower, upper", [(1e-310, 1e-3), (5e-324, 1e-16)])
+def test_bounds_whose_search_grid_tops_leave_the_doubles_are_refused(lower, upper):
+    # 1/lower leaves the doubles, and with it the top of every grid searched
+    # for a rate: the learners and each calculator pricing them refuse
+    config = LearnerConfig(0.2, 0.1, RateBounds(lower, upper))
+    for learner in (quantile_learning, best_of_both, mle_learning):
+        with pytest.raises(InvalidRatio):
+            learner(SMALL_PARETO, config, PrivacyBudget(1.0), RngStream(0))
+    for bound in (SampleBound.QUANTILE_SEARCH, SampleBound.QUANTILE_LEARNING,
+                  SampleBound.BEST_OF_BOTH, SampleBound.MLE_LEARNING,
+                  SampleBound.SVT_QUANTILE):
+        with pytest.raises(InvalidRatio):
+            required_n(bound, **{**CALC, "bounds": (lower, upper)})
+
+
+def test_grids_are_built_from_the_alpha_floor_and_refused_below_it():
+    # At the floor each step's excess over 1 is within 2^-10 of the one alpha
+    # asks for (the pivot's for shape bounds up to 1); at the next double
+    # below, every grid built from alpha refuses it by name.
+    floor, below = _ALPHA_MIN, math.nextafter(_ALPHA_MIN, 0.0)
+    narrow = RateBounds(1.0, 1.0 + 2.0 ** -30)  # a packing of 129 rates at the floor
+    tau = 0.25
+
+    def off(step, excess):
+        return abs((Fraction(step) - 1) / Fraction(excess) - 1)
+
+    grid = _search_grid(floor, BOUNDS)
+    assert off(grid.step, Fraction(floor) / 2 / (1 - Fraction(floor) / 2)) < 2.0 ** -10
+    pivot = _pivot_grid(floor, RateBounds(0.5, 1.0), tau)
+    assert off(pivot.step, math.expm1(pivot.half_band)) < 2.0 ** -10
+    family = build_packing(narrow, floor)
+    assert off(family.rates[1], 8 * Fraction(floor)) < 2.0 ** -10
+
+    learners = {"quantile_learning": quantile_learning, "best_of_both": best_of_both,
+                "learn_pareto": lambda d, c, b, r: learn_pareto(d, c, b, r, tau=tau)}
+    bound_ids = (SampleBound.QUANTILE_SEARCH, SampleBound.QUANTILE_LEARNING,
+                 SampleBound.BEST_OF_BOTH, SampleBound.PARETO_LEARNING)
+    for alpha, refused in ((floor, False), (below, True)):
+        config = LearnerConfig(alpha, 0.1, BOUNDS)
+        calls = [lambda f=f: f(SMALL_PARETO, config, PrivacyBudget(1.0), RngStream(0))
+                 for f in learners.values()]
+        calls += [lambda bound=bound: required_n(bound, **{**CALC, "alpha": alpha,
+                                                           "tau": tau})
+                  for bound in bound_ids]
+        for call in calls:
+            assert (outcome(call) is OutOfRegime) == refused
+    for site in (lambda: _search_grid(below, BOUNDS), lambda: _pivot_grid(below, BOUNDS, tau)):
+        with pytest.raises(OutOfRegime, match="alpha"):
+            site()
+    with pytest.raises(OutOfRegime, match="packing"):
+        build_packing(narrow, below)
+
+
+def test_a_packing_past_its_size_limit_is_refused():
+    # alpha = 2^-20 spaces the rates by 1 + 2^-17; a ratio of that to the
+    # power 2^20 -+ 1/2 asks for 2^20 rates, built, or 2^20 + 1, refused
+    alpha = 2.0 ** -20
+    log_r = math.log(1.0 + 8.0 * alpha)
+    family = build_packing(RateBounds(1.0, math.exp((_PACKING_MAX_RATES - 0.5) * log_r)),
+                           alpha)
+    assert len(family.rates) == _PACKING_MAX_RATES
+    with pytest.raises(OutOfRegime, match="packing"):
+        build_packing(RateBounds(1.0, math.exp((_PACKING_MAX_RATES + 0.5) * log_r)), alpha)
+    # about 1.2e9 rates: refused before any is built
+    with pytest.raises(OutOfRegime, match="packing"):
+        build_packing(WIDE_BOUNDS, 1e-9)
 
 
 class TestCheckIn:

@@ -96,9 +96,9 @@ class TestSpecValidation:
             run_experiment(quantile_spec(**{field: value}))
 
     def test_sized_n_past_maxsize_is_refused(self):
-        # the quantile bound at alpha 1e-150 is finite (about 3e302) but no
+        # the quantile bound at alpha 1e-12 is finite (about 3e25) but no
         # array of that size can be made
-        spec = quantile_spec(n=None, alpha=1e-150)
+        spec = quantile_spec(n=None, alpha=1e-12)
         with pytest.raises(OutOfRegime, match="sized n"):
             resolve_n(spec)
         with pytest.raises(OutOfRegime, match="sized n"):
@@ -235,7 +235,7 @@ class TestDeterminism:
 
 class TestBuiltOnce:
     def test_experiment_inputs_are_built_once(self, monkeypatch):
-        # the config, the model and the search grid are the same for every
+        # the config, the model and the search grids are the same for every
         # trial of an experiment, so they are built once, not per trial
         built = {"config": 0, "model": 0}
 
@@ -245,15 +245,23 @@ class TestBuiltOnce:
                 return cls(*args)
             return build
 
-        monkeypatch.setattr(harness, "LearnerConfig",
-                            counted(harness.LearnerConfig, "config"))
+        check_config = learners.LearnerConfig.__post_init__
+
+        def counted_config(config):
+            built["config"] += 1
+            check_config(config)
+
+        monkeypatch.setattr(learners.LearnerConfig, "__post_init__", counted_config)
         monkeypatch.setattr(harness, "ExpModel", counted(ExpModel, "model"))
-        learners._search_grid.cache_clear()
-        summary = run_experiment(quantile_spec(trials=50))
-        assert len(summary.records) == 50
-        assert built == {"config": 1, "model": 1}
-        info = learners._search_grid.cache_info()
-        assert (info.misses, info.hits) == (1, 49)
+        for learner, n, trials, grid_calls in ((Learner.QUANTILE, 500, 50, (1, 49)),
+                                               (Learner.BEST_OF_BOTH, 5084, 10, (2, 28))):
+            built.update(config=0, model=0)
+            learners._search_grid.cache_clear()
+            summary = run_experiment(quantile_spec(learner=learner, n=n, trials=trials))
+            assert len(summary.records) == trials
+            assert built == {"config": 1, "model": 1}, learner
+            info = learners._search_grid.cache_info()
+            assert (info.misses, info.hits) == grid_calls, learner
 
 
 class TestSampleBuffer:
