@@ -15,14 +15,16 @@ depth or a dyadic grid size; ceilings are applied last.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .dataset import RateBounds
 from .errors import IncompleteInputs, OutOfRegime, RegimeViolation, check_in
-from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF,
-                       MLE_RANGE_THETA, _best_of_both_grids, _check_alpha, _search_grid)
+from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF, MLE_RANGE_THETA,
+                       MLE_SPLIT, PARETO_SPLIT, WITHOUT_BOUNDS_DELTA_SPLIT,
+                       WITHOUT_BOUNDS_SPLIT, _best_of_both_grids, _check_alpha, _search_grid)
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
 from .quantile import QuantileResult, SearchGrid, clipping_range, svt_grid
 
@@ -72,6 +74,7 @@ def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
     _PACKING_MAX_RATES = 2^20 rates (about 32 MB)."""
     a = check_in("alpha", alpha, 0.0, 0.5)
     _check_alpha(a, "the packing")
+    bounds = _as_bounds(bounds)
     r = 1.0 + PACKING_RATIO_FACTOR * a
     count = math.floor(math.log(bounds.ratio) / math.log(r))
     if count >= _PACKING_MAX_RATES:
@@ -131,10 +134,11 @@ _FIXED_POINT_ITERATIONS = 200
 
 def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
     """Fixed point in n: the clipping level grows like ln(n), and n must
-    cover both pipeline stages (each at epsilon/2, beta/2) plus the
-    composed pipeline terms."""
-    stage_eps, stage_beta = epsilon / 2.0, beta / 2.0
-    svt_need = _svt_quantile_value(stage_eps, stage_beta, bounds)
+    cover both pipeline stages (each at its share of epsilon, and beta/2)
+    plus the composed pipeline terms."""
+    range_eps, mle_eps = (share * epsilon for share in MLE_SPLIT)
+    stage_beta = beta / 2.0
+    svt_need = _svt_quantile_value(range_eps, stage_beta, bounds)
     # The range stage's target, the (1 - theta)-quantile of Exp(lam).
     quantile = QuantileResult(math.log(1.0 / MLE_RANGE_THETA) / lam, 0)
     n = 16.0
@@ -142,7 +146,7 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
         log_n = math.log(n)
         clip_r = clipping_range(quantile, n, MLE_RANGE_THETA, stage_beta)
         try:
-            mle_need = _clipped_mle_value(stage_eps, stage_beta, alpha, lam, clip_r)
+            mle_need = _clipped_mle_value(mle_eps, stage_beta, alpha, lam, clip_r)
         except RegimeViolation:
             n *= 2.0  # clipping level still too low at this n; grow and retry
             continue
@@ -208,46 +212,42 @@ def _learn_without_bounds_value(epsilon, delta, beta, alpha, lam) -> float:
     # The discovered interval has ratio 4 and contains lam whp; (lam/2, 2*lam)
     # is the representative interval for sizing the second stage.
     found = RateBounds(lam / 2.0, 2.0 * lam)
-    return max(_bounds_finder_value(epsilon / 2.0, delta, beta / 2.0),
-               _best_of_both_value(epsilon / 2.0, beta / 2.0, alpha, lam, found))
+    find_eps, learn_eps = (share * epsilon for share in WITHOUT_BOUNDS_SPLIT)
+    find_delta = WITHOUT_BOUNDS_DELTA_SPLIT[0] * delta
+    return max(_bounds_finder_value(find_eps, find_delta, beta / 2.0),
+               _best_of_both_value(learn_eps, beta / 2.0, alpha, lam, found))
 
 
-def _pareto_value(epsilon, beta, alpha, shape, bounds, tau) -> float:
-    # Pivot stage at eps/2, shape stage at eps/2 on ~(1-tau)*n exceedances.
-    pivot = _band_search_value(epsilon / 2.0, beta / 2.0, _pivot_grid(alpha, bounds, tau))
-    tail = _best_of_both_value(epsilon / 2.0, beta / 2.0, alpha, shape, bounds)
+def _pareto_value(epsilon, beta, alpha, lam, bounds, tau) -> float:
+    # The shape stage runs on ~(1-tau)*n exceedances.
+    pivot_eps, shape_eps = (share * epsilon for share in PARETO_SPLIT)
+    pivot = _band_search_value(pivot_eps, beta / 2.0, _pivot_grid(alpha, bounds, tau))
+    tail = _best_of_both_value(shape_eps, beta / 2.0, alpha, lam, bounds)
     return max(pivot, tail / (1.0 - tau))
 
 
-# Per guarantee: the value function, the inputs it takes in argument order
-# (a missing one is named in that order), and whether its constants are the
-# source's explicit ones.
-_CALCULATORS = {
-    SampleBound.SVT_QUANTILE: (
-        _svt_quantile_value, ("epsilon", "beta", "bounds"), True),
-    SampleBound.CLIPPED_MLE: (
-        _clipped_mle_value, ("epsilon", "beta", "alpha", "lam", "clip_r"), True),
-    SampleBound.MLE_LEARNING: (
-        _mle_learning_value, ("epsilon", "beta", "alpha", "lam", "bounds"), False),
+# Per guarantee: the value function, the inputs it takes, named by its
+# parameters in their order (a missing one is named in that order), and
+# whether its constants are the source's explicit ones.
+_CALCULATORS = {bound: (value_of, tuple(inspect.signature(value_of).parameters), exact)
+                for bound, (value_of, exact) in {
+    SampleBound.SVT_QUANTILE: (_svt_quantile_value, True),
+    SampleBound.CLIPPED_MLE: (_clipped_mle_value, True),
+    SampleBound.MLE_LEARNING: (_mle_learning_value, False),
     SampleBound.QUANTILE_SEARCH: (
-        lambda e, b, a, bounds: _band_search_value(e, b, _search_grid(a, bounds)),
-        ("epsilon", "beta", "alpha", "bounds"), True),
+        lambda epsilon, beta, alpha, bounds:
+        _band_search_value(epsilon, beta, _search_grid(alpha, bounds)), True),
     SampleBound.QUANTILE_LEARNING: (
-        lambda e, b, a, bounds: max(quantile_order_terms(e, b, a, bounds)),
-        ("epsilon", "beta", "alpha", "bounds"), False),
-    SampleBound.BEST_OF_BOTH: (
-        _best_of_both_value, ("epsilon", "beta", "alpha", "lam", "bounds"), False),
-    SampleBound.BOUNDS_FINDER: (
-        _bounds_finder_value, ("epsilon", "delta", "beta"), True),
-    SampleBound.LEARN_WITHOUT_BOUNDS: (
-        _learn_without_bounds_value, ("epsilon", "delta", "beta", "alpha", "lam"),
-        False),
-    SampleBound.PARETO_LEARNING: (
-        _pareto_value, ("epsilon", "beta", "alpha", "lam", "bounds", "tau"), False),
+        lambda epsilon, beta, alpha, bounds:
+        max(quantile_order_terms(epsilon, beta, alpha, bounds)), False),
+    SampleBound.BEST_OF_BOTH: (_best_of_both_value, False),
+    SampleBound.BOUNDS_FINDER: (_bounds_finder_value, True),
+    SampleBound.LEARN_WITHOUT_BOUNDS: (_learn_without_bounds_value, False),
+    SampleBound.PARETO_LEARNING: (_pareto_value, False),
     SampleBound.PACKING_LOWER_BOUND: (
-        lambda e, b, a, bounds: lower_bound_n(a, b, e, bounds),
-        ("epsilon", "beta", "alpha", "bounds"), True),
-}
+        lambda epsilon, beta, alpha, bounds: lower_bound_n(alpha, beta, epsilon, bounds),
+        True),
+}.items()}
 
 
 def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .dataset import Dataset, RateBounds
 from .errors import NoBinSurvived, RangeEstimationFailed, check_in
-from .learners import Estimate, LearnerConfig, best_of_both
+from .learners import (WITHOUT_BOUNDS_DELTA_SPLIT, WITHOUT_BOUNDS_SPLIT, Estimate,
+                       LearnerConfig, _check_alpha, best_of_both)
 from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 
 __all__ = ["DyadicHistogram", "dyadic_histogram", "find_bounds", "learn_without_bounds"]
@@ -120,10 +121,13 @@ def find_bounds(data: Dataset, budget: PrivacyBudget, rng: RngStream):
 def learn_without_bounds(data: Dataset, alpha: float, beta: float,
                          budget: PrivacyBudget, rng: RngStream) -> Estimate:
     """End-to-end learner with no prior bounds: find bounds at (eps/2, delta),
-    then run the adaptive learner at (eps/2, 0) inside them."""
+    then run the adaptive learner at (eps/2, 0) inside them. The inputs the
+    second stage reads are checked before the first spends."""
     check_in("learning without bounds delta", budget.delta, 0.0, 1.0)
-    bounds_budget, learn_budget = budget.split([0.5, 0.5],
-                                               delta_fractions=[1.0, 0.0])
+    _check_alpha(check_in("alpha", alpha, 0.0, 1.0), "the quantile search")
+    check_in("beta", beta, 0.0, 1.0)
+    bounds_budget, learn_budget = budget.split(WITHOUT_BOUNDS_SPLIT,
+                                               WITHOUT_BOUNDS_DELTA_SPLIT)
     rate_bounds = find_bounds(data, bounds_budget, rng)
     if rate_bounds is None:
         raise NoBinSurvived("no histogram bin cleared the release threshold; "

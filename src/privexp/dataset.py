@@ -24,7 +24,11 @@ class Dataset:
     """
 
     def __init__(self, values):
-        self._keep(np.array(values, dtype=np.float64))  # a private copy
+        try:
+            arr = np.array(values, dtype=np.float64)  # a private copy
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"dataset values must be real numbers: {exc}") from None
+        self._keep(arr)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> Dataset:

@@ -10,13 +10,14 @@ with a Pinsker bound on the equal-scale shape gap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import (EmptyRequest, InvalidRate, InvalidRatio, InvalidScale, InvalidShape,
-                     OutOfRegime, check_in)
+                     OutOfRegime, check_count, check_in)
 from .privacy import RngStream
 
 __all__ = [
@@ -59,11 +60,7 @@ class ExpModel:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if np.any(p < 0) or np.any(p >= 1):
-            raise OutOfRegime("quantile level must lie in [0, 1)")
-        out = -np.log1p(-p) / self.rate_lambda
-        return float(out) if out.ndim == 0 else out
+        return _quantile(self, p)
 
 
 @dataclass(frozen=True)
@@ -94,18 +91,23 @@ class ParetoModel:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if np.any(p < 0) or np.any(p >= 1):
-            raise OutOfRegime("quantile level must lie in [0, 1)")
-        out = self.scale_xm * np.exp(-np.log1p(-p) / self.shape_alpha_p)
-        return float(out) if out.ndim == 0 else out
+        return _quantile(self, p)
 
 
 def sample(model, n: int, rng: RngStream) -> Dataset:
     """n i.i.d. draws via inverse CDF on uniforms in [0, 1)."""
-    if n < 1:
-        raise EmptyRequest(f"need at least one draw, got n={n}")
-    return Dataset._adopt(_draw(model, rng.random(int(n))))
+    if check_count("n", n, 0, sys.maxsize) == 0:
+        raise EmptyRequest("need at least one draw, got n=0")
+    return Dataset._adopt(_draw(model, rng.random(n)))
+
+
+def _quantile(model, p):
+    """model's inverse CDF at the levels p in [0, 1): _draw on a copy."""
+    u = np.array(p, dtype=np.float64)
+    if not np.all((u >= 0) & (u < 1)):  # nan too
+        raise OutOfRegime("quantile level must lie in [0, 1)")
+    out = _draw(model, u)
+    return float(out) if out.ndim == 0 else out
 
 
 def _draw(model, u: np.ndarray) -> np.ndarray:
@@ -141,18 +143,17 @@ def exp_tv_crossing(lambda1: float, lambda2: float) -> float:
 def exp_tv(lambda1: float, lambda2: float) -> float:
     """Exact TV distance between Exp(lambda1) and Exp(lambda2).
 
-    The densities cross once at a = ln(l_hi/l_lo)/(l_hi - l_lo), and
-    TV = e^(-l_lo * a) - e^(-l_hi * a). Written with log1p/expm1 so nearby
-    rates do not lose the small difference to cancellation.
+    The densities cross once, at a = exp_tv_crossing(l_lo, l_hi), and
+    TV = e^(-l_lo * a) - e^(-l_hi * a), written with expm1 so nearby rates
+    do not lose the small difference to cancellation.
     """
     l1 = check_in("lambda1", lambda1, 0.0, math.inf, InvalidRate)
     l2 = check_in("lambda2", lambda2, 0.0, math.inf, InvalidRate)
     lo, hi = min(l1, l2), max(l1, l2)
     if hi - lo < _RATE_EQ_RTOL * hi:
         return 0.0
-    d = hi - lo
-    a = math.log1p(d / lo) / d
-    return -math.exp(-lo * a) * math.expm1(-d * a)
+    a = exp_tv_crossing(lo, hi)
+    return -math.exp(-lo * a) * math.expm1(-(hi - lo) * a)
 
 
 def separation_T(r: float) -> float:

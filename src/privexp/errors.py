@@ -123,3 +123,13 @@ def check_in(name: str, value, low: float, high: float,
             return x
     raise error(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, "
                 f"got {value!r}")
+
+
+def check_count(name: str, value, low: int, high: float,
+                error: type[PrivexpError] = OutOfRegime) -> int:
+    """Return value if it is an int (never a bool) in [low, high]; otherwise
+    raise error naming the parameter. Counts, sizes and seeds are exact
+    integers: a float such as 2.5 is refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    raise error(f"{name} must be an int in [{low}, {high}], got {value!r}")

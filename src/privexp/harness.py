@@ -27,7 +27,7 @@ from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
 from .distributions import ExpModel, ParetoModel, _draw, sample
 from .errors import (IncompleteInputs, InputError, NoBinSurvived, OutOfRegime,
-                     PrivexpError, check_in)
+                     PrivexpError, check_count, check_in)
 from .learners import (Estimate, LearnerConfig, best_of_both, mle_learning,
                        private_mle, quantile_learning)
 from .pareto import (DEFAULT_TAIL_QUANTILE, learn_pareto,
@@ -101,14 +101,8 @@ class ExperimentSummary:
         bounds = None if spec.bounds is None else [spec.bounds.lower,
                                                    spec.bounds.upper]
         return {
-            "learner": spec.learner.value,
-            "alpha": spec.alpha, "beta": spec.beta,
-            "epsilon": spec.epsilon, "delta": spec.delta,
-            "bounds": bounds, "noiseless": spec.noiseless,
-            "true_lambda": spec.true_lambda, "true_xm": spec.true_xm,
-            "true_shape": spec.true_shape, "tau": spec.tau,
-            "n": self.n_used, "trials": spec.trials,
-            "base_seed": spec.base_seed, "safety_factor": spec.safety_factor,
+            **asdict(spec), "learner": spec.learner.value, "bounds": bounds,
+            "n": self.n_used,
             "success_rate": self.success_rate,
             "failure_breakdown": self.failure_breakdown,
             "mean_estimate": self.mean_estimate,
@@ -229,19 +223,11 @@ def _check_inputs(spec: ExperimentSpec, needs, uses_delta: bool) -> None:
         raise IncompleteInputs(f"{spec.learner.value} needs delta > 0")
 
 
-def _check_count(name: str, value) -> None:
-    """OutOfRegime naming the field unless value is an int (not a bool) in
-    [1, sys.maxsize], a size an array and a range can take."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or not 1 <= value <= sys.maxsize):
-        raise OutOfRegime(f"{name} must be an int in [1, {sys.maxsize}], "
-                          f"got {value!r}")
-
-
 def _check_spec(spec: ExperimentSpec) -> None:
-    _check_count("trials", spec.trials)
+    # sizes an array and a range can take
+    check_count("trials", spec.trials, 1, sys.maxsize)
     if spec.n is not None:
-        _check_count("n", spec.n)
+        check_count("n", spec.n, 1, sys.maxsize)
     check_in("safety_factor", spec.safety_factor, 0.0, math.inf)
     row = _LEARNERS[spec.learner]
     truth = ("true_xm", "true_shape") if row.pareto else ("true_lambda",)

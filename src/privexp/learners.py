@@ -46,10 +46,16 @@ _QUANTILE_LEVEL = 1.0 - 1.0 / math.e
 # Quantile level used by the MLE pipeline's range-estimation stage.
 MLE_RANGE_THETA = 0.1
 
-# best_of_both's (coarse, main) shares of the budget. The coarse stage runs
-# at this accuracy; a factor-3/2 estimate is enough to separate the two
-# branch regions.
+# The composed learners' budget shares by stage, split by the learners and
+# priced by the calculators: mle_learning (range scan, noisy mean),
+# best_of_both (coarse, main), learn_pareto (pivot, shape) and
+# learn_without_bounds (bounds, adaptive), whose delta all goes to bounds.
+MLE_SPLIT = (0.5, 0.5)
 BEST_OF_BOTH_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
+PARETO_SPLIT = (0.5, 0.5)
+WITHOUT_BOUNDS_SPLIT = (0.5, 0.5)
+WITHOUT_BOUNDS_DELTA_SPLIT = (1.0, 0.0)
+# best_of_both's coarse accuracy: a factor-3/2 estimate separates the branches.
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
 
@@ -171,8 +177,8 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
 
 def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
-    """Range estimation at eps/2, then private MLE at eps/2."""
-    range_budget, mle_budget = budget.split([0.5, 0.5])
+    """Range estimation, then private MLE, at the shares of MLE_SPLIT."""
+    range_budget, mle_budget = budget.split(MLE_SPLIT)
     qres = svt_quantile(data, config.bounds, MLE_RANGE_THETA, range_budget, rng)
     if qres is None:
         raise RangeEstimationFailed("quantile scan exhausted its grid")

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import (EmptyTail, RangeEstimationFailed, ScaleViolation, SearchExhausted,
-                     check_in)
-from .learners import (LearnerConfig, Route, _band_search, _best_of_both_grids,
-                       _check_alpha, best_of_both, mle_learning)
+from .errors import (EmptyTail, InvalidScale, RangeEstimationFailed, ScaleViolation,
+                     SearchExhausted, check_in)
+from .learners import (PARETO_SPLIT, LearnerConfig, Route, _band_search,
+                       _best_of_both_grids, _check_alpha, best_of_both, mle_learning)
 from .privacy import PrivacyBudget, RngStream
 from .quantile import SearchGrid, svt_grid
 
@@ -117,6 +117,7 @@ def learn_pareto_known_scale(data: Dataset, x_m: float, config: LearnerConfig,
                              budget: PrivacyBudget, rng: RngStream) -> ParetoEstimate:
     """Known-scale reduction: log-transform at x_m, learn the rate via the
     MLE pipeline; the rate estimate is the shape estimate."""
+    x_m = check_in("known scale x_m", x_m, 0.0, math.inf, InvalidScale)
     if data.min() < x_m:
         raise ScaleViolation(f"sample {data.min()} below declared scale {x_m}")
     transformed = log_transform(data, x_m)
@@ -140,7 +141,7 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     check_in("tail level tau", tau, TAU_MIN, TAU_MAX, ends="[]")
     grid = _pivot_grid(config.alpha, config.bounds, tau)
     _best_of_both_grids(config.alpha, config.bounds)
-    pivot_budget, shape_budget = budget.split([0.5, 0.5])
+    pivot_budget, shape_budget = budget.split(PARETO_SPLIT)
     try:
         pivot = _band_search(data, grid, pivot_budget, rng)
     except SearchExhausted:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSplit, BudgetExhausted, EmptyDataset, InvalidScale, check_in
+from .errors import (BadSplit, BudgetExhausted, EmptyDataset, InvalidScale, check_count,
+                     check_in)
 
 __all__ = [
     "RngStream",
@@ -42,8 +43,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0, *, noiseless: bool = False):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = check_count("seed", seed, 0, math.inf)
+        self.stream_id = check_count("stream_id", stream_id, 0, math.inf)
         self.noiseless = bool(noiseless)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
@@ -138,20 +139,15 @@ class PrivacyBudget:
         if self._state != "fresh":
             raise BudgetExhausted(f"budget already {self._state}")
         fractions = list(fractions)
-        for f in fractions:
-            check_in("fraction", f, 0.0, 1.0, BadSplit, "(]")
-        if abs(math.fsum(fractions) - 1.0) > _SPLIT_TOL:
-            raise BadSplit(f"fractions must sum to 1, got {fractions!r}")
-        if delta_fractions is None:
-            delta_fractions = fractions
-        else:
-            delta_fractions = list(delta_fractions)
-            if len(delta_fractions) != len(fractions):
+        delta_fractions = fractions if delta_fractions is None else list(delta_fractions)
+        for name, shares, ends in (("fraction", fractions, "(]"),
+                                   ("delta fraction", delta_fractions, "[]")):
+            if len(shares) != len(fractions):
                 raise BadSplit("delta_fractions length must match fractions")
-            for d in delta_fractions:
-                check_in("delta fraction", d, 0.0, 1.0, BadSplit, "[]")
-            if abs(math.fsum(delta_fractions) - 1.0) > _SPLIT_TOL:
-                raise BadSplit(f"delta fractions must sum to 1, got {delta_fractions!r}")
+            for f in shares:
+                check_in(name, f, 0.0, 1.0, BadSplit, ends)
+            if abs(math.fsum(shares) - 1.0) > _SPLIT_TOL:
+                raise BadSplit(f"{name}s must sum to 1, got {shares!r}")
         children = [
             PrivacyBudget(f * self.epsilon, d * self.delta)
             for f, d in zip(fractions, delta_fractions)
@@ -165,9 +161,8 @@ class PrivacyBudget:
         if self._state == "consumed":
             return self.epsilon, self.delta
         if self._state == "split":
-            eps = math.fsum(c.spent()[0] for c in self._children)
-            dlt = math.fsum(c.spent()[1] for c in self._children)
-            return eps, dlt
+            eps, dlt = zip(*(c.spent() for c in self._children))
+            return math.fsum(eps), math.fsum(dlt)
         return 0.0, 0.0
 
     def __repr__(self):  # pragma: no cover

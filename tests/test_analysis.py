@@ -22,6 +22,7 @@ from privexp.errors import (
     RegimeViolation,
     SearchExhausted,
 )
+from privexp.harness import ExperimentSpec, Learner, run_experiment
 from privexp.pareto import DEFAULT_TAIL_QUANTILE, _pivot_grid, learn_pareto
 from privexp.privacy import PrivacyBudget, RngStream
 
@@ -33,6 +34,8 @@ class TestBuildPacking:
     def test_two_point_family(self):
         fam = build_packing(RateBounds(1.0, 1.8), 0.1)
         assert fam.rates == (1.0, 1.8)
+        # a bounds tuple is read as lower_bound_n reads it
+        assert build_packing((1.0, 1.8), 0.1) == fam
 
     def test_ratio_ten_family(self):
         fam = build_packing(RateBounds(1.0, 10.0), 0.1)
@@ -380,3 +383,30 @@ class TestLowerUpperConsistency:
                     upper = required_n(SampleBound.QUANTILE_LEARNING, alpha=alpha,
                                        beta=0.1, epsilon=eps, bounds=bounds).n_required
                     assert lower <= upper
+
+
+# The calculators whose constants are the source's explicit ones, checked
+# against the harness: at the calculated n (no safety factor), 200 trials
+# of the learner each prices must succeed in at least 1 - beta of them by
+# the one-sided 95% Clopper-Pearson lower bound. The quantile search is
+# quantile_learning's own bound; the bounds finder reads no bounds, so its
+# rates may lie outside them.
+SUFFICIENCY_CELLS = [
+    *[(Learner.QUANTILE, SampleBound.QUANTILE_SEARCH, alpha, rate, n)
+      for alpha, n in ((0.2, 941), (0.1, 2208)) for rate in (0.02, 0.5, 5.0, 60.0)],
+    *[(Learner.BOUNDS_FINDER, SampleBound.BOUNDS_FINDER, 0.2, rate, 14979)
+      for rate in (0.01, 1.0, 300.0)],
+]
+
+
+@pytest.mark.parametrize("learner, bound_id, alpha, rate, n", SUFFICIENCY_CELLS)
+def test_exact_calculator_n_suffices(learner, bound_id, alpha, rate, n):
+    from scipy import stats
+
+    beta, trials = 0.1, 200
+    assert required_n(bound_id, **{**BASE, "alpha": alpha, "delta": 1e-6}).n_required == n
+    spec = ExperimentSpec(learner, alpha, beta, 1.0, delta=1e-6, bounds=RateBounds(*WIDE),
+                          true_lambda=rate, n=n, trials=trials, base_seed=7)
+    successes = round(run_experiment(spec).success_rate * trials)
+    lower = stats.beta.ppf(0.05, successes, trials - successes + 1)
+    assert lower >= 1.0 - beta, (successes, lower)

@@ -226,6 +226,16 @@ class TestLearnWithoutBounds:
         assert (learner.epsilon, learner.delta) == (0.5, 0.0)
         assert budget.spent() == (1.0, 1e-6)
 
+    @pytest.mark.parametrize("alpha, beta", [(1e-13, 0.1), (0.2, 1.5)])
+    @pytest.mark.parametrize("n", [200_000, 3])
+    def test_refused_before_the_bounds_stage_spends(self, alpha, beta, n):
+        # an alpha below the grids' floor, or a beta outside (0, 1), is
+        # refused by name whatever the data, with the budget left fresh
+        budget = PrivacyBudget(1.0, 1e-6)
+        with pytest.raises(OutOfRegime, match="alpha" if beta < 1 else "beta"):
+            learn_without_bounds(stratified(1.0, n), alpha, beta, budget, RngStream(0))
+        assert budget.state == "fresh" and budget.spent() == (0.0, 0.0)
+
     def test_no_bin_survived(self):
         with pytest.raises(NoBinSurvived):
             learn_without_bounds(Dataset([1.0] * 5), 0.2, 0.1,

@@ -259,16 +259,24 @@ class TestInputErrors:
         ([*MLE_EXPERIMENT, "--safety-factor", "nan"], "safety_factor"),
         (["estimate", "--in", "near_max.txt", "--learner", "mle", "--epsilon",
           "1", "--clip-r", "1e308"], "clip_r"),
+        (["gen", "--rate", "2", "--n", "100", "--seed", "-1", "--out", "f.txt"],
+         "seed"),
+        (["estimate", "--in", ONES, *MLE_RUN, "--seed", "-1"], "seed"),
+        ([*MLE_EXPERIMENT, "--n", "100", "--seed", "-1"], "seed"),
+        (["sweep", *MLE_RUN, "--true-lambda", "1", "--n-grid", "100",
+          "--seed", "-1"], "seed"),
     ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
             "n-grid", "delta", "clip-r", "experiment-delta",
             "experiment-delta-autosized", "clip-r-delta", "safety-factor",
-            "clipped-sum-overflow"])
+            "clipped-sum-overflow", "gen-seed", "estimate-seed",
+            "experiment-seed", "sweep-seed"])
     def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
         # near_max.txt: two values whose sum clipped at 1e308 is past the
         # largest double
         (tmp_path / "near_max.txt").write_text("1.7e308\n1.7e308\n")
         monkeypatch.chdir(tmp_path)
         assert_one_error_line(capsys, argv, word)
+        assert not (tmp_path / "f.txt").exists()
 
 
     @pytest.mark.parametrize("argv, word", [

@@ -41,6 +41,8 @@ class TestExpModel:
             ExpModel(1.0).quantile(1.0)
         with pytest.raises(OutOfRegime):
             ExpModel(1.0).quantile(-0.1)
+        with pytest.raises(OutOfRegime):
+            ExpModel(1.0).quantile([0.5, math.nan])
 
     def test_vector_output(self):
         m = ExpModel(1.0)
@@ -81,7 +83,7 @@ class TestParetoModel:
                                 rel_tol=1e-12, abs_tol=1e-12)
 
     def test_quantile_level_validation(self):
-        for p in (1.0, -0.1):
+        for p in (1.0, -0.1, math.nan):
             with pytest.raises(OutOfRegime):
                 ParetoModel(1.0, 2.0).quantile(p)
 

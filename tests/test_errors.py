@@ -3,6 +3,7 @@ errors.check_in, which accepts an int or a float (never a bool) inside the
 parameter's interval and raises the site's named PrivexpError otherwise."""
 
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -21,7 +22,7 @@ from privexp.distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossin
 from privexp.errors import (BadSplit, IncompleteInputs, InputError, InvalidRate,
                             InvalidRatio, InvalidScale, InvalidShape, OutOfRegime,
                             PrivexpError, RegimeViolation, check_in)
-from privexp.harness import ExperimentSpec, Learner, run_experiment
+from privexp.harness import ExperimentSpec, Learner, run_experiment, write_sample
 from privexp.learners import (_ALPHA_MIN, LearnerConfig, _search_grid, best_of_both,
                               mle_learning, private_mle, quantile_learning)
 from privexp.pareto import _pivot_grid, learn_pareto, learn_pareto_known_scale, log_transform
@@ -139,6 +140,42 @@ def test_refused_with_the_sites_named_error(site):
             entry(bad)
         assert type(exc_info.value) is expected, bad
         assert word in str(exc_info.value), bad
+
+
+def known_scale_run(x_m):
+    return learn_pareto_known_scale(PARETO_DATA, x_m, LearnerConfig(0.2, 0.1, BOUNDS),
+                                    PrivacyBudget(1.0), RngStream(0, noiseless=True))
+
+
+# Outside input refused by name where it enters, before numpy or a later
+# stage sees it: id -> (call, error class, word the message names).
+# Integers (sizes, seeds, stream ids) are ints, not bools, in a closed
+# range; a float is refused, not truncated.
+REFUSALS = {
+    "Dataset-string": (lambda: Dataset(["a"]), InputError, "real numbers"),
+    "Dataset-ragged": (lambda: Dataset([[1.0], [2.0, 3.0]]), InputError, "real numbers"),
+    **{f"known-scale-{x_m!r}": (lambda x_m=x_m: known_scale_run(x_m), InvalidScale, "x_m")
+       for x_m in ("1", -1.0, 0.0, math.nan, True, math.inf)},
+    "build_packing-tuple": (lambda: build_packing((1.0, 0.1), 0.2), InvalidRatio, "lower"),
+    "RngStream-seed": (lambda: RngStream(-1), OutOfRegime, "seed"),
+    "RngStream-seed-float": (lambda: RngStream(2.5), OutOfRegime, "seed"),
+    "RngStream-stream_id": (lambda: RngStream(0, -1), OutOfRegime, "stream_id"),
+    "experiment-base_seed": (lambda: run_experiment(replace(SPEC, n=10, base_seed=-1)),
+                             OutOfRegime, "seed"),
+    **{f"sample-n-{n!r}": (lambda n=n: sample(ExpModel(1.0), n, RngStream(0)),
+                           OutOfRegime, "n must")
+       for n in (2.5, "3", 10**30, -1, True)},
+    "write_sample-n": (lambda: write_sample(os.devnull, ExpModel(1.0), 2.5, 0),
+                       OutOfRegime, "n must"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_outside_input_refused_by_name(case):
+    call, error, word = REFUSALS[case]
+    with pytest.raises(error, match=word) as exc_info:
+        call()
+    assert type(exc_info.value) is error
 
 
 @pytest.mark.parametrize("site", SITES)
