@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dataset import RateBounds
+from .dataset import RateBounds, check_bounds
 from .errors import IncompleteInputs, OutOfRegime, RegimeViolation, check_in
 from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF, MLE_RANGE_THETA,
                        MLE_SPLIT, PARETO_SPLIT, WITHOUT_BOUNDS_DELTA_SPLIT,
@@ -74,7 +74,7 @@ def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
     _PACKING_MAX_RATES = 2^20 rates (about 32 MB)."""
     a = check_in("alpha", alpha, 0.0, 0.5)
     _check_alpha(a, "the packing")
-    bounds = _as_bounds(bounds)
+    bounds = check_bounds(bounds)
     r = 1.0 + PACKING_RATIO_FACTOR * a
     count = math.floor(math.log(bounds.ratio) / math.log(r))
     if count >= _PACKING_MAX_RATES:
@@ -82,10 +82,6 @@ def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
                           f"more than {_PACKING_MAX_RATES}")
     rates = tuple(bounds.lower * r ** i for i in range(count + 1))
     return PackingFamily(rates, alpha, bounds)
-
-
-def _as_bounds(bounds) -> RateBounds:
-    return bounds if isinstance(bounds, RateBounds) else RateBounds(*bounds)
 
 
 def _sample_size(value: float, bound: str) -> int:
@@ -103,7 +99,7 @@ def lower_bound_n(alpha: float, beta: float, epsilon: float, bounds) -> int:
     check_in("alpha", alpha, 0.0, 0.5)
     check_in("beta", beta, 0.0, 0.5)
     check_in("epsilon", epsilon, 0.0, math.inf)
-    bounds = _as_bounds(bounds)
+    bounds = check_bounds(bounds)
     inner = (math.log(bounds.ratio) / (16.0 * alpha)) / beta
     return _sample_size(math.log(inner) / (6.0 * epsilon * alpha),
                         SampleBound.PACKING_LOWER_BOUND.value)
@@ -132,21 +128,25 @@ def _clipped_mle_value(epsilon, beta, alpha, lam, clip_r) -> float:
 _FIXED_POINT_ITERATIONS = 200
 
 
+def _shares(split, epsilon, beta):
+    # each stage's (epsilon, beta) under a split of learners.py: one share of both
+    return [(share * epsilon, share * beta) for share in split]
+
+
 def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
     """Fixed point in n: the clipping level grows like ln(n), and n must
-    cover both pipeline stages (each at its share of epsilon, and beta/2)
+    cover both pipeline stages (each at its share of epsilon and of beta)
     plus the composed pipeline terms."""
-    range_eps, mle_eps = (share * epsilon for share in MLE_SPLIT)
-    stage_beta = beta / 2.0
-    svt_need = _svt_quantile_value(range_eps, stage_beta, bounds)
+    (range_eps, range_beta), (mle_eps, mle_beta) = _shares(MLE_SPLIT, epsilon, beta)
+    svt_need = _svt_quantile_value(range_eps, range_beta, bounds)
     # The range stage's target, the (1 - theta)-quantile of Exp(lam).
     quantile = QuantileResult(math.log(1.0 / MLE_RANGE_THETA) / lam, 0)
     n = 16.0
     for _ in range(_FIXED_POINT_ITERATIONS):
         log_n = math.log(n)
-        clip_r = clipping_range(quantile, n, MLE_RANGE_THETA, stage_beta)
+        clip_r = clipping_range(quantile, n, MLE_RANGE_THETA, mle_beta)
         try:
-            mle_need = _clipped_mle_value(mle_eps, stage_beta, alpha, lam, clip_r)
+            mle_need = _clipped_mle_value(mle_eps, mle_beta, alpha, lam, clip_r)
         except RegimeViolation:
             n *= 2.0  # clipping level still too low at this n; grow and retry
             continue
@@ -176,7 +176,7 @@ def quantile_order_terms(epsilon, beta, alpha, bounds) -> tuple[float, float]:
     """(privacy term, statistical term) of the order-form quantile-route
     bound, with unit constants. The privacy term is the one the packing
     lower bound matches up to log factors."""
-    bounds = _as_bounds(bounds)
+    bounds = check_bounds(bounds)
     level = math.log(bounds.ratio) / alpha
     log_term = math.log(level / beta)
     return (math.log(level) * log_term / (epsilon * alpha),
@@ -193,9 +193,8 @@ QUANTILE_BRANCH_MAX_RATE = MLE_BRANCH_CUTOFF / (1.0 - COARSE_ALPHA)
 
 def _best_of_both_value(epsilon, beta, alpha, lam, bounds) -> float:
     coarse_grid, quantile_grid = _best_of_both_grids(alpha, bounds)
-    coarse_share, main_share = BEST_OF_BOTH_SPLIT
-    need = _band_search_value(coarse_share * epsilon, coarse_share * beta, coarse_grid)
-    main_eps, main_beta = main_share * epsilon, main_share * beta
+    (coarse_eps, coarse_beta), (main_eps, main_beta) = _shares(BEST_OF_BOTH_SPLIT, epsilon, beta)
+    need = _band_search_value(coarse_eps, coarse_beta, coarse_grid)
     if lam >= MLE_BRANCH_MIN_RATE:
         need = max(need, _mle_learning_value(main_eps, main_beta, alpha, lam, bounds))
     if lam < QUANTILE_BRANCH_MAX_RATE:
@@ -212,17 +211,17 @@ def _learn_without_bounds_value(epsilon, delta, beta, alpha, lam) -> float:
     # The discovered interval has ratio 4 and contains lam whp; (lam/2, 2*lam)
     # is the representative interval for sizing the second stage.
     found = RateBounds(lam / 2.0, 2.0 * lam)
-    find_eps, learn_eps = (share * epsilon for share in WITHOUT_BOUNDS_SPLIT)
+    (find_eps, find_beta), (learn_eps, learn_beta) = _shares(WITHOUT_BOUNDS_SPLIT, epsilon, beta)
     find_delta = WITHOUT_BOUNDS_DELTA_SPLIT[0] * delta
-    return max(_bounds_finder_value(find_eps, find_delta, beta / 2.0),
-               _best_of_both_value(learn_eps, beta / 2.0, alpha, lam, found))
+    return max(_bounds_finder_value(find_eps, find_delta, find_beta),
+               _best_of_both_value(learn_eps, learn_beta, alpha, lam, found))
 
 
 def _pareto_value(epsilon, beta, alpha, lam, bounds, tau) -> float:
     # The shape stage runs on ~(1-tau)*n exceedances.
-    pivot_eps, shape_eps = (share * epsilon for share in PARETO_SPLIT)
-    pivot = _band_search_value(pivot_eps, beta / 2.0, _pivot_grid(alpha, bounds, tau))
-    tail = _best_of_both_value(shape_eps, beta / 2.0, alpha, lam, bounds)
+    (pivot_eps, pivot_beta), (shape_eps, shape_beta) = _shares(PARETO_SPLIT, epsilon, beta)
+    pivot = _band_search_value(pivot_eps, pivot_beta, _pivot_grid(alpha, bounds, tau))
+    tail = _best_of_both_value(shape_eps, shape_beta, alpha, lam, bounds)
     return max(pivot, tail / (1.0 - tau))
 
 
@@ -267,7 +266,7 @@ def required_n(bound_id: SampleBound, *, alpha=None, beta=None, epsilon=None,
     """
     value_of, names, exact = _CALCULATORS[bound_id]
     if bounds is not None:
-        bounds = _as_bounds(bounds)
+        bounds = check_bounds(bounds)
     given = {"alpha": alpha, "beta": beta, "epsilon": epsilon, "delta": delta,
              "lam": lam, "bounds": bounds, "clip_r": clip_r, "tau": tau}
     missing = [k for k in names if given[k] is None]

@@ -121,8 +121,8 @@ def find_bounds(data: Dataset, budget: PrivacyBudget, rng: RngStream):
 def learn_without_bounds(data: Dataset, alpha: float, beta: float,
                          budget: PrivacyBudget, rng: RngStream) -> Estimate:
     """End-to-end learner with no prior bounds: find bounds at (eps/2, delta),
-    then run the adaptive learner at (eps/2, 0) inside them. The inputs the
-    second stage reads are checked before the first spends."""
+    then run the adaptive learner at (eps/2, 0) and beta/2 inside them. The
+    inputs the second stage reads are checked before the first spends."""
     check_in("learning without bounds delta", budget.delta, 0.0, 1.0)
     _check_alpha(check_in("alpha", alpha, 0.0, 1.0), "the quantile search")
     check_in("beta", beta, 0.0, 1.0)
@@ -132,6 +132,6 @@ def learn_without_bounds(data: Dataset, alpha: float, beta: float,
     if rate_bounds is None:
         raise NoBinSurvived("no histogram bin cleared the release threshold; "
                             "n too small for this (epsilon, delta)")
-    config = LearnerConfig(alpha, beta, rate_bounds)
+    config = LearnerConfig(alpha, WITHOUT_BOUNDS_SPLIT[1] * beta, rate_bounds)
     inner = best_of_both(data, config, learn_budget, rng)
     return Estimate(inner.lambda_hat, inner.route, inner.coarse_estimate, budget)

@@ -15,7 +15,7 @@ import sys
 from .analysis import SampleBound, build_packing, lower_bound_n, required_n
 from .dataset import RateBounds
 from .distributions import ExpModel, ParetoModel
-from .errors import IncompleteInputs, InputError, PrivexpError
+from .errors import IncompleteInputs, InputError, PrivexpError, check_in
 from .harness import (_LEARNERS, ExperimentSpec, Learner, estimate_from_file,
                       run_experiment, run_sweep, sweep_csv, write_sample)
 from .pareto import DEFAULT_TAIL_QUANTILE
@@ -114,9 +114,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calc(args) -> int:
+    delta = check_in("delta", args.delta, 0.0, 1.0, ends="[)")  # 0: pure DP
     report = required_n(SampleBound(args.bound), alpha=args.alpha,
                         beta=args.beta, epsilon=args.epsilon,
-                        delta=args.delta if args.delta > 0 else None,
+                        delta=delta if delta > 0 else None,
                         lam=args.rate, bounds=_bounds_from(args),
                         clip_r=args.clip_r, tau=args.tau)
     inputs = dict(report.inputs)

@@ -100,3 +100,14 @@ class RateBounds:
 
     def contains(self, value: float) -> bool:
         return self.lower < value < self.upper
+
+
+def check_bounds(bounds, pairs: bool = True) -> RateBounds:
+    """bounds itself if a RateBounds; else, where pairs, the RateBounds of a
+    (lower, upper) tuple or list. InputError for anything else, None too."""
+    if isinstance(bounds, RateBounds):
+        return bounds
+    if pairs and isinstance(bounds, (tuple, list)) and len(bounds) == 2:
+        return RateBounds(*bounds)
+    kinds = "a RateBounds or a (lower, upper) pair" if pairs else "a RateBounds"
+    raise InputError(f"bounds must be {kinds}, got {bounds!r}")

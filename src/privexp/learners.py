@@ -17,17 +17,16 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, RateBounds
+from .dataset import Dataset, RateBounds, check_bounds
 from .errors import (
     CoarseFailed,
     IncompleteInputs,
-    InputError,
     NonpositiveMean,
     OutOfRegime,
     RangeEstimationFailed,
@@ -46,15 +45,35 @@ _QUANTILE_LEVEL = 1.0 - 1.0 / math.e
 # Quantile level used by the MLE pipeline's range-estimation stage.
 MLE_RANGE_THETA = 0.1
 
-# The composed learners' budget shares by stage, split by the learners and
-# priced by the calculators: mle_learning (range scan, noisy mean),
-# best_of_both (coarse, main), learn_pareto (pivot, shape) and
+# The composed learners' shares by stage of epsilon and of beta, split by the
+# learners and priced by the calculators: mle_learning (range scan, noisy
+# mean), best_of_both (coarse, main), learn_pareto (pivot, shape) and
 # learn_without_bounds (bounds, adaptive), whose delta all goes to bounds.
 MLE_SPLIT = (0.5, 0.5)
 BEST_OF_BOTH_SPLIT = (1.0 / 3.0, 2.0 / 3.0)
 PARETO_SPLIT = (0.5, 0.5)
 WITHOUT_BOUNDS_SPLIT = (0.5, 0.5)
 WITHOUT_BOUNDS_DELTA_SPLIT = (1.0, 0.0)
+"""Each stage of a composed learner runs at the same share of beta as of
+epsilon, and fails with at most that probability; the shares sum to 1, so
+a union bound over the stages that run gives the pipeline 1 - beta. The
+calculators price each stage at the same shares, so they spend beta too:
+
+- mle_learning: the range scan misses the (1 - theta)-quantile w.p. at
+  most beta/2, and given the scan's quantile the noisy clipped mean misses
+  its band w.p. at most beta/2 (Laplace tail and sampling deviation).
+- best_of_both: the coarse stage beta/3, then the one route it picks 2beta/3.
+- learn_pareto: the pivot search beta/2, the shape stage (best_of_both)
+  beta/2. learn_without_bounds: the bounds beta/2, best_of_both beta/2.
+
+The clip takes the noisy mean's share, beta' = MLE_SPLIT[1] beta.
+clipping_range's coverage event (all n values below R, probability
+1 - 2 beta') is not a term of the bound: the mean's bound
+(analysis._clipped_mle_value) charges the clipping bias
+1/lam - E[min(X, R)] = e^(-lam R)/lam against alpha/2 instead of asking
+that no value be clipped, so beta' only sizes R.
+"""
+
 # best_of_both's coarse accuracy: a factor-3/2 estimate separates the branches.
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
@@ -95,8 +114,8 @@ class LearnerConfig:
         check_in("beta", self.beta, 0.0, 1.0)
         # None is accepted here and refused by the learners, which read the
         # bounds: a config may be built for a run that never does.
-        if not isinstance(self.bounds, (RateBounds, type(None))):
-            raise InputError(f"bounds must be a RateBounds, got {self.bounds!r}")
+        if self.bounds is not None:
+            check_bounds(self.bounds, pairs=False)
 
 
 @dataclass(frozen=True)
@@ -182,7 +201,7 @@ def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     qres = svt_quantile(data, config.bounds, MLE_RANGE_THETA, range_budget, rng)
     if qres is None:
         raise RangeEstimationFailed("quantile scan exhausted its grid")
-    clip_r = clipping_range(qres, data.n, MLE_RANGE_THETA, config.beta)
+    clip_r = clipping_range(qres, data.n, MLE_RANGE_THETA, MLE_SPLIT[1] * config.beta)
     lam = private_mle(data, clip_r, mle_budget, rng)
     return Estimate(lam, Route.MLE, None, budget)
 
@@ -268,7 +287,8 @@ def _band_search(data: Dataset, grid: SearchGrid, budget: PrivacyBudget,
 
 def best_of_both(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
-    """Coarse estimate at eps/3 picks the route; the winner runs at 2*eps/3."""
+    """Coarse estimate at (eps/3, beta/3) picks the route; the winner runs
+    at (2 eps/3, 2 beta/3)."""
     coarse_grid, _ = _best_of_both_grids(config.alpha, config.bounds)
     coarse_budget, main_budget = budget.split(BEST_OF_BOTH_SPLIT)
     try:
@@ -276,7 +296,8 @@ def best_of_both(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     except SearchExhausted as exc:
         raise CoarseFailed("coarse rate estimate did not converge") from exc
     if lambda_0 >= MLE_BRANCH_CUTOFF:
-        inner = mle_learning(data, config, main_budget, rng)
+        main_config = replace(config, beta=BEST_OF_BOTH_SPLIT[1] * config.beta)
+        inner = mle_learning(data, main_config, main_budget, rng)
     else:
         inner = quantile_learning(data, config, main_budget, rng)
     return Estimate(inner.lambda_hat, inner.route, lambda_0, budget)

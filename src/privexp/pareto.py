@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,6 +149,7 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                                     "its band; x_m outside the pivot window "
                                     "or n too small") from None
     tail = log_transform(data, pivot)
-    est = best_of_both(tail, config, shape_budget, rng)
+    shape_config = replace(config, beta=PARETO_SPLIT[1] * config.beta)
+    est = best_of_both(tail, shape_config, shape_budget, rng)
     scale_hat = recover_scale(pivot, tau, est.lambda_hat)
     return ParetoEstimate(est.lambda_hat, scale_hat, tau, est.route, budget)

@@ -72,7 +72,7 @@ def oracle_mle_learning(values, lower, upper, beta):
         raise RangeEstimationFailed("grid exhausted")
     if len(values) < 2:
         raise TooFewSamples("clipping range needs n >= 2")
-    clip_r = oracle_clipping_range(found[0], len(values), 0.1, beta)
+    clip_r = oracle_clipping_range(found[0], len(values), 0.1, 0.5 * beta)
     return oracle_private_mle(values, clip_r), "mle"
 
 
@@ -100,7 +100,7 @@ def oracle_quantile_learning(values, lower, upper, alpha):
 def oracle_best_of_both(values, lower, upper, alpha, beta):
     coarse, _ = oracle_quantile_learning(values, lower, upper, 0.5)
     if coarse >= 2.0:
-        return oracle_mle_learning(values, lower, upper, beta)
+        return oracle_mle_learning(values, lower, upper, (2.0 / 3.0) * beta)
     return oracle_quantile_learning(values, lower, upper, alpha)
 
 
@@ -139,7 +139,7 @@ def oracle_learn_without_bounds(values, alpha, beta, epsilon, delta):
     found = oracle_find_bounds(values, epsilon / 2.0, delta)
     if found is None:
         raise NoBinSurvived("no survivor")
-    return oracle_best_of_both(values, found[0], found[1], alpha, beta)
+    return oracle_best_of_both(values, found[0], found[1], alpha, 0.5 * beta)
 
 
 def oracle_log_transform(values, pivot):
@@ -186,7 +186,7 @@ def oracle_learn_pareto(values, lower, upper, alpha, beta, tau):
     if pivot is None:
         raise RangeEstimationFailed("no position in the band")
     tail = oracle_log_transform(values, pivot)
-    shape, route = oracle_best_of_both(tail, lower, upper, alpha, beta)
+    shape, route = oracle_best_of_both(tail, lower, upper, alpha, 0.5 * beta)
     scale = pivot * (1.0 - tau) ** (1.0 / shape)
     return shape, scale, route
 

@@ -12,19 +12,23 @@ from privexp.analysis import (
     quantile_order_terms,
     required_n,
 )
+from privexp.bounds import learn_without_bounds
 from privexp.dataset import Dataset, RateBounds
-from privexp.distributions import exp_tv, separation_T
+from privexp.distributions import ExpModel, ParetoModel, exp_tv, sample, separation_T
 from privexp.errors import (
     IncompleteInputs,
     InvalidRatio,
     OutOfRegime,
+    PrivexpError,
     RangeEstimationFailed,
     RegimeViolation,
     SearchExhausted,
 )
 from privexp.harness import ExperimentSpec, Learner, run_experiment
-from privexp.pareto import DEFAULT_TAIL_QUANTILE, _pivot_grid, learn_pareto
+from privexp.pareto import (DEFAULT_TAIL_QUANTILE, _pivot_grid, learn_pareto,
+                            learn_pareto_known_scale)
 from privexp.privacy import PrivacyBudget, RngStream
+from privexp.quantile import clipping_range
 
 WIDE = (0.01, 100.0)
 BASE = dict(alpha=0.2, beta=0.1, epsilon=1.0, bounds=WIDE)
@@ -410,3 +414,82 @@ def test_exact_calculator_n_suffices(learner, bound_id, alpha, rate, n):
     successes = round(run_experiment(spec).success_rate * trials)
     lower = stats.beta.ppf(0.05, successes, trials - successes + 1)
     assert lower >= 1.0 - beta, (successes, lower)
+
+
+# Each learner that clips, on data of a rate its MLE route serves, and the
+# calculator that prices it: (run, bound, rate, extra calculator inputs).
+# The run takes (data, config, budget, rng); the Pareto ones see Pareto data.
+CLIPPING_RUNS = {
+    "mle": (learners.mle_learning, SampleBound.MLE_LEARNING, 5.0, {}),
+    "best-of-both": (learners.best_of_both, SampleBound.BEST_OF_BOTH, 5.0, {}),
+    "pareto-known-scale": (lambda d, c, b, r: learn_pareto_known_scale(d, 1.0, c, b, r),
+                           SampleBound.MLE_LEARNING, 2.0, {}),
+    # at shape 2 the coarse stage picks the quantile route
+    "pareto": (learn_pareto, SampleBound.PARETO_LEARNING, 5.0, {}),
+    "learn_without_bounds": (
+        lambda d, c, b, r: learn_without_bounds(d, c.alpha, c.beta, b, r),
+        SampleBound.LEARN_WITHOUT_BOUNDS, 5.0, {"delta": 1e-6}),
+}
+
+
+@pytest.mark.parametrize("case", CLIPPING_RUNS)
+def test_clip_reads_the_priced_beta(case, monkeypatch):
+    # the beta the learner clips at is the one its calculator prices the
+    # clip at: both take it from the shares in learners.py
+    run, bound_id, rate, extra = CLIPPING_RUNS[case]
+    seen = {learners: [], analysis: []}
+    for module, betas in seen.items():
+        def recorded(q, n, theta, beta, betas=betas):
+            betas.append(beta)
+            return clipping_range(q, n, theta, beta)
+        monkeypatch.setattr(module, "clipping_range", recorded)
+    model = ParetoModel(1.0, rate) if case.startswith("pareto") else ExpModel(rate)
+    config = learners.LearnerConfig(0.2, 0.1, RateBounds(*WIDE))
+    estimate = run(sample(model, 20_000, RngStream(7)), config,
+                   PrivacyBudget(1.0, extra.get("delta", 0.0)), RngStream(8))
+    assert estimate.route is learners.Route.MLE
+    required_n(bound_id, lam=rate, **{**BASE, **extra})
+    assert len(seen[learners]) == 1 and set(seen[analysis]) == set(seen[learners])
+
+
+# The order-form calculators against the harness: at the calculated n (no
+# safety factor), each learner must succeed in at least 1 - beta of its
+# trials by the one-sided 95% Clopper-Pearson lower bound, at rates across
+# its bounds and, for best_of_both, on both sides of its branch cutoff.
+ORDER_FORM_CELLS = [
+    *[(Learner.MLE, SampleBound.MLE_LEARNING, rate) for rate in (2.0, 8.0, 30.0)],
+    *[(Learner.BEST_OF_BOTH, SampleBound.BEST_OF_BOTH, rate)
+      for rate in (0.02, 0.5, 1.0, 2.0, 5.0, 60.0)],
+    *[(None, SampleBound.LEARN_WITHOUT_BOUNDS, rate) for rate in (1e-3, 1.0, 1e3)],
+]
+
+
+@pytest.mark.parametrize("learner, bound_id, rate", ORDER_FORM_CELLS)
+def test_order_form_n_suffices(learner, bound_id, rate):
+    from scipy import stats
+
+    alpha, beta = 0.2, 0.1
+    inputs = {**BASE, "lam": rate}
+    if learner is None:  # learn_without_bounds finds its own bounds
+        del inputs["bounds"]
+        inputs["delta"] = 1e-6
+    n = required_n(bound_id, **inputs).n_required
+    assert lower_bound_n(alpha, beta, 1.0, WIDE) < n
+    if learner is None:
+        trials, successes = 100, 0
+        for i in range(trials):
+            rng = RngStream(7, i)
+            data = sample(ExpModel(rate), n, rng)
+            try:
+                estimate = learn_without_bounds(data, alpha, beta,
+                                                PrivacyBudget(1.0, 1e-6), rng)
+            except PrivexpError:
+                continue
+            successes += abs(estimate.lambda_hat / rate - 1.0) <= alpha
+    else:
+        trials = 200
+        spec = ExperimentSpec(learner, alpha, beta, 1.0, bounds=RateBounds(*WIDE),
+                              true_lambda=rate, n=n, trials=trials, base_seed=7)
+        successes = round(run_experiment(spec).success_rate * trials)
+    lower = stats.beta.ppf(0.05, successes, trials - successes + 1)
+    assert lower >= 1.0 - beta, (n, successes, lower)

@@ -209,6 +209,7 @@ BOUNDS_ARGS = ["--lambda-min", "0.1", "--lambda-max", "10"]
 MLE_RUN = ["--learner", "mle", "--alpha", "0.2", "--beta", "0.1",
            "--epsilon", "1", *BOUNDS_ARGS]
 MLE_EXPERIMENT = ["experiment", *MLE_RUN, "--true-lambda", "1", "--trials", "2"]
+CALC_BOUNDS_FINDER = ["calc", "--bound", "bounds-finder", "--beta", "0.1", "--epsilon", "1"]
 
 
 def assert_one_error_line(capsys, argv, word):
@@ -265,11 +266,17 @@ class TestInputErrors:
         ([*MLE_EXPERIMENT, "--n", "100", "--seed", "-1"], "seed"),
         (["sweep", *MLE_RUN, "--true-lambda", "1", "--n-grid", "100",
           "--seed", "-1"], "seed"),
+        # delta lies in [0, 1), 0 meaning pure DP, whether the bound reads it or not
+        *(([*CALC_BOUNDS_FINDER, "--delta", delta], "delta must lie in [0")
+          for delta in ("-1", "nan", "1.5")),
+        (["calc", "--bound", "svt-quantile", "--beta", "0.1", "--epsilon", "1",
+          *BOUNDS_ARGS, "--delta", "1.5"], "delta must lie in [0"),
     ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
             "n-grid", "delta", "clip-r", "experiment-delta",
             "experiment-delta-autosized", "clip-r-delta", "safety-factor",
             "clipped-sum-overflow", "gen-seed", "estimate-seed",
-            "experiment-seed", "sweep-seed"])
+            "experiment-seed", "sweep-seed", "calc-delta-negative",
+            "calc-delta-nan", "calc-delta-above-one", "calc-delta-unread"])
     def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
         # near_max.txt: two values whose sum clipped at 1e308 is past the
         # largest double

@@ -167,6 +167,18 @@ REFUSALS = {
        for n in (2.5, "3", 10**30, -1, True)},
     "write_sample-n": (lambda: write_sample(os.devnull, ExpModel(1.0), 2.5, 0),
                        OutOfRegime, "n must"),
+    # bounds are a RateBounds or a (lower, upper) pair
+    **{f"build_packing-bounds-{bounds!r}": (lambda b=bounds: build_packing(b, 0.2),
+                                            InputError, "bounds must")
+       for bounds in (None, 5.0, (1, 2, 3))},
+    **{f"lower_bound_n-bounds-{bounds!r}": (lambda b=bounds: lower_bound_n(0.2, 0.1, 1.0, b),
+                                            InputError, "bounds must")
+       for bounds in (None, 5.0, (1, 2, 3))},
+    **{f"required_n-bounds-{bounds!r}": (
+        lambda b=bounds: required_n(SampleBound.QUANTILE_SEARCH, alpha=0.2, beta=0.1,
+                                    epsilon=1.0, bounds=b),
+        InputError, "bounds must")
+       for bounds in (5.0, (1, 2, 3))},
 }
 
 
