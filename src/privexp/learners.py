@@ -81,19 +81,19 @@ MLE_BRANCH_CUTOFF = 2.0
 # The smallest alpha any grid is built for; _check_alpha derives it.
 _ALPHA_MIN = 2.0 ** -40
 
-# Values per block of _exact_sum, which works in three buffers of one block.
-# Per exponent, a block's 27 high and 26 low significand bits sum exactly
-# in float64 (below 2^53 units) while it holds at most 2^26 values. Fewer,
-# longer numpy calls pay: on one thread, 36,944 values took 0.31 ms a sum
-# in 2^14-value blocks against 0.22 ms in these (medians, 2-core Xeon VM).
-# Each call also hands the GIL over; with two threads each summing its own
-# 131,072 values, a size the harness runs threaded, 2^14-value blocks took
-# 2.70 ms a sum against 1.86 ms for these. The buffers are kept per thread
-# across calls, so a sum allocates nothing of its size: freeing and
-# re-allocating them cost 88 page faults per 20,424-value MLE release. They
-# grow to at most one block each, 1.5 MB a thread.
+# Values per block of _exact_sum, which works in two buffers of one block.
+# Fewer, longer numpy calls pay: clipped sums of 36,944 and 112,324 values
+# took 0.17 and 0.52 ms in 2^14-value blocks, 0.14 and 0.36 ms in 2^15 and
+# in these (medians, 2-core Xeon VM). Each call also hands the GIL over;
+# with two threads each summing its own 131,072 values, a size the harness
+# runs threaded, 2^14 and 2^15-value blocks took 1.73 and 0.95 ms a sum
+# against 0.56 ms for these. The buffers are kept per thread across calls,
+# so a sum allocates nothing of its size: freeing and re-allocating them
+# cost 88 page faults per 20,424-value MLE release. They grow to at most
+# one block each, 1 MB a thread.
 _SUM_BLOCK = 1 << 16
 _sum_buffers = threading.local()
+_UNIT = 1 << 1074  # 1.0 in _exact_sum's units
 
 
 class Route(str, Enum):
@@ -160,38 +160,91 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
     """The sum of min(x, cap) over nonnegative finite float64 values,
     correctly rounded (half to even) exactly like math.fsum.
 
-    Works one block of _SUM_BLOCK values at a time in three buffers of one
-    block each, kept per thread across calls, so the peak memory is bounded
-    (1.5 MB) whatever n.
-    Each value is clipped at cap, bucketed by its biased exponent and split
-    exactly into its 27 high significand bits and the 26-bit remainder; per
-    bucket each part sums exactly in float64 over the block. These partials
-    add up exactly to the sum of min(x, cap), and math.fsum rounds them once.
-    Raises OverflowError when the sum rounds past the largest double.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", SIAM J. Sci. Comput. 2008), one
+    block of k <= _SUM_BLOCK values at a time, in two buffers of one block
+    kept per thread across calls, so the peak memory is bounded (1 MB)
+    whatever n.
+    - sigma: every |x| in the block is below 2^e (e from frexp of the
+      largest) and k < 2^m (m = k.bit_length()); sigma = 2^s, s = e + m.
+    - q = (x + sigma) - sigma is x rounded to a multiple of ulp(sigma)/2,
+      with |q| <= 2^e. The k values q sum to less than sigma in size, on that
+      grid, so their float sum is exact in any order. The remainder x - q is
+      exact too, and at most 2^(s-53) in size.
+    - So the float sum of the k remainders is off by at most
+      (k-1) 2^-53 / (1 - (k-1) 2^-53) * k 2^(s-53) < k^2 2^(s-105).
+    - The check: the exact q-sums plus the remainder sums, once less and once
+      more the summed bounds, are rounded. When both round to one double, so
+      does the exact sum, which lies between them: that double is the answer.
+    - Otherwise the next level extracts the same way from the remainders,
+      with sigma from their largest size. They are not kept, so each level
+      recomputes the earlier ones from the values. A level lowers a block's
+      top exponent by at least 52 - m, and a block whose remainders are all 0
+      adds nothing and no bound, so the loop ends, at the latest when every
+      remainder is 0; on samples one level is the rule.
+    The parts are added as integers counting 2^-1074, which every double is
+    a whole number of, and rounded by int true division. That raises
+    OverflowError past the largest double; unlike math.fsum over the parts,
+    it never overflows part way.
     """
     size = min(values.size, _SUM_BLOCK)
     buffers = getattr(_sum_buffers, "blocks", None)
     if buffers is None or buffers[0].size < size:
-        buffers = _sum_buffers.blocks = (np.empty(size), np.empty(size, dtype=np.int64),
-                                         np.empty(size, dtype=np.int64))
-    clipped, exponent, bits = buffers
-    partials = []
-    for start in range(0, values.size, _SUM_BLOCK):
-        block = values[start:start + _SUM_BLOCK]
-        x = np.minimum(block, cap, out=clipped[:block.size])
-        # Shifted as unsigned, -0.0 (the only value with the sign bit set)
-        # lands in bucket 2048, where it adds nothing.
-        field = exponent[:block.size]
-        np.right_shift(x.view(np.uint64), 52, out=field.view(np.uint64))
-        high_bits = np.bitwise_and(x.view(np.int64), -1 << 26, out=bits[:block.size])
-        high_part = high_bits.view(np.float64)
-        high = np.bincount(field, weights=high_part)
-        low = np.bincount(field, weights=np.subtract(x, high_part, out=x))
-        partials += high[high > 0].tolist() + low[low > 0].tolist()
-    total = math.fsum(partials)
-    if total == math.inf:  # a bucket's float64 sum overflowed
-        raise OverflowError("clipped sum exceeds the largest double")
-    return total
+        buffers = _sum_buffers.blocks = (np.empty(size), np.empty(size))
+    starts = range(0, values.size, _SUM_BLOCK)
+    levels = [[] for _ in starts]  # per block, the s of each level taken
+    exact = 0  # the q-sums of the levels taken
+    while True:
+        approx = bound = 0  # the last level's remainder sums, and their bound
+        for start, taken in zip(starts, levels):
+            block = values[start:start + _SUM_BLOCK]
+            k = block.size
+            r = np.minimum(block, cap, out=buffers[0][:k])
+            q = buffers[1][:k]
+            for s in taken:
+                _extract(r, s, q)
+            # the clipped values are nonnegative, the remainders of either sign
+            top = max(r.max(), -r.min()) if taken else r.max()
+            if top == 0:
+                continue
+            s = math.frexp(top)[1] + k.bit_length()
+            taken.append(s)
+            exact += _extract(r, s, q)
+            approx += _units(float(r.sum()))
+            bound += _units(math.ldexp(k * k, s - 105))
+        low = (exact + approx - bound) / _UNIT
+        try:
+            high = (exact + approx + bound) / _UNIT
+        except OverflowError:  # the exact sum may still round below it
+            continue
+        if low == high:
+            return low
+
+
+def _extract(r: np.ndarray, s: int, q: np.ndarray) -> int:
+    """One level of _exact_sum: q <- r rounded to the grid of sigma = 2^s,
+    r <- r - q, both exact. Returns the exact sum of q in units of 2^-1074.
+
+    Past 2^1023, sigma is no double: q is then rounded from r 2^-t, t =
+    s - 1023, which is exact but where |r| < 2^(t-1022), too small to reach
+    the grid (q = 0 either way), and r - q 2^t is taken in two steps of
+    q 2^(t-1), each exact, since q 2^t may be 2^1024.
+    """
+    t = max(s - 1023, 0)
+    sigma = math.ldexp(1.0, s - t)
+    x = np.multiply(r, math.ldexp(1.0, -t), out=q) if t else r
+    np.subtract(np.add(x, sigma, out=q), sigma, out=q)
+    q_sum = _units(float(q.sum())) << t
+    if t:
+        np.subtract(r, np.multiply(q, math.ldexp(1.0, t - 1), out=q), out=r)
+    np.subtract(r, q, out=r)
+    return q_sum
+
+
+def _units(x: float) -> int:
+    """x as an exact whole number of 2^-1074."""
+    num, den = x.as_integer_ratio()
+    return (num << 1074) // den
 
 
 def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,

@@ -251,6 +251,74 @@ class TestExactSum:
         assert sums == [math.fsum(np.minimum(a, 2.0 ** 50)) for a in arrays]
         assert sizes == [10, 1 << 16, 1 << 16, 1 << 16]
 
+    @staticmethod
+    def _just_below_one():
+        # doubles summing exactly to 1 - 2^-1074: each the largest double
+        # below the gap the earlier ones leave
+        parts, gap = [], 1.0
+        while gap > 5e-324:
+            below = float(np.nextafter(gap, 0.0))
+            parts.append(below)
+            gap -= below
+        return parts
+
+    def test_rounding_midpoints_across_blocks(self):
+        # 2^16 + 1 values whose exact total is halfway between two doubles
+        # (ulp 2^10 at 2^62), and the same total 2^-1074 above and below it;
+        # the first level's bound cannot settle these, so deeper levels must
+        gen = np.random.default_rng(12)
+        rest = gen.integers(0, 1 << 14, 1 << 16).astype(np.float64)
+        rest[0] = 1.0
+        rest[-1] += (512 - int(rest.sum())) % 1024
+        assert int(rest.sum()) % 1024 == 512
+        midpoint = np.concatenate(([2.0 ** 62], rest))
+        above = np.append(midpoint, 5e-324)
+        below = np.concatenate((midpoint[:1], self._just_below_one(), midpoint[2:]))
+        sums = [learners._exact_sum(values) for values in (midpoint, above, below)]
+        assert sums == [math.fsum(values) for values in (midpoint, above, below)]
+        assert sums[1] > sums[2]
+        # the same, clipped: the cap leaves every value as it is
+        assert learners._exact_sum(above, 2.0 ** 62) == sums[1]
+
+    def test_negative_remainders(self):
+        # 26 rounds up to 32 on the first level's grid, a remainder of -6 that
+        # the next level extracts: the sum is halfway between 2^54 + 24 and
+        # 2^54 + 28, and rounds to even
+        assert learners._exact_sum(np.array([2.0 ** 54, 26.0])) == 2.0 ** 54 + 24
+
+    def test_whole_exponent_range(self):
+        gen = np.random.default_rng(13)
+        values = np.ldexp(gen.random(10 ** 5), gen.integers(-1074, 1000, 10 ** 5))
+        assert learners._exact_sum(values) == math.fsum(values)
+        cap = 2.0 ** -500
+        assert learners._exact_sum(values, cap) == math.fsum(np.minimum(values, cap))
+
+    def test_blocks_topped_near_the_largest_doubles(self):
+        # blocks whose sigma = 2^(e + 17) passes 2^1023, where the extraction
+        # scales: topped near 2^(1023 - 16), and near the largest double
+        gen = np.random.default_rng(14)
+        top = 2.0 ** 1007
+        for edge in (float(np.nextafter(top, 0.0)), top):
+            values = np.concatenate(([edge, 5e-324, 2.0 ** -1060],
+                                     gen.uniform(0.5, 1.0, (1 << 16) + 5) * top))
+            assert learners._exact_sum(values) == math.fsum(values)
+        largest = sys.float_info.max
+        ulp = 2.0 ** 971
+        for values in ([largest, 5e-324], [largest, ulp / 2], [largest, 0.75 * ulp / 2],
+                       [largest / 2, largest / 2], [largest / 2, largest / 2, 5e-324],
+                       [largest / 2, largest / 2, ulp / 2], [largest, ulp / 4, ulp / 4],
+                       [largest] + [5e-324] * 70_000, [largest / 4] * 3 + [ulp] * 65_536):
+            assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
+        with pytest.raises(OverflowError):
+            learners._exact_sum(np.array([largest, ulp / 2]))
+
+    def test_all_negative_zero_block_first(self, monkeypatch):
+        values = np.concatenate((np.full(1 << 16, -0.0), [3.0, 2.0 ** -1074, 0.5]))
+        assert learners._exact_sum(values) == math.fsum(values)
+        monkeypatch.setattr(learners, "_SUM_BLOCK", 4)
+        values = np.array([-0.0] * 8 + [1.0, -0.0, 2.0 ** 53, 1.0])
+        assert learners._exact_sum(values) == math.fsum(values) == 2.0 ** 53 + 2.0
+
 
 class TestMleLearning:
     def test_noiseless_recovers_rate(self):
@@ -290,6 +358,18 @@ class TestMleLearning:
                 assert got.lambda_hat == want[0]
             except (RangeEstimationFailed, NonpositiveMean) as exc:
                 assert type(exc) is want
+
+    @pytest.mark.parametrize("n", [20_424, 65_537, 140_000])
+    def test_matches_oracle_across_blocks(self, n):
+        # sample sizes the harness runs: one sum block, one value past it,
+        # and three blocks
+        values = np.random.default_rng(n).exponential(1.0 / 2.0, n)
+        data, listed = Dataset(values), values.tolist()
+        clip_r = 1.5  # clips about 5% of the values
+        assert (private_mle(data, clip_r, PrivacyBudget(1.0), RngStream(0, noiseless=True))
+                == oracle_private_mle(listed, clip_r))
+        est = mle_learning(data, config(), PrivacyBudget(1.0), RngStream(0, noiseless=True))
+        assert (est.lambda_hat, est.route.value) == oracle_mle_learning(listed, 0.1, 10.0, 0.1)
 
     def test_statistical_success_rate(self):
         hits, trials, n = 0, 60, 20424
