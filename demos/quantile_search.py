@@ -21,26 +21,24 @@ def main() -> None:
     true_q = ExpModel(2.0).quantile(1.0 - THETA)
 
     grid = svt_grid(BOUNDS, THETA)
-    print(f"grid: {len(grid)} points from {grid[0]:.4g} to {grid[-1]:.4g}")
+    print(f"grid: {grid.n_steps + 1} points from {grid.position(0):.4g} "
+          f"to {grid.position(grid.n_steps):.4g}")
     print(f"true (1 - theta)-quantile of Exp(2): {true_q:.4f}\n")
 
     # a noiseless stream runs the same code with every Laplace draw pinned
     # to zero; useful to see where the scan would stop without privacy
-    exact = svt_quantile(data, BOUNDS, THETA, PrivacyBudget(1.0),
-                         RngStream(0, noiseless=True))
-    print(f"noiseless stop: grid[{exact.grid_index}] = "
-          f"{exact.quantile_value:.4g}")
+    exact = svt_quantile(data, grid, PrivacyBudget(1.0), RngStream(0, noiseless=True))
+    print(f"noiseless stop: {exact:.4g}")
 
     print("\nprivate scans at eps = 1:")
     for seed in range(5):
         budget = PrivacyBudget(1.0)
-        res = svt_quantile(data, BOUNDS, THETA, budget, RngStream(seed))
+        found = svt_quantile(data, grid, budget, RngStream(seed))
         spent, _ = budget.spent()
-        print(f"  seed {seed}: grid[{res.grid_index}] = "
-              f"{res.quantile_value:8.4g}   spent eps = {spent}")
+        print(f"  seed {seed}: {found:8.4g}   spent eps = {spent}")
 
-    res = svt_quantile(data, BOUNDS, THETA, PrivacyBudget(1.0), RngStream(3))
-    r = clipping_range(res, data.n, THETA, beta=0.1)
+    found = svt_quantile(data, grid, PrivacyBudget(1.0), RngStream(3))
+    r = clipping_range(found, data.n, THETA, beta=0.1)
     frac_above = float(np.mean(data.values > r))
     print(f"\nclipping level from the located quantile: R = {r:.3f}")
     print(f"fraction of the sample above R: {frac_above:.2e}")

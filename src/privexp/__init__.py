@@ -16,10 +16,10 @@ from .dataset import Dataset, RateBounds
 from .distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossing,
                             pareto_kl_equal_scale, pareto_tv_bound, sample,
                             separation_T)
-from .errors import (BadSplit, BudgetExhausted, CoarseFailed, EmptyDataset,
-                     EmptyRequest, EmptyTail, IncompleteInputs, InputError,
-                     InvalidRate, InvalidRatio, InvalidScale, InvalidShape,
-                     NoBinSurvived, NonpositiveMean, OutOfRegime, PrivexpError,
+from .errors import (BadSplit, BudgetExhausted, EmptyDataset, EmptyRequest,
+                     EmptyTail, IncompleteInputs, InputError, InvalidRate,
+                     InvalidRatio, InvalidScale, InvalidShape, NoBinSurvived,
+                     NonpositiveMean, OutOfRegime, PrivexpError,
                      RangeEstimationFailed, RegimeViolation, ScaleViolation,
                      SearchExhausted, TooFewSamples)
 from .harness import (ExperimentSpec, ExperimentSummary, Learner, TrialRecord,
@@ -31,7 +31,7 @@ from .pareto import (DEFAULT_TAIL_QUANTILE, ParetoEstimate, learn_pareto,
                      learn_pareto_known_scale, log_transform, recover_scale)
 from .privacy import (NoiseScale, PrivacyBudget, RngStream,
                       noisy_fraction_below, sample_laplace)
-from .quantile import QuantileResult, clipping_range, svt_grid, svt_quantile
+from .quantile import clipping_range, svt_grid, svt_quantile
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "exp_tv", "exp_tv_crossing", "separation_T", "pareto_kl_equal_scale",
     "pareto_tv_bound",
     # quantile estimation
-    "QuantileResult", "svt_grid", "svt_quantile", "clipping_range",
+    "svt_grid", "svt_quantile", "clipping_range",
     # exponential learners
     "LearnerConfig", "Estimate", "Route", "private_mle", "mle_learning",
     "quantile_learning", "best_of_both",
@@ -67,7 +67,7 @@ __all__ = [
     "PrivexpError", "InvalidScale", "EmptyDataset", "BadSplit",
     "BudgetExhausted", "InvalidRate", "InvalidRatio", "InvalidShape",
     "EmptyRequest", "OutOfRegime", "TooFewSamples", "NonpositiveMean",
-    "RangeEstimationFailed", "SearchExhausted", "CoarseFailed",
+    "RangeEstimationFailed", "SearchExhausted",
     "NoBinSurvived", "ScaleViolation", "EmptyTail",
     "IncompleteInputs", "RegimeViolation", "InputError",
 ]

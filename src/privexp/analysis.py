@@ -24,9 +24,9 @@ from .dataset import RateBounds, check_bounds
 from .errors import IncompleteInputs, OutOfRegime, RegimeViolation, check_in
 from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF, MLE_RANGE_THETA,
                        MLE_SPLIT, PARETO_SPLIT, WITHOUT_BOUNDS_DELTA_SPLIT,
-                       WITHOUT_BOUNDS_SPLIT, _best_of_both_grids, _check_alpha, _search_grid)
+                       WITHOUT_BOUNDS_SPLIT, _best_of_both_grids, _search_grid)
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
-from .quantile import QuantileResult, SearchGrid, clipping_range, svt_grid
+from .quantile import SearchGrid, _check_alpha, clipping_range, svt_grid
 
 __all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
            "lower_bound_n", "required_n", "quantile_order_terms"]
@@ -70,7 +70,7 @@ class PackingFamily:
 def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
     """Rates lower * (1 + 8*alpha)^i for i = 0 .. floor(log(ratio)/log(1+8*alpha)).
     Raises OutOfRegime, naming the packing, for an alpha below the grids'
-    floor (learners._check_alpha) or a family, built in full, of more than
+    floor (quantile._check_alpha) or a family, built in full, of more than
     _PACKING_MAX_RATES = 2^20 rates (about 32 MB)."""
     a = check_in("alpha", alpha, 0.0, 0.5)
     _check_alpha(a, "the packing")
@@ -140,7 +140,7 @@ def _mle_learning_value(epsilon, beta, alpha, lam, bounds) -> float:
     (range_eps, range_beta), (mle_eps, mle_beta) = _shares(MLE_SPLIT, epsilon, beta)
     svt_need = _svt_quantile_value(range_eps, range_beta, bounds)
     # The range stage's target, the (1 - theta)-quantile of Exp(lam).
-    quantile = QuantileResult(math.log(1.0 / MLE_RANGE_THETA) / lam, 0)
+    quantile = math.log(1.0 / MLE_RANGE_THETA) / lam
     n = 16.0
     for _ in range(_FIXED_POINT_ITERATIONS):
         log_n = math.log(n)

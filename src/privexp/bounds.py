@@ -19,8 +19,9 @@ import numpy as np
 from .dataset import Dataset, RateBounds
 from .errors import NoBinSurvived, RangeEstimationFailed, check_in
 from .learners import (WITHOUT_BOUNDS_DELTA_SPLIT, WITHOUT_BOUNDS_SPLIT, Estimate,
-                       LearnerConfig, _check_alpha, best_of_both)
+                       LearnerConfig, best_of_both)
 from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
+from .quantile import _check_alpha
 
 __all__ = ["DyadicHistogram", "dyadic_histogram", "find_bounds", "learn_without_bounds"]
 

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .analysis import SampleBound, build_packing, lower_bound_n, required_n
+from .analysis import SampleBound, build_packing, required_n
 from .dataset import RateBounds
 from .distributions import ExpModel, ParetoModel
 from .errors import IncompleteInputs, InputError, PrivexpError, check_in
@@ -108,6 +108,8 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise InputError(f"--n-grid takes comma separated integers, "
                          f"got {args.n_grid!r}") from None
+    if not n_values:
+        raise InputError(f"--n-grid names no sample size, got {args.n_grid!r}")
     rows = run_sweep(_spec_from(args), n_values, workers=args.workers)
     _write_out(args, sweep_csv(rows))
     return 0
@@ -133,8 +135,9 @@ def _cmd_lowerbound(args) -> int:
     bounds = _bounds_from(args)
     if bounds is None:
         raise IncompleteInputs("lowerbound needs --lambda-min and --lambda-max")
-    n = lower_bound_n(args.alpha, args.beta, args.epsilon, bounds)
-    _write_out(args, f"{n}\n")
+    report = required_n(SampleBound.PACKING_LOWER_BOUND, alpha=args.alpha,
+                        beta=args.beta, epsilon=args.epsilon, bounds=bounds)
+    _write_out(args, f"{report.n_required}\n")
     return 0
 
 

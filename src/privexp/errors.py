@@ -58,15 +58,14 @@ class NonpositiveMean(PrivexpError):
 
 
 class RangeEstimationFailed(PrivexpError):
-    """The private range search returned nothing usable."""
+    """The private bounds finder's top bin puts the rate bounds beyond the
+    doubles."""
 
 
 class SearchExhausted(PrivexpError):
-    """The noisy binary search used up its iteration budget without converging."""
-
-
-class CoarseFailed(PrivexpError):
-    """The coarse first-stage estimate failed, so routing cannot proceed."""
+    """A private search over a grid found no position: the SVT scan passed
+    every position, or the band search used up its probes. The message
+    names the grid."""
 
 
 class NoBinSurvived(PrivexpError):

@@ -24,17 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset, RateBounds, check_bounds
-from .errors import (
-    CoarseFailed,
-    IncompleteInputs,
-    NonpositiveMean,
-    OutOfRegime,
-    RangeEstimationFailed,
-    SearchExhausted,
-    check_in,
-)
-from .privacy import NoiseScale, PrivacyBudget, RngStream, noisy_fraction_below, sample_laplace
-from .quantile import SearchGrid, clipping_range, svt_grid, svt_quantile
+from .errors import IncompleteInputs, NonpositiveMean, OutOfRegime, SearchExhausted, check_in
+from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
+from .quantile import (SearchGrid, _band_search, _check_alpha, clipping_range, svt_grid,
+                       svt_quantile)
 
 __all__ = ["Route", "LearnerConfig", "Estimate", "private_mle",
            "mle_learning", "quantile_learning", "best_of_both"]
@@ -77,9 +70,6 @@ that no value be clipped, so beta' only sizes R.
 # best_of_both's coarse accuracy: a factor-3/2 estimate separates the branches.
 COARSE_ALPHA = 0.5
 MLE_BRANCH_CUTOFF = 2.0
-
-# The smallest alpha any grid is built for; _check_alpha derives it.
-_ALPHA_MIN = 2.0 ** -40
 
 # Values per block of _exact_sum, which works in two buffers of one block.
 # Fewer, longer numpy calls pay: clipped sums of 36,944 and 112,324 values
@@ -249,12 +239,16 @@ def _units(x: float) -> int:
 
 def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
-    """Range estimation, then private MLE, at the shares of MLE_SPLIT."""
+    """Range estimation, then private MLE, at the shares of MLE_SPLIT. Raises
+    SearchExhausted, naming the grid, when the range scan passes every
+    position."""
+    grid = svt_grid(config.bounds, MLE_RANGE_THETA)
     range_budget, mle_budget = budget.split(MLE_SPLIT)
-    qres = svt_quantile(data, config.bounds, MLE_RANGE_THETA, range_budget, rng)
-    if qres is None:
-        raise RangeEstimationFailed("quantile scan exhausted its grid")
-    clip_r = clipping_range(qres, data.n, MLE_RANGE_THETA, MLE_SPLIT[1] * config.beta)
+    quantile = svt_quantile(data, grid, range_budget, rng)
+    if quantile is None:
+        raise SearchExhausted(f"{grid.name}: the scan passed every position; "
+                              "the rate below the bounds or n too small")
+    clip_r = clipping_range(quantile, data.n, MLE_RANGE_THETA, MLE_SPLIT[1] * config.beta)
     lam = private_mle(data, clip_r, mle_budget, rng)
     return Estimate(lam, Route.MLE, None, budget)
 
@@ -267,26 +261,6 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
     of 1/rate, so its reciprocal is returned."""
     position = _band_search(data, _search_grid(config.alpha, config.bounds), budget, rng)
     return Estimate(1.0 / position, Route.QUANTILE, None, budget)
-
-
-def _check_alpha(alpha: float, grid: str) -> None:
-    """OutOfRegime naming alpha and grid for an alpha below _ALPHA_MIN =
-    2^-40 (about 9.1e-13), the smallest whose grid steps are faithful.
-
-    A step 1 + x is stored within 2^-53 of it, the spacing of the doubles
-    in [1, 2) halved, so its excess x is off by up to 2^-53/x; the quantile
-    step 1/(1 - alpha/2), rounded twice, by up to 1.5 * 2^-53/x. x is
-    alpha/2 for that step, 8 alpha for the packing ratio 1 + 8 alpha, and
-    alpha (1 - tau)/(4 upper) >= 0.1875 alpha for the pivot step of shape
-    bounds up to 1. At 2^-40 these errors are 3 * 2^-13, 2^-16 and 2^-10.6
-    of x, all within 2^-10 (0.1%); below it they grow as 1/alpha (the
-    quantile step's x is off by 2.1% at 1e-14, by 33% at 1e-15, and is 0
-    from about 2^-53). The pivot's x also shrinks as 1/upper; SearchGrid
-    refuses its step once it rounds to 1.
-    """
-    if not alpha >= _ALPHA_MIN:
-        raise OutOfRegime(f"{grid} needs alpha >= 2^-40 for a faithful step, "
-                          f"got alpha = {alpha!r}")
 
 
 # The grids of recent (alpha, bounds) pairs, by value: an experiment's
@@ -313,41 +287,14 @@ def _best_of_both_grids(alpha: float, bounds: RateBounds) -> tuple[SearchGrid, S
     return _search_grid(COARSE_ALPHA, bounds), quantile_grid
 
 
-def _band_search(data: Dataset, grid: SearchGrid, budget: PrivacyBudget,
-                 rng: RngStream) -> float:
-    """The first position of grid whose noisy CDF falls in its band; raises
-    SearchExhausted once grid.probes probes are used up."""
-    budget.consume()
-    cap = grid.probes
-    scale = NoiseScale(cap / (budget.epsilon * data.n))
-    band_lo = grid.level - grid.half_band
-    band_hi = grid.level + grid.half_band
-
-    low, high = 0, grid.n_steps
-    for _ in range(cap):
-        mid = (low + high) // 2
-        position = grid.lo * grid.step ** mid
-        value = noisy_fraction_below(data, position, scale, rng)
-        if value > band_hi:
-            high = mid
-        elif value < band_lo:
-            low = mid
-        else:
-            return position
-    raise SearchExhausted("no position accepted within the probe cap; "
-                          "rate outside bounds or n too small")
-
-
 def best_of_both(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                  rng: RngStream) -> Estimate:
     """Coarse estimate at (eps/3, beta/3) picks the route; the winner runs
-    at (2 eps/3, 2 beta/3)."""
+    at (2 eps/3, 2 beta/3). A search of either stage that finds no position
+    raises SearchExhausted naming its grid."""
     coarse_grid, _ = _best_of_both_grids(config.alpha, config.bounds)
     coarse_budget, main_budget = budget.split(BEST_OF_BOTH_SPLIT)
-    try:
-        lambda_0 = 1.0 / _band_search(data, coarse_grid, coarse_budget, rng)
-    except SearchExhausted as exc:
-        raise CoarseFailed("coarse rate estimate did not converge") from exc
+    lambda_0 = 1.0 / _band_search(data, coarse_grid, coarse_budget, rng)
     if lambda_0 >= MLE_BRANCH_CUTOFF:
         main_config = replace(config, beta=BEST_OF_BOTH_SPLIT[1] * config.beta)
         inner = mle_learning(data, main_config, main_budget, rng)

@@ -11,7 +11,7 @@ The pivot comes from a noisy binary search in CDF space over a fine
 geometric grid. The grid spans the window [1/upper, 2^(span+2)/upper] of
 the shape bounds' doubling grid (svt_grid), so the tau-quantile
 q_tau = x_m (1 - tau)^(-1/shape) has to lie in that window; when it does
-not, the search raises RangeEstimationFailed.
+not, the search raises SearchExhausted.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, RateBounds
-from .errors import (EmptyTail, InvalidScale, RangeEstimationFailed, ScaleViolation,
-                     SearchExhausted, check_in)
-from .learners import (PARETO_SPLIT, LearnerConfig, Route, _band_search,
-                       _best_of_both_grids, _check_alpha, best_of_both, mle_learning)
+from .errors import EmptyTail, InvalidScale, ScaleViolation, check_in
+from .learners import (PARETO_SPLIT, LearnerConfig, Route, _best_of_both_grids, best_of_both,
+                       mle_learning)
 from .privacy import PrivacyBudget, RngStream
-from .quantile import SearchGrid, svt_grid
+from .quantile import SearchGrid, _band_search, _check_alpha, svt_grid
 
 __all__ = ["DEFAULT_TAIL_QUANTILE", "ParetoEstimate", "log_transform",
            "recover_scale", "learn_pareto_known_scale", "learn_pareto"]
@@ -103,8 +102,8 @@ def _pivot_grid(alpha: float, bounds: RateBounds, tau: float) -> SearchGrid:
     the window.
     """
     _check_alpha(alpha, "the pivot search")
-    hi = float(svt_grid(bounds, 1.0 - tau)[-1])
-    lo = 1.0 / bounds.upper
+    window = svt_grid(bounds, 1.0 - tau)
+    lo, hi = window.lo, window.position(window.n_steps)
     half_band = alpha * (1.0 - tau) / 4.0
     ln_step = half_band / bounds.upper
     # math.exp raises past the doubles, where SearchGrid refuses the step
@@ -135,19 +134,15 @@ def learn_pareto(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
     2^(span+2)/upper] with span = ceil(log2(upper/lower)). When the
     tau-quantile x_m (1 - tau)^(-1/shape) lies outside it (x_m too small or
     too large for the bounds), no position falls in the band and
-    RangeEstimationFailed is raised. Bounds that the pivot grid or a grid of
-    the shape stage refuses are refused before the search, whatever the data.
+    SearchExhausted, naming the pivot grid, is raised. Bounds that the pivot
+    grid or a grid of the shape stage refuses are refused before the search,
+    whatever the data.
     """
     check_in("tail level tau", tau, TAU_MIN, TAU_MAX, ends="[]")
     grid = _pivot_grid(config.alpha, config.bounds, tau)
     _best_of_both_grids(config.alpha, config.bounds)
     pivot_budget, shape_budget = budget.split(PARETO_SPLIT)
-    try:
-        pivot = _band_search(data, grid, pivot_budget, rng)
-    except SearchExhausted:
-        raise RangeEstimationFailed("tail pivot search found no position in "
-                                    "its band; x_m outside the pivot window "
-                                    "or n too small") from None
+    pivot = _band_search(data, grid, pivot_budget, rng)
     tail = log_transform(data, pivot)
     shape_config = replace(config, beta=PARETO_SPLIT[1] * config.beta)
     est = best_of_both(tail, shape_config, shape_budget, rng)

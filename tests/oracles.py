@@ -69,7 +69,7 @@ def oracle_private_mle(values, clip_r):
 def oracle_mle_learning(values, lower, upper, beta):
     found = oracle_svt_quantile(values, lower, upper, 0.1)
     if found is None:
-        raise RangeEstimationFailed("grid exhausted")
+        raise SearchExhausted("grid exhausted")
     if len(values) < 2:
         raise TooFewSamples("clipping range needs n >= 2")
     clip_r = oracle_clipping_range(found[0], len(values), 0.1, 0.5 * beta)
@@ -184,7 +184,7 @@ def oracle_pareto_pivot(values, lower, upper, alpha, tau):
 def oracle_learn_pareto(values, lower, upper, alpha, beta, tau):
     pivot = oracle_pareto_pivot(values, lower, upper, alpha, tau)
     if pivot is None:
-        raise RangeEstimationFailed("no position in the band")
+        raise SearchExhausted("no position in the band")
     tail = oracle_log_transform(values, pivot)
     shape, route = oracle_best_of_both(tail, lower, upper, alpha, 0.5 * beta)
     scale = pivot * (1.0 - tau) ** (1.0 / shape)

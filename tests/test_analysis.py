@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from privexp import analysis, learners
+from privexp import analysis, learners, quantile
 from privexp.analysis import (
     PackingFamily,
     SampleBound,
@@ -20,7 +20,6 @@ from privexp.errors import (
     InvalidRatio,
     OutOfRegime,
     PrivexpError,
-    RangeEstimationFailed,
     RegimeViolation,
     SearchExhausted,
 )
@@ -156,7 +155,7 @@ class TestExactCalculators:
         def counting(*args):
             probes.append(args[1])
             return 0.0
-        monkeypatch.setattr(learners, "noisy_fraction_below", counting)
+        monkeypatch.setattr(quantile, "noisy_fraction_below", counting)
         priced = []
         band_search_value = analysis._band_search_value
         def recording(epsilon, beta, grid):
@@ -174,8 +173,8 @@ class TestExactCalculators:
             assert report.n_required == math.ceil(band_search_value(1.0, 0.1, grid))
         else:
             grid = _pivot_grid(alpha, config.bounds, DEFAULT_TAIL_QUANTILE)
-            assert grid.lo * grid.step ** grid.n_steps < 1e300
-            with pytest.raises(RangeEstimationFailed):
+            assert grid.position(grid.n_steps) < 1e300
+            with pytest.raises(SearchExhausted):
                 learn_pareto(Dataset([1e300]), config, budget, rng)
             required_n(SampleBound.PARETO_LEARNING, epsilon=1.0, beta=0.1,
                        alpha=alpha, lam=2.0, bounds=bounds)
@@ -493,3 +492,24 @@ def test_order_form_n_suffices(learner, bound_id, rate):
         successes = round(run_experiment(spec).success_rate * trials)
     lower = stats.beta.ppf(0.05, successes, trials - successes + 1)
     assert lower >= 1.0 - beta, (n, successes, lower)
+
+
+# The paper's adaptive claim at the BEST_OF_BOTH n (no safety factor): at
+# rates across the bounds, best_of_both succeeds in at least as many trials
+# as the better of the two routes run alone on the same n. It does not at
+# 0.02 and 0.5, where it reads 0.985 and 0.995 against quantile's 0.99 and
+# 1.0: after its coarse stage it runs the quantile route at 2/3 of epsilon.
+FALLS_SHORT = pytest.mark.xfail(strict=True, reason="best_of_both below quantile alone")
+
+
+@pytest.mark.parametrize("rate", [pytest.param(0.02, marks=FALLS_SHORT),
+                                  pytest.param(0.5, marks=FALLS_SHORT), 2.0, 5.0, 60.0])
+def test_best_of_both_matches_the_better_route(rate):
+    n = required_n(SampleBound.BEST_OF_BOTH, lam=rate, **BASE).n_required
+    success = {}
+    for learner in (Learner.BEST_OF_BOTH, Learner.MLE, Learner.QUANTILE):
+        spec = ExperimentSpec(learner, 0.2, 0.1, 1.0, bounds=RateBounds(*WIDE),
+                              true_lambda=rate, n=n, trials=200, base_seed=7)
+        success[learner] = run_experiment(spec).success_rate
+    assert success[Learner.BEST_OF_BOTH] >= max(success[Learner.MLE],
+                                                success[Learner.QUANTILE]), (n, success)

@@ -236,8 +236,14 @@ class TestInputErrors:
           "--epsilon", "1", *BOUNDS_ARGS, "--true-lambda", "1"], "alpha"),
         (["estimate", "--in", ONES, "--learner", "mle", "--clip-r", "2"],
          "epsilon"),
+        # lowerbound names what it misses as calc --bound packing-lower-bound does
+        (["lowerbound", "--beta", "0.1", "--epsilon", "1", *BOUNDS_ARGS],
+         "packing-lower-bound needs alpha"),
+        (["lowerbound", "--alpha", "0.1", "--epsilon", "1", *BOUNDS_ARGS],
+         "packing-lower-bound needs beta"),
     ], ids=["estimate-alpha", "estimate-epsilon", "estimate-bounds",
-            "estimate-delta", "experiment-alpha", "estimate-clip-epsilon"])
+            "estimate-delta", "experiment-alpha", "estimate-clip-epsilon",
+            "lowerbound-alpha", "lowerbound-beta"])
     def test_missing_input(self, capsys, argv, word):
         assert_one_error_line(capsys, argv, word)
 
@@ -250,6 +256,8 @@ class TestInputErrors:
         ([*MLE_EXPERIMENT, "--n", "0"], "n must"),
         (["sweep", *MLE_RUN, "--true-lambda", "1", "--n-grid", "10,abc"],
          "abc"),
+        (["sweep", *MLE_RUN, "--true-lambda", "1", "--n-grid", ",", "--out", "f.txt"],
+         "--n-grid"),
         (["estimate", "--in", ONES, *MLE_RUN, "--delta", "2"], "delta"),
         (["estimate", "--in", ONES, "--learner", "mle", "--epsilon", "1",
           "--clip-r", "-1"], "clipping"),
@@ -272,7 +280,7 @@ class TestInputErrors:
         (["calc", "--bound", "svt-quantile", "--beta", "0.1", "--epsilon", "1",
           *BOUNDS_ARGS, "--delta", "1.5"], "delta must lie in [0"),
     ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
-            "n-grid", "delta", "clip-r", "experiment-delta",
+            "n-grid", "n-grid-empty", "delta", "clip-r", "experiment-delta",
             "experiment-delta-autosized", "clip-r-delta", "safety-factor",
             "clipped-sum-overflow", "gen-seed", "estimate-seed",
             "experiment-seed", "sweep-seed", "calc-delta-negative",

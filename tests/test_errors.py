@@ -19,15 +19,17 @@ from privexp.bounds import learn_without_bounds, noisy_histogram
 from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import (ExpModel, ParetoModel, exp_tv, exp_tv_crossing,
                                    pareto_kl_equal_scale, sample, separation_T)
-from privexp.errors import (BadSplit, IncompleteInputs, InputError, InvalidRate,
-                            InvalidRatio, InvalidScale, InvalidShape, OutOfRegime,
-                            PrivexpError, RegimeViolation, check_in)
+from privexp.errors import (BadSplit, EmptyTail, IncompleteInputs, InputError, InvalidRate,
+                            InvalidRatio, InvalidScale, InvalidShape, NonpositiveMean,
+                            OutOfRegime, PrivexpError, RegimeViolation, SearchExhausted,
+                            TooFewSamples, check_in)
 from privexp.harness import ExperimentSpec, Learner, run_experiment, write_sample
-from privexp.learners import (_ALPHA_MIN, LearnerConfig, _search_grid, best_of_both,
-                              mle_learning, private_mle, quantile_learning)
-from privexp.pareto import _pivot_grid, learn_pareto, learn_pareto_known_scale, log_transform
+from privexp.learners import (COARSE_ALPHA, MLE_RANGE_THETA, LearnerConfig, _search_grid,
+                              best_of_both, mle_learning, private_mle, quantile_learning)
+from privexp.pareto import (DEFAULT_TAIL_QUANTILE, _pivot_grid, learn_pareto,
+                            learn_pareto_known_scale, log_transform)
 from privexp.privacy import NoiseScale, PrivacyBudget, RngStream
-from privexp.quantile import QuantileResult, clipping_range, svt_grid, svt_quantile
+from privexp.quantile import _ALPHA_MIN, clipping_range, svt_grid
 
 BOUNDS = RateBounds(0.5, 5.0)
 CALC = dict(alpha=0.2, beta=0.1, epsilon=1.0, delta=1e-6, lam=4.0,
@@ -120,10 +122,8 @@ SITES = {
     "experiment-safety_factor": (
         lambda v: run_experiment(replace(SPEC, safety_factor=v)),
         OutOfRegime, "safety_factor", 4, 4.0, 0.0),
-    "svt_quantile": (lambda v: svt_quantile(DATA, BOUNDS, v, PrivacyBudget(1.0),
-                                            RngStream(0)),
-                     OutOfRegime, "theta", None, 0.5, 0.95),
-    "clipping_range": (lambda v: clipping_range(QuantileResult(1.0, 0), 10, 0.1, v),
+    "svt_grid": (lambda v: svt_grid(BOUNDS, v), OutOfRegime, "theta", None, 0.5, 0.95),
+    "clipping_range": (lambda v: clipping_range(1.0, 10, 0.1, v),
                        OutOfRegime, "beta", 1, 0.1, 0.0),
 }
 
@@ -412,6 +412,58 @@ def test_grids_are_built_from_the_alpha_floor_and_refused_below_it():
             site()
     with pytest.raises(OutOfRegime, match="packing"):
         build_packing(narrow, below)
+
+
+# Each learner's private searches, by the grid searched, and the number of
+# ledger leaves, in the order its stages run, that are spent when that search
+# finds no position: the failed stage and every stage before it.
+SEARCH_STAGES = {
+    "quantile_learning": {"quantile": 1},
+    "mle_learning": {"svt": 1},
+    "best_of_both": {"coarse": 1, "quantile": 2, "svt": 2},
+    "learn_pareto": {"pivot": 1, "coarse": 2, "quantile": 3, "svt": 3},
+}
+
+
+def ledger_leaves(budget):
+    if budget.state != "split":
+        return [budget.state]
+    return [state for child in budget.children for state in ledger_leaves(child)]
+
+
+@given(st.lists(st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                          st.integers(-12, 12)), min_size=2, max_size=40),
+       st.integers(-8, 8), st.integers(1, 10), st.sampled_from([0.1, 0.2, 0.4]),
+       st.one_of(st.none(), st.integers(0, 2 ** 32)))
+# learn_pareto's shape stage failing on the quantile route and in the SVT scan
+@example([128.0] * 15 + [192.0] * 10 + [0.0625] * 3 + [0.078125] * 2, -3, 7, 0.4, None)
+@example([0.0625] + [0.09375] * 4 + [2.0] + [2.5] * 2, 3, 2, 0.1, None)
+def test_a_search_that_finds_no_position_raises_search_exhausted(
+        values, lower_exponent, ratio_exponent, alpha, seed):
+    # In every learner, a search that finds no position (the SVT scan past
+    # its last position, a band search out of probes) raises SearchExhausted
+    # naming its grid, with that stage and those before it spent and every
+    # later stage fresh. Noiseless runs are also checked against the oracles.
+    bounds = RateBounds(2.0 ** lower_exponent, 2.0 ** (lower_exponent + ratio_exponent))
+    config = LearnerConfig(alpha, 0.1, bounds)
+    grids = {"svt": svt_grid(bounds, MLE_RANGE_THETA),
+             "quantile": _search_grid(alpha, bounds),
+             "coarse": _search_grid(COARSE_ALPHA, bounds),
+             "pivot": _pivot_grid(alpha, bounds, DEFAULT_TAIL_QUANTILE)}
+    for learner, stages in SEARCH_STAGES.items():
+        budget = PrivacyBudget(1.0)
+        rng = RngStream(0, noiseless=True) if seed is None else RngStream(seed)
+        try:
+            LEARNERS[learner](Dataset(values), config, budget, rng)
+        except SearchExhausted as exc:
+            named = [kind for kind in stages
+                     if str(exc).startswith(grids[kind].name + ":")]
+            assert len(named) == 1, (learner, str(exc))
+            spent, leaves = stages[named[0]], ledger_leaves(budget)
+            assert leaves == ["consumed"] * spent + ["fresh"] * (len(leaves) - spent), (
+                learner, named, leaves)
+        except (NonpositiveMean, EmptyTail, TooFewSamples):
+            pass
 
 
 def test_a_packing_past_its_size_limit_is_refused():
