@@ -23,7 +23,8 @@ from .learners import (WITHOUT_BOUNDS_DELTA_SPLIT, WITHOUT_BOUNDS_SPLIT, Estimat
 from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 from .quantile import _check_alpha
 
-__all__ = ["DyadicHistogram", "dyadic_histogram", "find_bounds", "learn_without_bounds"]
+__all__ = ["DyadicHistogram", "dyadic_histogram", "noisy_histogram", "find_bounds",
+           "learn_without_bounds"]
 
 # Bin index of x is k with x in [2^k, 2^(k+1)); every positive double lands
 # in k in [-1074, 1023]. Zero is assigned to the lowest representable bin.

@@ -59,9 +59,14 @@ class Dataset:
         return self._values
 
     def count_below(self, threshold: float) -> int:
-        """#{x in data : x < threshold}; a NaN threshold raises InputError."""
+        """#{x in data : x < threshold}; a NaN threshold raises InputError.
+        A threshold at or below min() or above max() needs no pass."""
         if math.isnan(threshold):
             raise InputError("count threshold must not be NaN")
+        if threshold <= self._min:
+            return 0
+        if threshold > self._max:
+            return self.n
         return int(np.count_nonzero(self._values < threshold))
 
     def min(self) -> float:

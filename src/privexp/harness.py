@@ -252,22 +252,57 @@ def resolve_n(spec: ExperimentSpec) -> int:
     return max(1, math.ceil(size))
 
 
-# Values per trial from which run_experiment hands trials to its threads.
+# Values per trial from which run_experiment hands trials to the pool.
 # Each numpy call of a trial releases and retakes the GIL; on smaller trials
 # the calls are so short that two threads spend their time handing it over.
-# Two-thread over serial time per trial (8 trials, medians of 9 interleaved
-# repeats, 2-core Xeon VM):
+# Two-thread over serial time per trial on the long-lived pool (8 trials,
+# the median over three processes of medians of 25 interleaved repeats,
+# 2-core Xeon VM):
 #
 #   n                      16,384  32,768  49,152  65,536  98,304  131,072
-#   pareto                   1.28    0.95    0.96    0.78    0.66     0.64
-#   pareto-known-scale       1.39    1.09    0.88    0.81    0.83     0.79
-#   best-of-both (rate 5)    1.33    1.25    1.16    1.00    0.88     0.84
-#   bounds-finder            2.30    1.29    1.18    1.10    1.15     0.84
-#   mle                      1.53    1.19    1.09    1.03    0.73     0.75
+#   pareto                   1.76    1.01    0.84    0.72    0.61     0.60
+#   pareto-known-scale       1.42    1.23    1.03    0.84    0.67     0.67
+#   best-of-both (rate 5)    1.92    1.33    0.96    0.87    0.81     0.82
+#   bounds-finder            1.54    1.42    1.06    1.10    0.86     0.85
+#   mle                      1.50    1.20    0.96    0.84    0.76     0.76
 #
-# quantile read 3.11 at 616 values and 0.91 at 65,536. From 2^16 on, both
-# Pareto learners gain and none of the others loses more than a tenth.
+# quantile read 2.82 at 616 values and 0.86 at 65,536. From 2^16 on, every
+# learner but bounds-finder gains, and it loses a tenth; at 49,152 two lose.
 _POOL_MIN_N = 1 << 16
+
+
+def _check_workers(workers: int | None) -> int:
+    """workers, or for None the number of CPUs this process may run on;
+    OutOfRegime unless that is an int of at least 1."""
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return check_count("workers", workers, 1, sys.maxsize)
+
+
+_pool_lock = threading.Lock()
+_pool_key: tuple | None = None
+_pool_executor: ThreadPoolExecutor | None = None
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's executor of `workers` threads, built on first use.
+
+    Its threads outlive each experiment, and with them their _exact_sum
+    blocks: with a pool started and joined per experiment, a two-thread
+    pareto trial at n = 112,324 took 2.52-2.62 ms against 2.14-2.20 ms
+    on this one (medians of 200 cycles over the benchmark's specs in each
+    of two processes, 2-core Xeon VM). It is keyed on the process id too,
+    so a forked child, which inherits none of its threads, builds its own.
+    A replaced executor is not shut down: its threads exit once the last
+    experiment using it lets it go."""
+    global _pool_key, _pool_executor
+    key = (os.getpid(), workers)
+    with _pool_lock:
+        if key != _pool_key:
+            _pool_key = key
+            _pool_executor = ThreadPoolExecutor(max_workers=workers)
+        return _pool_executor
 
 
 def _run_trial(spec: ExperimentSpec, row: _Row, model, config: LearnerConfig | None,
@@ -294,11 +329,14 @@ def _run_trial(spec: ExperimentSpec, row: _Row, model, config: LearnerConfig | N
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentSummary:
-    """Run spec.trials trials; up to `workers` threads share them when the
-    trials are of at least _POOL_MIN_N values, else they run on this thread.
+    """Run spec.trials trials. Trials of at least _POOL_MIN_N values go to
+    the process's pool of `workers` threads, by default one per CPU this
+    process may run on; smaller ones, and any with workers=1, run on this
+    thread. The output is the same either way.
 
     What the trials share is built once here: the config, the model, and a
     sample buffer per thread."""
+    workers = _check_workers(workers)
     _check_spec(spec)
     row = _LEARNERS[spec.learner]
     config = _config(spec)
@@ -313,9 +351,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
         return _run_trial(spec, row, model, config, n, i, buffers)
 
     ids = range(spec.trials)
-    if workers is not None and workers > 1 and n >= _POOL_MIN_N:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(trial, ids))
+    if workers > 1 and n >= _POOL_MIN_N:
+        records = tuple(_pool(workers).map(trial, ids))
     else:
         records = tuple(map(trial, ids))
 
@@ -333,7 +370,9 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
 
 
 def run_sweep(spec: ExperimentSpec, n_values, workers: int | None = None) -> list:
-    """One experiment per sample size; rows ordered as given."""
+    """One experiment per sample size, each run as run_experiment runs it
+    with these workers; rows ordered as given."""
+    workers = _check_workers(workers)
     rows = []
     for n in n_values:
         summary = run_experiment(replace(spec, n=int(n)), workers=workers)

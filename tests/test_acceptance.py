@@ -440,7 +440,7 @@ def test_13_cli_outputs_are_byte_reproducible(tmp_path):
         ("exp_par", exp_args, ["--workers", "4"]),
         ("sweep_a", sweep_args, []),
         ("sweep_b", sweep_args, ["--workers", "4"]),
-        ("big_a", big_args, []),
+        ("big_a", big_args, ["--workers", "1"]),
         ("big_par", big_args, ["--workers", "2"]),
     ]:
         out = tmp_path / f"{name}.txt"

@@ -137,7 +137,7 @@ class TestExperimentAndSweep:
         monkeypatch.setattr(harness, "_POOL_MIN_N", 1)  # threads at this n
         serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
         base = ["experiment", *EXPERIMENT_ARGS, "--n", "400", "--trials", "12"]
-        assert main([*base, "--out", str(serial)]) == 0
+        assert main([*base, "--workers", "1", "--out", str(serial)]) == 0
         assert main([*base, "--workers", "4", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
@@ -274,6 +274,10 @@ class TestInputErrors:
         ([*MLE_EXPERIMENT, "--n", "100", "--seed", "-1"], "seed"),
         (["sweep", *MLE_RUN, "--true-lambda", "1", "--n-grid", "100",
           "--seed", "-1"], "seed"),
+        ([*MLE_EXPERIMENT, "--n", "100", "--workers", "0"], "workers must"),
+        ([*MLE_EXPERIMENT, "--n", "100", "--workers", "-3"], "workers must"),
+        (["sweep", *MLE_RUN, "--true-lambda", "1", "--n-grid", "100",
+          "--workers", "0", "--out", "f.txt"], "workers must"),
         # delta lies in [0, 1), 0 meaning pure DP, whether the bound reads it or not
         *(([*CALC_BOUNDS_FINDER, "--delta", delta], "delta must lie in [0")
           for delta in ("-1", "nan", "1.5")),
@@ -283,7 +287,9 @@ class TestInputErrors:
             "n-grid", "n-grid-empty", "delta", "clip-r", "experiment-delta",
             "experiment-delta-autosized", "clip-r-delta", "safety-factor",
             "clipped-sum-overflow", "gen-seed", "estimate-seed",
-            "experiment-seed", "sweep-seed", "calc-delta-negative",
+            "experiment-seed", "sweep-seed", "experiment-workers-zero",
+            "experiment-workers-negative", "sweep-workers-zero",
+            "calc-delta-negative",
             "calc-delta-nan", "calc-delta-above-one", "calc-delta-unread"])
     def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
         # near_max.txt: two values whose sum clipped at 1e308 is past the

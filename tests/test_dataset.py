@@ -71,8 +71,13 @@ class TestDataset:
     @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50),
            st.floats(-1.0, 1e6 + 1))
     def test_count_below_matches_direct_scan(self, values, threshold):
+        # at a drawn threshold, and at min(), max() and their neighbouring
+        # doubles, where the count is 0 or n without a pass
         d = Dataset(values)
-        assert d.count_below(threshold) == sum(1 for v in values if v < threshold)
+        ends = [t for v in (d.min(), d.max())
+                for t in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+        for t in (threshold, *ends):
+            assert d.count_below(t) == sum(1 for v in values if v < t), t
 
     @given(st.data())
     def test_matches_searchsorted_oracle(self, data):

@@ -1,8 +1,10 @@
 """The exported names: every name in privexp.__all__ and in each module's
 __all__ resolves, and every function in a module's __all__ is defined in
-that module. The benchmark's tracer finds the public functions through the
-modules' __all__ and names each span by the module that defines it; a
-module without __all__ (errors) exports no function to it."""
+that module, and every function privexp.__all__ re-exports is in the
+__all__ of the module that defines it. The benchmark's tracer finds the
+public functions through the modules' __all__ and names each span by the
+module that defines it; a module without __all__ (errors) exports no
+function to it."""
 
 import importlib
 import inspect
@@ -25,3 +27,11 @@ def test_every_export_resolves_and_functions_are_defined_where_exported(module):
         obj = getattr(module, name)
         if module is not privexp and inspect.isfunction(obj):
             assert obj.__module__ == module.__name__, name
+
+
+def test_every_reexported_function_is_exported_where_defined():
+    for name in privexp.__all__:
+        obj = getattr(privexp, name)
+        if inspect.isfunction(obj):
+            defining = importlib.import_module(obj.__module__)
+            assert name in defining.__all__, (name, obj.__module__)

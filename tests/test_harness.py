@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -178,6 +180,20 @@ class TestNoiseSwitch:
         assert takers == {"RngStream", "ExperimentSpec", "estimate_from_file"}
 
 
+def trial_threads(monkeypatch, spec, **kwargs) -> list:
+    """The thread ids that ran the trials of run_experiment(spec, **kwargs)."""
+    row = _LEARNERS[spec.learner]
+    threads = []
+
+    def run(*args):
+        threads.append(threading.get_ident())
+        return row.run(*args)
+
+    monkeypatch.setitem(_LEARNERS, spec.learner, row._replace(run=run))
+    run_experiment(spec, **kwargs)
+    return threads
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self):
         spec = quantile_spec()
@@ -186,7 +202,7 @@ class TestDeterminism:
     def test_workers_do_not_change_results(self, monkeypatch):
         monkeypatch.setattr(harness, "_POOL_MIN_N", 1)  # threads at this n
         spec = quantile_spec(trials=16)
-        serial = run_experiment(spec).to_json()
+        serial = run_experiment(spec, workers=1).to_json()
         parallel = run_experiment(spec, workers=4).to_json()
         assert serial == parallel
 
@@ -211,26 +227,105 @@ class TestDeterminism:
     def test_threads_only_from_the_pool_threshold(self, monkeypatch, n, pooled):
         # with workers, trials of fewer than 2^16 values run on the calling
         # thread, and larger ones on the pool's threads
-        row = _LEARNERS[Learner.QUANTILE]
-        threads = []
-
-        def run(*args):
-            threads.append(threading.get_ident())
-            return row.run(*args)
-
-        monkeypatch.setitem(_LEARNERS, Learner.QUANTILE, row._replace(run=run))
-        run_experiment(quantile_spec(n=n, trials=3), workers=4)
+        threads = trial_threads(monkeypatch, quantile_spec(n=n, trials=3), workers=4)
         assert len(threads) == 3
         if pooled:
             assert threading.get_ident() not in threads
         else:
             assert set(threads) == {threading.get_ident()}
 
+    @pytest.mark.parametrize("cpus, pooled", [({0}, False), ({0, 1}, True)])
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch, cpus, pooled):
+        # by default a 2^16-value experiment takes one thread per CPU the
+        # process may run on: with one, it stays on the calling thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        threads = trial_threads(monkeypatch, quantile_spec(n=1 << 16, trials=3))
+        assert (threading.get_ident() not in threads) == pooled
+        assert pooled or set(threads) == {threading.get_ident()}
+
     def test_trial_streams_are_independent_of_count(self):
         # trial i uses stream i: adding trials never changes earlier records
         few = run_experiment(quantile_spec(trials=4)).records
         many = run_experiment(quantile_spec(trials=8)).records
         assert [r.to_dict() for r in few] == [r.to_dict() for r in many[:4]]
+
+
+class TestPool:
+    """One executor serves every pooled experiment of a process."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # a fresh slot, and a count of the executors the harness builds
+        built = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(harness, "_pool_key", None, raising=False)
+        monkeypatch.setattr(harness, "_pool_executor", None, raising=False)
+        monkeypatch.setattr(harness, "_POOL_MIN_N", 1)
+        return built
+
+    def test_experiments_and_sweeps_share_one_executor(self, built):
+        spec = quantile_spec(trials=6)
+        results = {run_experiment(spec, workers=2).to_json() for _ in range(3)}
+        run_sweep(spec, [300, 600], workers=2)
+        assert len(built) == 1
+        assert results == {run_experiment(spec, workers=1).to_json()}
+
+    def test_racing_callers_build_one_executor(self, built, monkeypatch):
+        # callers released together with a short switch interval, the one
+        # building the pool sleeping in the build: each gets the serial
+        # output, and only one of them builds the pool
+        class Slow(harness.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.01)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Slow)
+        spec = quantile_spec(trials=6)
+        expected = run_experiment(spec, workers=1).to_json()
+        callers = 8
+        start = threading.Barrier(callers)
+        outputs = []
+
+        def call():
+            start.wait(timeout=30)
+            outputs.append(run_experiment(spec, workers=2).to_json())
+
+        threads = [threading.Thread(target=call) for _ in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outputs == [expected] * callers
+        assert len(built) == 1
+
+    def test_a_new_process_id_builds_its_own(self, built, monkeypatch):
+        spec = quantile_spec(trials=6)
+        first = run_experiment(spec, workers=2).to_json()
+        monkeypatch.setattr(os, "getpid", lambda: -1)
+        assert run_experiment(spec, workers=2).to_json() == first
+        assert len(built) == 2
+        run_experiment(spec, workers=2)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_workers_is_a_count(self, workers):
+        with pytest.raises(OutOfRegime, match="^workers must be an int"):
+            run_experiment(quantile_spec(trials=2), workers=workers)
+        with pytest.raises(OutOfRegime, match="^workers must be an int"):
+            run_sweep(quantile_spec(trials=2), [300], workers=workers)
 
 
 class TestBuiltOnce:
@@ -267,7 +362,7 @@ class TestBuiltOnce:
 class TestSampleBuffer:
     """Each thread of an experiment samples its trials into one buffer."""
 
-    @pytest.mark.parametrize("workers", [None, 4])
+    @pytest.mark.parametrize("workers", [1, None, 4])
     @pytest.mark.parametrize("learner", list(Learner), ids=lambda l: l.value)
     def test_records_equal_a_replay_through_sample(self, learner, workers,
                                                    monkeypatch):
@@ -300,28 +395,34 @@ class TestSampleBuffer:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="page-fault counts depend on the allocator")
     def test_later_trials_fault_in_no_pages(self):
-        # The first trial of an experiment may fault its buffer in (the
-        # allocator can hand freed pages back between experiments); each
-        # further trial must not, where a fresh sample, tail and sum buffers
-        # per trial cost about 400 minor faults at this n.
+        # The first trial of an experiment on each thread may fault its
+        # buffer in (the allocator can hand freed pages back between
+        # experiments); each further trial must not, where a fresh sample,
+        # tail and sum buffers per trial cost about 400 minor faults at
+        # this n. Serially, and on the pool by default, each in a fresh
+        # process. The experiments differ by 32 trials: a pool thread's
+        # allocator arena sometimes hands back a buffer's pages between
+        # experiments, about 400 faults an experiment, which spread over
+        # 8 trials read 50.
         pytest.importorskip("resource")
-        probe = (
-            "import resource\n"
-            "from privexp import ExperimentSpec, Learner, RateBounds, run_experiment\n"
-            "def faults(trials):\n"
-            "    spec = ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0,\n"
-            "                          bounds=RateBounds(0.01, 100.0), true_xm=1.0,\n"
-            "                          true_shape=2.0, n=112_324, trials=trials)\n"
-            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    run_experiment(spec)\n"
-            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
-            "for _ in range(3):\n"
-            "    faults(2)\n"
-            "print(max((faults(10) - faults(2)) / 8 for _ in range(3)))\n")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=src_on_path(), timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 40
+        for workers in (1, None):
+            probe = (
+                "import resource\n"
+                "from privexp import ExperimentSpec, Learner, RateBounds, run_experiment\n"
+                "def faults(trials):\n"
+                "    spec = ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0,\n"
+                "                          bounds=RateBounds(0.01, 100.0), true_xm=1.0,\n"
+                "                          true_shape=2.0, n=112_324, trials=trials)\n"
+                "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                f"    run_experiment(spec, workers={workers})\n"
+                "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+                "for _ in range(3):\n"
+                "    faults(2)\n"
+                "print(max((faults(34) - faults(2)) / 32 for _ in range(3)))\n")
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                  text=True, env=src_on_path(), timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert float(proc.stdout) < 40, workers
 
 
 class TestSummary:
