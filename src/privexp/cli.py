@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--safety-factor", type=float, default=4.0)
         p.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE)
         p.add_argument("--workers", type=int, default=None,
-                       help="default: the CPUs this process may run on; "
-                            "1 keeps every trial on the calling thread")
+                       help="default: 2, or 1 where this process may run on one "
+                            "CPU only; 1 keeps every trial on the calling thread")
         p.add_argument("--out", default=None)
 
     exp = sub.add_parser("experiment", help="Monte Carlo validation run")

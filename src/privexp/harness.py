@@ -270,13 +270,21 @@ def resolve_n(spec: ExperimentSpec) -> int:
 # learner but bounds-finder gains, and it loses a tenth; at 49,152 two lose.
 _POOL_MIN_N = 1 << 16
 
+# Threads of the default pool, where the process may run on that many CPUs.
+# Every figure above is two threads over one; more threads are unmeasured,
+# both their GIL hand-offs and their memory (each holds an n-sized sample
+# buffer an experiment), and os.sched_getaffinity counts a host's CPUs, not
+# a container's CPU quota.
+_DEFAULT_WORKERS = 2
+
 
 def _check_workers(workers: int | None) -> int:
-    """workers, or for None the number of CPUs this process may run on;
-    OutOfRegime unless that is an int of at least 1."""
+    """workers, or for None _DEFAULT_WORKERS capped at the CPUs this process
+    may run on; OutOfRegime unless that is an int of at least 1."""
     if workers is None:
         affinity = getattr(os, "sched_getaffinity", None)
-        workers = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+        cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+        workers = min(_DEFAULT_WORKERS, cpus)
     return check_count("workers", workers, 1, sys.maxsize)
 
 
@@ -330,9 +338,9 @@ def _run_trial(spec: ExperimentSpec, row: _Row, model, config: LearnerConfig | N
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentSummary:
     """Run spec.trials trials. Trials of at least _POOL_MIN_N values go to
-    the process's pool of `workers` threads, by default one per CPU this
-    process may run on; smaller ones, and any with workers=1, run on this
-    thread. The output is the same either way.
+    the process's pool of `workers` threads, by default two where the
+    process may run on two CPUs or more; smaller ones, and any with
+    workers=1, run on this thread. The output is the same either way.
 
     What the trials share is built once here: the config, the model, and a
     sample buffer per thread."""
@@ -372,7 +380,6 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
 def run_sweep(spec: ExperimentSpec, n_values, workers: int | None = None) -> list:
     """One experiment per sample size, each run as run_experiment runs it
     with these workers; rows ordered as given."""
-    workers = _check_workers(workers)
     rows = []
     for n in n_values:
         summary = run_experiment(replace(spec, n=int(n)), workers=workers)

@@ -236,8 +236,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("cpus, pooled", [({0}, False), ({0, 1}, True)])
     def test_default_workers_are_the_usable_cpus(self, monkeypatch, cpus, pooled):
-        # by default a 2^16-value experiment takes one thread per CPU the
-        # process may run on: with one, it stays on the calling thread
+        # by default a 2^16-value experiment takes the pool where the
+        # process may run on two CPUs: with one, it stays on this thread
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                             raising=False)
         threads = trial_threads(monkeypatch, quantile_spec(n=1 << 16, trials=3))
@@ -260,9 +260,9 @@ class TestPool:
         built = []
 
         class Counted(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Counted)
         monkeypatch.setattr(harness, "_pool_key", None, raising=False)
@@ -282,9 +282,9 @@ class TestPool:
         # building the pool sleeping in the build: each gets the serial
         # output, and only one of them builds the pool
         class Slow(harness.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
+            def __init__(self, max_workers):
                 time.sleep(0.01)
-                super().__init__(*args, **kwargs)
+                super().__init__(max_workers)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Slow)
         spec = quantile_spec(trials=6)
@@ -319,6 +319,13 @@ class TestPool:
         assert len(built) == 2
         run_experiment(spec, workers=2)
         assert len(built) == 2
+
+    def test_default_is_two_threads_on_more_cpus(self, built, monkeypatch):
+        # two threads over one is the only count measured
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        run_experiment(quantile_spec(trials=6))
+        assert built == [2]
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_workers_is_a_count(self, workers):
@@ -399,13 +406,14 @@ class TestSampleBuffer:
         # buffer in (the allocator can hand freed pages back between
         # experiments); each further trial must not, where a fresh sample,
         # tail and sum buffers per trial cost about 400 minor faults at
-        # this n. Serially, and on the pool by default, each in a fresh
-        # process. The experiments differ by 32 trials: a pool thread's
-        # allocator arena sometimes hands back a buffer's pages between
-        # experiments, about 400 faults an experiment, which spread over
-        # 8 trials read 50.
+        # this n. Serially and on the default pool, each in a fresh
+        # process. A pool thread's allocator arena sometimes hands back a
+        # buffer's pages between experiments, about 400 faults, which
+        # spread over 8 trials read 50: on the pool the warm-up runs the
+        # measured 34 trials, so every pool thread has its buffers, and
+        # the experiments differ by 32 trials.
         pytest.importorskip("resource")
-        for workers in (1, None):
+        for workers, warm, many in ((1, 2, 10), (None, 34, 34)):
             probe = (
                 "import resource\n"
                 "from privexp import ExperimentSpec, Learner, RateBounds, run_experiment\n"
@@ -417,8 +425,8 @@ class TestSampleBuffer:
                 f"    run_experiment(spec, workers={workers})\n"
                 "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
                 "for _ in range(3):\n"
-                "    faults(2)\n"
-                "print(max((faults(34) - faults(2)) / 32 for _ in range(3)))\n")
+                f"    faults({warm})\n"
+                f"print(max((faults({many}) - faults(2)) / {many - 2} for _ in range(3)))\n")
             proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                   text=True, env=src_on_path(), timeout=120)
             assert proc.returncode == 0, proc.stderr
