@@ -31,11 +31,11 @@ def main() -> None:
 
     bounds = RateBounds(0.5, 500.0)
     for alpha in (0.05, 0.2):
-        fam = build_packing(bounds, alpha)
-        gaps = [exp_tv(a, b) for a, b in zip(fam.rates, fam.rates[1:])]
+        rates = build_packing(bounds, alpha)
+        gaps = [exp_tv(a, b) for a, b in zip(rates, rates[1:])]
         print(f"\npacking of [{bounds.lower}, {bounds.upper}] at alpha = {alpha}:")
-        print(f"  {len(fam.rates)} rates, first/last = "
-              f"{fam.rates[0]:.4g} / {fam.rates[-1]:.4g}")
+        print(f"  {len(rates)} rates, first/last = "
+              f"{rates[0]:.4g} / {rates[-1]:.4g}")
         print(f"  adjacent TV min = {min(gaps):.4f} (needs >= {alpha})")
         n_min = lower_bound_n(alpha, 0.1, 1.0, bounds)
         print(f"  no eps=1 learner can succeed below n = {n_min}")

@@ -28,8 +28,8 @@ from .learners import (BEST_OF_BOTH_SPLIT, COARSE_ALPHA, MLE_BRANCH_CUTOFF, MLE_
 from .pareto import DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, _pivot_grid
 from .quantile import SearchGrid, _check_alpha, clipping_range, svt_grid
 
-__all__ = ["SampleBound", "SampleSizeReport", "PackingFamily", "build_packing",
-           "lower_bound_n", "required_n", "quantile_order_terms"]
+__all__ = ["SampleBound", "SampleSizeReport", "build_packing", "lower_bound_n",
+           "required_n", "quantile_order_terms"]
 
 PACKING_RATIO_FACTOR = 8.0  # adjacent packing rates differ by 1 + 8*alpha
 _PACKING_MAX_RATES = 1 << 20
@@ -58,17 +58,9 @@ class SampleSizeReport:
     exact_constants: bool
 
 
-@dataclass(frozen=True)
-class PackingFamily:
-    """Geometric family of rates, adjacent pairs separated by TV >= alpha."""
-
-    rates: tuple
-    alpha: float
-    bounds: RateBounds
-
-
-def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
-    """Rates lower * (1 + 8*alpha)^i for i = 0 .. floor(log(ratio)/log(1+8*alpha)).
+def build_packing(bounds: RateBounds, alpha: float) -> tuple[float, ...]:
+    """The packing family, adjacent rates separated by TV >= alpha: the rates
+    lower * (1 + 8*alpha)^i for i = 0 .. floor(log(ratio)/log(1+8*alpha)).
     Raises OutOfRegime, naming the packing, for an alpha below the grids'
     floor (quantile._check_alpha) or a family, built in full, of more than
     _PACKING_MAX_RATES = 2^20 rates (about 32 MB)."""
@@ -80,8 +72,7 @@ def build_packing(bounds: RateBounds, alpha: float) -> PackingFamily:
     if count >= _PACKING_MAX_RATES:
         raise OutOfRegime(f"the packing at alpha = {alpha!r} has {count + 1} rates, "
                           f"more than {_PACKING_MAX_RATES}")
-    rates = tuple(bounds.lower * r ** i for i in range(count + 1))
-    return PackingFamily(rates, alpha, bounds)
+    return tuple(bounds.lower * r ** i for i in range(count + 1))
 
 
 def _sample_size(value: float, bound: str) -> int:

@@ -36,7 +36,12 @@ ZERO_BIN = -1074
 # blocks against 0.24 ms in these (medians, 2-core Xeon VM). Each call also
 # releases and retakes the GIL; with two threads each counting its own
 # 131,072 values, a size the harness runs threaded, 2,048-value blocks took
-# 3.0 ms a histogram against 2.5 ms for these.
+# 3.0 ms a histogram against 2.5 ms for these. Larger blocks are faster but
+# break test_allocates_no_array_of_size_n, which caps the peak at 40,000
+# bytes for 100,000 values (a 2^14-value buffer alone is 131 KB): a
+# bounds-finder trial took 0.593 ms of CPU time here, 0.554 ms at 2^14
+# (faster in 59 of 60 interleaved repeats of 20-trial experiments) and
+# 0.543 ms in one pass.
 _HIST_BLOCK = 1 << 12
 
 
@@ -135,5 +140,4 @@ def learn_without_bounds(data: Dataset, alpha: float, beta: float,
         raise NoBinSurvived("no histogram bin cleared the release threshold; "
                             "n too small for this (epsilon, delta)")
     config = LearnerConfig(alpha, WITHOUT_BOUNDS_SPLIT[1] * beta, rate_bounds)
-    inner = best_of_both(data, config, learn_budget, rng)
-    return Estimate(inner.lambda_hat, inner.route, inner.coarse_estimate, budget)
+    return best_of_both(data, config, learn_budget, rng)

@@ -9,6 +9,7 @@ lowerbound (packing lower bound), packing (print the packing family).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -145,8 +146,8 @@ def _cmd_packing(args) -> int:
     bounds = _bounds_from(args)
     if bounds is None:
         raise IncompleteInputs("packing needs --lambda-min and --lambda-max")
-    family = build_packing(bounds, args.alpha)
-    _write_out(args, "".join(f"{rate!r}\n" for rate in family.rates))
+    rates = build_packing(bounds, args.alpha)
+    _write_out(args, "".join(f"{rate!r}\n" for rate in rates))
     return 0
 
 
@@ -250,8 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PrivexpError as exc:

@@ -98,7 +98,7 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
     """n i.i.d. draws via inverse CDF on uniforms in [0, 1)."""
     if check_count("n", n, 0, sys.maxsize) == 0:
         raise EmptyRequest("need at least one draw, got n=0")
-    return Dataset._adopt(_draw(model, rng.random(n)))
+    return Dataset._adopt(_draw(model, rng.generator.random(n)))
 
 
 def _quantile(model, p):

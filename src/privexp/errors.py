@@ -7,6 +7,15 @@ any in-regime failure without also swallowing programming errors.
 
 import math
 
+# The classes only. check_in and check_count are the package's own helpers,
+# and the benchmark's tracer wraps every function a module's __all__ lists.
+__all__ = ["PrivexpError", "InvalidScale", "EmptyDataset", "BadSplit",
+           "BudgetExhausted", "InvalidRate", "InvalidRatio", "InvalidShape",
+           "EmptyRequest", "OutOfRegime", "TooFewSamples", "NonpositiveMean",
+           "RangeEstimationFailed", "SearchExhausted", "NoBinSurvived",
+           "ScaleViolation", "EmptyTail", "IncompleteInputs", "RegimeViolation",
+           "InputError"]
+
 
 class PrivexpError(Exception):
     """Base class for all failures raised by this package."""

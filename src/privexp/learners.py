@@ -110,13 +110,12 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Learner output: the rate estimate, the route that produced it, the
-    coarse first-stage estimate when one was made, and the budget ledger."""
+    """Learner output: the rate estimate, the route that produced it, and the
+    coarse first-stage estimate when one was made."""
 
     lambda_hat: float
     route: Route
     coarse_estimate: Optional[float]
-    budget_spent: PrivacyBudget
 
 
 def private_mle(data: Dataset, clip_r: float, budget: PrivacyBudget,
@@ -250,7 +249,7 @@ def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                               "the rate below the bounds or n too small")
     clip_r = clipping_range(quantile, data.n, MLE_RANGE_THETA, MLE_SPLIT[1] * config.beta)
     lam = private_mle(data, clip_r, mle_budget, rng)
-    return Estimate(lam, Route.MLE, None, budget)
+    return Estimate(lam, Route.MLE, None)
 
 
 def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
@@ -260,7 +259,7 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
     position inside the band (1 - 1/e) +- alpha/(2e) is within (1 +- alpha)
     of 1/rate, so its reciprocal is returned."""
     position = _band_search(data, _search_grid(config.alpha, config.bounds), budget, rng)
-    return Estimate(1.0 / position, Route.QUANTILE, None, budget)
+    return Estimate(1.0 / position, Route.QUANTILE, None)
 
 
 # The grids of recent (alpha, bounds) pairs, by value: an experiment's
@@ -300,4 +299,4 @@ def best_of_both(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
         inner = mle_learning(data, main_config, main_budget, rng)
     else:
         inner = quantile_learning(data, config, main_budget, rng)
-    return Estimate(inner.lambda_hat, inner.route, lambda_0, budget)
+    return Estimate(inner.lambda_hat, inner.route, lambda_0)

@@ -50,10 +50,6 @@ class RngStream:
         self.generator = np.random.Generator(np.random.PCG64(ss))
         self.laplace_draws = 0
 
-    def random(self, size=None):
-        """Uniform draw(s) in [0, 1)."""
-        return self.generator.random(size)
-
     def __repr__(self):  # pragma: no cover
         return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
                 f"noiseless={self.noiseless})")

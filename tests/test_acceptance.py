@@ -107,8 +107,8 @@ def test_03_packing_separation():
     family_ok = True
     for bounds in (RateBounds(1.0, 10.0), RateBounds(0.5, 1e3)):
         for alpha in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45):
-            fam = build_packing(bounds, alpha)
-            for a, b in zip(fam.rates, fam.rates[1:]):
+            rates = build_packing(bounds, alpha)
+            for a, b in zip(rates, rates[1:]):
                 family_ok = family_ok and exp_tv(a, b) >= alpha
     _criterion(3, "separation function T(1+8a) >= a on 1000 grid points and "
                   "every packing family keeps adjacent TV >= a",

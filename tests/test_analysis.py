@@ -4,7 +4,6 @@ import pytest
 
 from privexp import analysis, learners, quantile
 from privexp.analysis import (
-    PackingFamily,
     SampleBound,
     _band_search_value,
     build_packing,
@@ -35,24 +34,24 @@ BASE = dict(alpha=0.2, beta=0.1, epsilon=1.0, bounds=WIDE)
 
 class TestBuildPacking:
     def test_two_point_family(self):
-        fam = build_packing(RateBounds(1.0, 1.8), 0.1)
-        assert fam.rates == (1.0, 1.8)
+        rates = build_packing(RateBounds(1.0, 1.8), 0.1)
+        assert rates == (1.0, 1.8)
         # a bounds tuple is read as lower_bound_n reads it
-        assert build_packing((1.0, 1.8), 0.1) == fam
+        assert build_packing((1.0, 1.8), 0.1) == rates
 
     def test_ratio_ten_family(self):
-        fam = build_packing(RateBounds(1.0, 10.0), 0.1)
-        assert len(fam.rates) == math.floor(math.log(10.0) / math.log(1.8)) + 1
-        assert len(fam.rates) == 4
-        for a, b in zip(fam.rates, fam.rates[1:]):
+        rates = build_packing(RateBounds(1.0, 10.0), 0.1)
+        assert len(rates) == math.floor(math.log(10.0) / math.log(1.8)) + 1
+        assert len(rates) == 4
+        for a, b in zip(rates, rates[1:]):
             assert math.isclose(b / a, 1.8, rel_tol=1e-12)
             assert exp_tv(a, b) >= 0.1
 
     def test_family_stays_in_bounds(self):
         for lo, hi, alpha in [(0.5, 7.0, 0.05), (1.0, 1e4, 0.3), (0.01, 0.02, 0.49)]:
-            fam = build_packing(RateBounds(lo, hi), alpha)
-            assert fam.rates[0] == lo
-            assert fam.rates[-1] <= hi * (1.0 + 1e-12)
+            rates = build_packing(RateBounds(lo, hi), alpha)
+            assert rates[0] == lo
+            assert rates[-1] <= hi * (1.0 + 1e-12)
 
     def test_alpha_regime(self):
         for alpha in (0.0, 0.5, 0.7, -0.1):
@@ -62,9 +61,9 @@ class TestBuildPacking:
     def test_separation_function_backs_the_family(self):
         # adjacent TV equals T(1 + 8*alpha), which stays above alpha
         for alpha in (0.01, 0.1, 0.25, 0.49):
-            fam = build_packing(RateBounds(1.0, 100.0), alpha)
+            rates = build_packing(RateBounds(1.0, 100.0), alpha)
             r = 1.0 + 8.0 * alpha
-            for a, b in zip(fam.rates, fam.rates[1:]):
+            for a, b in zip(rates, rates[1:]):
                 assert math.isclose(exp_tv(a, b), separation_T(r), rel_tol=1e-9)
             assert separation_T(r) >= alpha
 

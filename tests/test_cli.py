@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import src_on_path
-from privexp import harness
+from privexp import cli, harness
 from privexp.cli import build_parser, main
 from privexp.harness import _LEARNERS, Learner
 
@@ -65,6 +65,28 @@ class TestLearnerChoices:
         for argv in argvs:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
+
+
+class TestParser:
+    def test_main_builds_one_parser_and_build_parser_a_fresh_one(self, monkeypatch, capsys):
+        built = []
+
+        def counted():
+            built.append(build_parser())
+            return built[-1]
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            argv = ["packing", "--alpha", "0.2", "--lambda-min", "1", "--lambda-max", "10"]
+            outputs = []
+            for _ in range(3):
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert outputs == [outputs[0]] * 3
+        assert build_parser() is not build_parser()
 
 
 class TestEstimate:

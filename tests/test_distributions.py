@@ -105,10 +105,10 @@ class TestSample:
         # sample transforms its uniforms in place; the bits must be those of
         # the plain expressions on the same draws from a twin stream
         exp = sample(ExpModel(0.37), n, RngStream(5, 2)).values
-        u = RngStream(5, 2).random(n)
+        u = RngStream(5, 2).generator.random(n)
         assert exp.tobytes() == (-np.log1p(-u) / 0.37).tobytes()
         pareto = sample(ParetoModel(1.3, 2.5), n, RngStream(5, 2)).values
-        u = RngStream(5, 2).random(n)
+        u = RngStream(5, 2).generator.random(n)
         assert pareto.tobytes() == (1.3 * np.exp(-np.log1p(-u) / 2.5)).tobytes()
 
     # The ends of [0, 1) and the binade edges below 1, then random uniforms.

@@ -391,8 +391,8 @@ def test_grids_are_built_from_the_alpha_floor_and_refused_below_it():
     assert off(grid.step, Fraction(floor) / 2 / (1 - Fraction(floor) / 2)) < 2.0 ** -10
     pivot = _pivot_grid(floor, RateBounds(0.5, 1.0), tau)
     assert off(pivot.step, math.expm1(pivot.half_band)) < 2.0 ** -10
-    family = build_packing(narrow, floor)
-    assert off(family.rates[1], 8 * Fraction(floor)) < 2.0 ** -10
+    rates = build_packing(narrow, floor)
+    assert off(rates[1], 8 * Fraction(floor)) < 2.0 ** -10
 
     learners = {"quantile_learning": quantile_learning, "best_of_both": best_of_both,
                 "learn_pareto": lambda d, c, b, r: learn_pareto(d, c, b, r, tau=tau)}
@@ -471,9 +471,9 @@ def test_a_packing_past_its_size_limit_is_refused():
     # power 2^20 -+ 1/2 asks for 2^20 rates, built, or 2^20 + 1, refused
     alpha = 2.0 ** -20
     log_r = math.log(1.0 + 8.0 * alpha)
-    family = build_packing(RateBounds(1.0, math.exp((_PACKING_MAX_RATES - 0.5) * log_r)),
-                           alpha)
-    assert len(family.rates) == _PACKING_MAX_RATES
+    rates = build_packing(RateBounds(1.0, math.exp((_PACKING_MAX_RATES - 0.5) * log_r)),
+                          alpha)
+    assert len(rates) == _PACKING_MAX_RATES
     with pytest.raises(OutOfRegime, match="packing"):
         build_packing(RateBounds(1.0, math.exp((_PACKING_MAX_RATES + 0.5) * log_r)), alpha)
     # about 1.2e9 rates: refused before any is built

@@ -248,7 +248,7 @@ class TestLearnPareto:
     def test_estimate_holds_released_values_only(self):
         # no exact count #{x >= pivot}
         assert [f.name for f in dataclasses.fields(ParetoEstimate)] == [
-            "shape_hat", "scale_hat", "tail_quantile_tau", "route", "budget_spent"]
+            "shape_hat", "scale_hat", "route"]
 
     def test_tau_regime(self):
         data = Dataset([1.0, 2.0])
@@ -275,7 +275,6 @@ class TestLearnPareto:
         assert 1.6 <= est.shape_hat <= 2.4
         log_cap = 2.0 * math.log(7.0) * (0.2 / 2.0) * DEFAULT_TAIL_QUANTILE
         assert abs(math.log(est.scale_hat)) <= log_cap
-        assert est.tail_quantile_tau == DEFAULT_TAIL_QUANTILE
 
     def test_composition_is_exactly_the_manual_pipeline(self):
         gen = np.random.default_rng(9)

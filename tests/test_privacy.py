@@ -15,17 +15,17 @@ from privexp.privacy import (NoiseScale, PrivacyBudget, RngStream,
 class TestRngStream:
     def test_same_seed_same_sequence(self):
         a, b = RngStream(42), RngStream(42)
-        assert list(a.random(10)) == list(b.random(10))
+        assert list(a.generator.random(10)) == list(b.generator.random(10))
 
     def test_distinct_stream_ids_differ(self):
         a, b = RngStream(42, 0), RngStream(42, 1)
-        assert list(a.random(10)) != list(b.random(10))
+        assert list(a.generator.random(10)) != list(b.generator.random(10))
 
     def test_stream_id_beats_call_order(self):
         # stream 3's draws do not depend on whether stream 2 ran first
-        first = list(RngStream(7, 3).random(5))
-        _ = RngStream(7, 2).random(100)
-        again = list(RngStream(7, 3).random(5))
+        first = list(RngStream(7, 3).generator.random(5))
+        _ = RngStream(7, 2).generator.random(100)
+        again = list(RngStream(7, 3).generator.random(5))
         assert first == again
 
 
