@@ -23,6 +23,8 @@ from .pareto import DEFAULT_TAIL_QUANTILE
 
 __all__ = ["main", "build_parser"]
 
+_TAU_HELP = "tail mass below the Pareto pivot"
+
 
 def _add_bounds_args(parser) -> None:
     parser.add_argument("--lambda-min", type=float, default=None,
@@ -43,6 +45,18 @@ def _add_budget_args(parser) -> None:
                         help="privacy budget epsilon")
     parser.add_argument("--delta", type=float, default=0.0,
                         help="privacy budget delta (default 0, pure DP)")
+
+
+def _add_learner_args(parser) -> None:
+    parser.add_argument("--learner", required=True,
+                        choices=[l.value for l in _LEARNERS])
+    _add_accuracy_args(parser)
+    _add_budget_args(parser)
+    _add_bounds_args(parser)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--noiseless", action="store_true")
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE,
+                        help=_TAU_HELP)
 
 
 def _bounds_from(args) -> RateBounds | None:
@@ -143,6 +157,8 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_packing(args) -> int:
+    if args.alpha is None:
+        raise IncompleteInputs("packing needs --alpha")
     bounds = _bounds_from(args)
     if bounds is None:
         raise IncompleteInputs("packing needs --lambda-min and --lambda-max")
@@ -174,39 +190,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run one learner on a data file")
     est.add_argument("--in", dest="infile", required=True)
-    est.add_argument("--learner", required=True,
-                     choices=[l.value for l in _LEARNERS])
-    _add_accuracy_args(est)
-    _add_budget_args(est)
-    _add_bounds_args(est)
-    est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--noiseless", action="store_true")
+    _add_learner_args(est)
     est.add_argument("--clip-r", type=float, default=None,
                      help="skip range estimation; clipped-mean estimate at "
                           "this fixed clipping level")
     est.add_argument("--xm", type=float, default=None,
                      help="known scale for pareto-known-scale")
-    est.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE,
-                     help="tail mass below the Pareto pivot")
     est.add_argument("--out", default=None)
     est.set_defaults(func=_cmd_estimate)
 
     def add_experiment_args(p):
-        p.add_argument("--learner", required=True,
-                       choices=[l.value for l in _LEARNERS])
-        _add_accuracy_args(p)
-        _add_budget_args(p)
-        _add_bounds_args(p)
+        _add_learner_args(p)
         p.add_argument("--true-lambda", type=float, default=None)
         p.add_argument("--true-xm", type=float, default=None)
         p.add_argument("--true-shape", type=float, default=None)
         p.add_argument("--n", type=int, default=None,
                        help="per-trial sample size (default: auto-sized)")
         p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--noiseless", action="store_true")
         p.add_argument("--safety-factor", type=float, default=4.0)
-        p.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE)
         p.add_argument("--workers", type=int, default=None,
                        help="default: 2, or 1 where this process may run on one "
                             "CPU only; 1 keeps every trial on the calling thread")
@@ -230,20 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounds_args(calc)
     calc.add_argument("--rate", type=float, default=None,
                       help="rate (or Pareto shape) the bound is evaluated at")
-    calc.add_argument("--clip-r", type=float, default=None)
-    calc.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE)
+    calc.add_argument("--clip-r", type=float, default=None,
+                      help="clipping level the clipped-mle bound is evaluated at")
+    calc.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE,
+                      help=_TAU_HELP)
     calc.add_argument("--out", default=None)
     calc.set_defaults(func=_cmd_calc)
 
     low = sub.add_parser("lowerbound", help="packing lower bound on n")
     _add_accuracy_args(low)
-    low.add_argument("--epsilon", type=float, required=True)
+    low.add_argument("--epsilon", type=float, default=None)
     _add_bounds_args(low)
     low.add_argument("--out", default=None)
     low.set_defaults(func=_cmd_lowerbound)
 
     pack = sub.add_parser("packing", help="print the packing family rates")
-    pack.add_argument("--alpha", type=float, required=True)
+    pack.add_argument("--alpha", type=float, default=None)
     _add_bounds_args(pack)
     pack.add_argument("--out", default=None)
     pack.set_defaults(func=_cmd_packing)

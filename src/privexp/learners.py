@@ -154,80 +154,58 @@ def _exact_sum(values: np.ndarray, cap: float = math.inf) -> float:
     block of k <= _SUM_BLOCK values at a time, in two buffers of one block
     kept per thread across calls, so the peak memory is bounded (1 MB)
     whatever n.
-    - sigma: every |x| in the block is below 2^e (e from frexp of the
-      largest) and k < 2^m (m = k.bit_length()); sigma = 2^s, s = e + m.
+    - sigma: every x in the block is below 2^e (e from frexp of the largest)
+      and k < 2^m (m = k.bit_length()); sigma = 2^s, s = e + m.
     - q = (x + sigma) - sigma is x rounded to a multiple of ulp(sigma)/2,
-      with |q| <= 2^e. The k values q sum to less than sigma in size, on that
-      grid, so their float sum is exact in any order. The remainder x - q is
-      exact too, and at most 2^(s-53) in size.
+      with q <= 2^e. The k values q sum to less than sigma, on that grid, so
+      their float sum is exact in any order. The remainder x - q is exact
+      too, and at most 2^(s-53) in size.
     - So the float sum of the k remainders is off by at most
       (k-1) 2^-53 / (1 - (k-1) 2^-53) * k 2^(s-53) < k^2 2^(s-105).
     - The check: the exact q-sums plus the remainder sums, once less and once
       more the summed bounds, are rounded. When both round to one double, so
       does the exact sum, which lies between them: that double is the answer.
-    - Otherwise the next level extracts the same way from the remainders,
-      with sigma from their largest size. They are not kept, so each level
-      recomputes the earlier ones from the values. A level lowers a block's
-      top exponent by at least 52 - m, and a block whose remainders are all 0
-      adds nothing and no bound, so the loop ends, at the latest when every
-      remainder is 0; on samples one level is the rule.
+    - When they do not, when the upper one overflows, or when a block's sigma
+      would pass 2^1023, the answer is math.fsum of the clipped values, fed
+      block by block from the first buffer; no sum of the benchmark's
+      samples needs it.
     The parts are added as integers counting 2^-1074, which every double is
     a whole number of, and rounded by int true division. That raises
-    OverflowError past the largest double; unlike math.fsum over the parts,
-    it never overflows part way.
+    OverflowError past the largest double, as math.fsum does.
     """
     size = min(values.size, _SUM_BLOCK)
     buffers = getattr(_sum_buffers, "blocks", None)
     if buffers is None or buffers[0].size < size:
         buffers = _sum_buffers.blocks = (np.empty(size), np.empty(size))
-    starts = range(0, values.size, _SUM_BLOCK)
-    levels = [[] for _ in starts]  # per block, the s of each level taken
-    exact = 0  # the q-sums of the levels taken
-    while True:
-        approx = bound = 0  # the last level's remainder sums, and their bound
-        for start, taken in zip(starts, levels):
-            block = values[start:start + _SUM_BLOCK]
-            k = block.size
-            r = np.minimum(block, cap, out=buffers[0][:k])
-            q = buffers[1][:k]
-            for s in taken:
-                _extract(r, s, q)
-            # the clipped values are nonnegative, the remainders of either sign
-            top = max(r.max(), -r.min()) if taken else r.max()
-            if top == 0:
-                continue
-            s = math.frexp(top)[1] + k.bit_length()
-            taken.append(s)
-            exact += _extract(r, s, q)
-            approx += _units(float(r.sum()))
-            bound += _units(math.ldexp(k * k, s - 105))
-        low = (exact + approx - bound) / _UNIT
-        try:
-            high = (exact + approx + bound) / _UNIT
-        except OverflowError:  # the exact sum may still round below it
+    exact = approx = bound = 0  # the q-sums, the remainder sums, their bound
+    for start in range(0, values.size, _SUM_BLOCK):
+        block = values[start:start + _SUM_BLOCK]
+        k = block.size
+        r = np.minimum(block, cap, out=buffers[0][:k])
+        top = r.max()
+        if top == 0:
             continue
-        if low == high:
-            return low
+        s = math.frexp(top)[1] + k.bit_length()
+        if s > 1023:
+            return math.fsum(_clipped(values, cap, buffers[0]))
+        sigma = math.ldexp(1.0, s)
+        q = np.subtract(np.add(r, sigma, out=buffers[1][:k]), sigma, out=buffers[1][:k])
+        exact += _units(float(q.sum()))
+        approx += _units(float(np.subtract(r, q, out=r).sum()))
+        bound += _units(math.ldexp(k * k, s - 105))
+    low = (exact + approx - bound) / _UNIT
+    try:
+        high = (exact + approx + bound) / _UNIT
+    except OverflowError:
+        high = math.inf
+    return low if low == high else math.fsum(_clipped(values, cap, buffers[0]))
 
 
-def _extract(r: np.ndarray, s: int, q: np.ndarray) -> int:
-    """One level of _exact_sum: q <- r rounded to the grid of sigma = 2^s,
-    r <- r - q, both exact. Returns the exact sum of q in units of 2^-1074.
-
-    Past 2^1023, sigma is no double: q is then rounded from r 2^-t, t =
-    s - 1023, which is exact but where |r| < 2^(t-1022), too small to reach
-    the grid (q = 0 either way), and r - q 2^t is taken in two steps of
-    q 2^(t-1), each exact, since q 2^t may be 2^1024.
-    """
-    t = max(s - 1023, 0)
-    sigma = math.ldexp(1.0, s - t)
-    x = np.multiply(r, math.ldexp(1.0, -t), out=q) if t else r
-    np.subtract(np.add(x, sigma, out=q), sigma, out=q)
-    q_sum = _units(float(q.sum())) << t
-    if t:
-        np.subtract(r, np.multiply(q, math.ldexp(1.0, t - 1), out=q), out=r)
-    np.subtract(r, q, out=r)
-    return q_sum
+def _clipped(values: np.ndarray, cap: float, buffer: np.ndarray):
+    """min(x, cap) for each value, clipped block by block into buffer."""
+    for start in range(0, values.size, _SUM_BLOCK):
+        block = values[start:start + _SUM_BLOCK]
+        yield from np.minimum(block, cap, out=buffer[:block.size])
 
 
 def _units(x: float) -> int:

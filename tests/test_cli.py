@@ -263,11 +263,25 @@ class TestInputErrors:
          "packing-lower-bound needs alpha"),
         (["lowerbound", "--alpha", "0.1", "--epsilon", "1", *BOUNDS_ARGS],
          "packing-lower-bound needs beta"),
+        (["lowerbound", "--alpha", "0.1", "--beta", "0.1", *BOUNDS_ARGS],
+         "packing-lower-bound needs epsilon"),
+        (["lowerbound", "--alpha", "0.1", "--beta", "0.1", "--epsilon", "1"],
+         "--lambda-min and --lambda-max"),
+        (["packing", *BOUNDS_ARGS], "--alpha"),
+        (["packing", "--alpha", "0.1"], "--lambda-min and --lambda-max"),
+        (["gen", "--dist", "pareto", "--shape", "2", "--n", "5", "--out", "f.txt"],
+         "--xm"),
+        (["gen", "--dist", "pareto", "--xm", "1", "--n", "5", "--out", "f.txt"],
+         "--shape"),
     ], ids=["estimate-alpha", "estimate-epsilon", "estimate-bounds",
             "estimate-delta", "experiment-alpha", "estimate-clip-epsilon",
-            "lowerbound-alpha", "lowerbound-beta"])
-    def test_missing_input(self, capsys, argv, word):
+            "lowerbound-alpha", "lowerbound-beta", "lowerbound-epsilon",
+            "lowerbound-bounds", "packing-alpha", "packing-bounds",
+            "gen-pareto-xm", "gen-pareto-shape"])
+    def test_missing_input(self, capsys, monkeypatch, tmp_path, argv, word):
+        monkeypatch.chdir(tmp_path)
         assert_one_error_line(capsys, argv, word)
+        assert not (tmp_path / "f.txt").exists()
 
     @pytest.mark.parametrize("argv, word", [
         ([*MLE_EXPERIMENT, "--n", "100", "--alpha", "5"], "alpha"),
@@ -305,6 +319,10 @@ class TestInputErrors:
           for delta in ("-1", "nan", "1.5")),
         (["calc", "--bound", "svt-quantile", "--beta", "0.1", "--epsilon", "1",
           *BOUNDS_ARGS, "--delta", "1.5"], "delta must lie in [0"),
+        # the working directory is no file to write
+        (["calc", "--bound", "quantile-search", "--alpha", "0.2", "--beta", "0.1",
+          "--epsilon", "1", *BOUNDS_ARGS, "--out", "."], "Is a directory"),
+        (["gen", "--rate", "2", "--n", "5", "--out", "."], "Is a directory"),
     ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
             "n-grid", "n-grid-empty", "delta", "clip-r", "experiment-delta",
             "experiment-delta-autosized", "clip-r-delta", "safety-factor",
@@ -312,7 +330,8 @@ class TestInputErrors:
             "experiment-seed", "sweep-seed", "experiment-workers-zero",
             "experiment-workers-negative", "sweep-workers-zero",
             "calc-delta-negative",
-            "calc-delta-nan", "calc-delta-above-one", "calc-delta-unread"])
+            "calc-delta-nan", "calc-delta-above-one", "calc-delta-unread",
+            "out-directory", "gen-out-directory"])
     def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
         # near_max.txt: two values whose sum clipped at 1e308 is past the
         # largest double

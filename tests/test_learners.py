@@ -258,7 +258,8 @@ class TestExactSum:
     def test_rounding_midpoints_across_blocks(self):
         # 2^16 + 1 values whose exact total is halfway between two doubles
         # (ulp 2^10 at 2^62), and the same total 2^-1074 above and below it;
-        # the first level's bound cannot settle these, so deeper levels must
+        # the extraction's bound cannot settle these, so they reach the
+        # math.fsum fallback, fed block by block
         gen = np.random.default_rng(12)
         rest = gen.integers(0, 1 << 14, 1 << 16).astype(np.float64)
         rest[0] = 1.0
@@ -274,9 +275,9 @@ class TestExactSum:
         assert learners._exact_sum(above, 2.0 ** 62) == sums[1]
 
     def test_negative_remainders(self):
-        # 26 rounds up to 32 on the first level's grid, a remainder of -6 that
-        # the next level extracts: the sum is halfway between 2^54 + 24 and
-        # 2^54 + 28, and rounds to even
+        # 26 rounds up to 32 on the extraction's grid, a remainder of -6: the
+        # sum is halfway between 2^54 + 24 and 2^54 + 28, which the bound
+        # cannot settle, so it reaches the math.fsum fallback and rounds to even
         assert learners._exact_sum(np.array([2.0 ** 54, 26.0])) == 2.0 ** 54 + 24
 
     def test_whole_exponent_range(self):
@@ -287,8 +288,9 @@ class TestExactSum:
         assert learners._exact_sum(values, cap) == math.fsum(np.minimum(values, cap))
 
     def test_blocks_topped_near_the_largest_doubles(self):
-        # blocks whose sigma = 2^(e + 17) passes 2^1023, where the extraction
-        # scales: topped near 2^(1023 - 16), and near the largest double
+        # blocks whose sigma = 2^(e + 17) would pass 2^1023 reach the
+        # math.fsum fallback: topped near 2^(1023 - 16), and near the largest
+        # double
         gen = np.random.default_rng(14)
         top = 2.0 ** 1007
         for edge in (float(np.nextafter(top, 0.0)), top):
@@ -304,6 +306,57 @@ class TestExactSum:
             assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
         with pytest.raises(OverflowError):
             learners._exact_sum(np.array([largest, ulp / 2]))
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        calls = []
+        monkeypatch.setattr(math, "fsum",
+                            lambda values, fsum=math.fsum: calls.append(1) or fsum(values))
+        return calls
+
+    def test_samples_never_take_the_fallback(self, monkeypatch):
+        # one extraction level settles sums of exponential samples at the
+        # sizes the benchmark sums, clipped or not: math.fsum stays the
+        # exception
+        gen = np.random.default_rng(15)
+        calls = self._count_fallbacks(monkeypatch)
+        for size, count in ((20_424, 200), (36_944, 200), (112_324, 4), (250_000, 4)):
+            for _ in range(count):
+                values = gen.exponential(1.0, size)
+                learners._exact_sum(values)
+                learners._exact_sum(values, 3.0)
+        assert calls == []
+
+    def test_fallback_allocates_no_array_of_size_n(self, monkeypatch):
+        # one value at 2^1007 takes its block's sigma past 2^1023, so the sum
+        # is math.fsum's, fed from the block buffer
+        n = 10 ** 6
+        values = np.random.default_rng(16).exponential(1.0, n)
+        values[n // 2] = 2.0 ** 1007
+        want = math.fsum(values)
+        calls = self._count_fallbacks(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = learners._exact_sum(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and calls == [1]
+        assert peak < 0.25 * 8 * n
+
+    def test_upper_bound_past_the_largest_double(self, monkeypatch):
+        # one-value blocks below 2^1022 keep every sigma a double, but sums
+        # at and just below the midpoint of the largest double and 2^1024
+        # take the upper bound past it, so math.fsum decides: the midpoint
+        # rounds to even, 2^1024, and overflows; the sum below it does not
+        monkeypatch.setattr(learners, "_SUM_BLOCK", 1)
+        arrays = [[2.0 ** 1022 - 2.0 ** 969] * 4 + [last]
+                  for last in (2.0 ** 970, 2.0 ** 970 - 2.0 ** 918)]
+        sums = [fsum_or_overflow(values) for values in arrays]
+        assert sums == [OverflowError, sys.float_info.max]
+        calls = self._count_fallbacks(monkeypatch)
+        assert [exact_sum_or_overflow(values) for values in arrays] == sums
+        assert len(calls) == 2
 
     def test_all_negative_zero_block_first(self, monkeypatch):
         values = np.concatenate((np.full(1 << 16, -0.0), [3.0, 2.0 ** -1074, 0.5]))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestSampleLaplace:
         for _ in range(5):
             sample_laplace(NoiseScale(2.0), rng)
         assert rng.laplace_draws == 5
+
+    def test_a_uniform_of_zero_is_drawn_again(self):
+        # u = 0.0 would give log1p(-1) = -inf: the draw comes from the next
+        # uniform, and is counted once
+        uniforms = [0.0, 0.75]
+        rng = RngStream(0)
+        rng.generator = SimpleNamespace(random=lambda: uniforms.pop(0))
+        assert sample_laplace(NoiseScale(2.0), rng) == -2.0 * math.log1p(-0.5)
+        assert rng.laplace_draws == 1 and uniforms == []
 
     def test_deterministic_per_stream(self):
         a = [sample_laplace(NoiseScale(0.7), RngStream(9, i)) for i in range(4)]
