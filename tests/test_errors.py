@@ -159,9 +159,16 @@ REFUSALS = {
     "build_packing-tuple": (lambda: build_packing((1.0, 0.1), 0.2), InvalidRatio, "lower"),
     "RngStream-seed": (lambda: RngStream(-1), OutOfRegime, "seed"),
     "RngStream-seed-float": (lambda: RngStream(2.5), OutOfRegime, "seed"),
+    "RngStream-seed-bool": (lambda: RngStream(True), OutOfRegime, "seed"),
     "RngStream-stream_id": (lambda: RngStream(0, -1), OutOfRegime, "stream_id"),
-    "experiment-base_seed": (lambda: run_experiment(replace(SPEC, n=10, base_seed=-1)),
-                             OutOfRegime, "seed"),
+    "RngStream-stream_id-float": (lambda: RngStream(0, 2.5), OutOfRegime, "stream_id"),
+    "RngStream-stream_id-bool": (lambda: RngStream(0, True), OutOfRegime, "stream_id"),
+    # before any stream is seeded: a negative seed has no SeedSequence
+    # words, and a bool would be read as 0 or 1
+    **{f"experiment-base_seed{tag}": (
+        lambda seed=seed: run_experiment(replace(SPEC, n=10, base_seed=seed)),
+        OutOfRegime, "seed")
+       for tag, seed in (("", -1), ("-bool", True), ("-float", 2.5))},
     **{f"sample-n-{n!r}": (lambda n=n: sample(ExpModel(1.0), n, RngStream(0)),
                            OutOfRegime, "n must")
        for n in (2.5, "3", 10**30, -1, True)},

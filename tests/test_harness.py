@@ -374,24 +374,31 @@ class TestSampleBuffer:
     def test_records_equal_a_replay_through_sample(self, learner, workers,
                                                    monkeypatch):
         # what a trial leaves in the buffer must not reach a later trial:
-        # each record is the one fresh draws from sample() give
+        # each record is the one fresh draws from sample() give, and its
+        # stream the public RngStream, here also under a seed of five
+        # 32-bit words in a 1-trial experiment
         monkeypatch.setattr(harness, "_POOL_MIN_N", 1)
-        spec = dataclasses.replace(tiny_spec(learner), trials=5)
         row = _LEARNERS[learner]
-        model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
-                 else ExpModel(spec.true_lambda))
-        for record in run_experiment(spec, workers=workers).records:
-            rng = RngStream(spec.base_seed, record.trial_id)
-            data = sample(model, spec.n, rng)
-            budget = PrivacyBudget(spec.epsilon, spec.delta if row.uses_delta else 0.0)
-            try:
-                estimate, route, detail = row.run(data, spec, harness._config(spec),
-                                                  budget, rng)
-            except PrivexpError as exc:
-                assert record.failure_name == type(exc).__name__
-                continue
-            assert record.estimate == estimate
-            assert (record.route, record.detail) == (route, detail)
+        for base_seed, trials in ((5, 5), (2**130, 1)):
+            spec = dataclasses.replace(tiny_spec(learner), base_seed=base_seed,
+                                       trials=trials)
+            model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
+                     else ExpModel(spec.true_lambda))
+            records = run_experiment(spec, workers=workers).records
+            assert len(records) == trials
+            for record in records:
+                rng = RngStream(spec.base_seed, record.trial_id)
+                data = sample(model, spec.n, rng)
+                budget = PrivacyBudget(spec.epsilon,
+                                       spec.delta if row.uses_delta else 0.0)
+                try:
+                    estimate, route, detail = row.run(data, spec, harness._config(spec),
+                                                      budget, rng)
+                except PrivexpError as exc:
+                    assert record.failure_name == type(exc).__name__
+                    continue
+                assert record.estimate == estimate
+                assert (record.route, record.detail) == (route, detail)
 
     def test_sample_returns_a_fresh_read_only_array(self):
         first = sample(ExpModel(1.0), 1000, RngStream(0)).values

@@ -3,14 +3,27 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from privexp.errors import (BadSplit, BudgetExhausted, EmptyDataset, InvalidScale,
                             OutOfRegime)
 from privexp.dataset import Dataset
-from privexp.privacy import (NoiseScale, PrivacyBudget, RngStream,
+from privexp.privacy import (NoiseScale, PrivacyBudget, RngStream, _seed_words,
                              noisy_fraction_below, sample_laplace)
+
+# Seeds of one to eight 32-bit words: from five words on, SeedSequence mixes
+# the words past its pool of four in a loop of their own.
+SEEDS = st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**64 + 2**32),
+                  st.integers(2**128, 2**224))
+# Stream ids of one and two words (a two-word spawn key from 2^32 on), and
+# of three past 2^64.
+STREAM_IDS = st.one_of(st.integers(0, 2**33), st.integers(2**64 - 8, 2**66))
+
+
+def seed_sequence_words(seed, stream_id):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,)).generate_state(
+        4, np.uint64)
 
 
 class TestRngStream:
@@ -28,6 +41,36 @@ class TestRngStream:
         _ = RngStream(7, 2).generator.random(100)
         again = list(RngStream(7, 3).generator.random(5))
         assert first == again
+
+
+class TestSeedWords:
+    """Every stream is seeded as numpy's SeedSequence would seed it."""
+
+    @given(SEEDS, STREAM_IDS, st.integers(1, 6))
+    @example(0, 0, 1)
+    @example(2**32 - 1, 2**32 - 1, 1)
+    @example(2**32, 2**32, 1)
+    @example(2**64 + 7, 2**32 - 3, 6)  # ids 2^32 - 3 to 2^32 + 2: one word, then two
+    @example(2**128, 0, 3)
+    @example(2**200 + 2**130 + 1, 2**64 - 2, 4)
+    def test_words_equal_seed_sequences(self, seed, first, count):
+        words = _seed_words(seed, first, count)
+        assert words.shape == (count, 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        for j in range(count):
+            assert np.array_equal(words[j], seed_sequence_words(seed, first + j))
+
+    @given(SEEDS, STREAM_IDS)
+    @example(0, 0)
+    @example(2**32 - 1, 2**32 - 1)
+    @example(2**32, 2**32)
+    @example(2**64 + 7, 5)
+    @example(2**128, 2**32 + 1)
+    def test_generator_state_equals_seed_sequences(self, seed, stream_id):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        rng = RngStream(seed, stream_id)
+        assert rng.generator.bit_generator.state == np.random.PCG64(ss).state
+        assert rng.generator.random() == np.random.Generator(np.random.PCG64(ss)).random()
 
 
 class TestSampleLaplace:
