@@ -356,7 +356,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
              else ExpModel(spec.true_lambda))
     # One pass over all trials' streams: seeding each from its own
     # SeedSequence took about a quarter of a quantile trial at n = 616.
-    seeds = _seed_words(spec.base_seed, 0, spec.trials)
+    seeds = _seed_words(spec.base_seed, np.arange(spec.trials, dtype=np.uint64))
     # One sample buffer per thread, freed with the experiment: allocating a
     # fresh one per trial page-faulted it in again each time.
     buffers = threading.local()
@@ -385,13 +385,13 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
 
 def run_sweep(spec: ExperimentSpec, n_values, workers: int | None = None) -> list:
     """One experiment per sample size, each run as run_experiment runs it
-    with these workers; rows ordered as given."""
-    rows = []
-    for n in n_values:
-        summary = run_experiment(replace(spec, n=int(n)), workers=workers)
-        rows.append({"n": int(n), "success_rate": summary.success_rate,
-                     "trials": spec.trials, "seed": spec.base_seed})
-    return rows
+    with these workers; rows ordered as given. Every size is checked, as
+    ExperimentSpec's n is, before the first experiment runs."""
+    sizes = [check_count("n", n, 1, sys.maxsize) for n in n_values]
+    rates = [run_experiment(replace(spec, n=n), workers=workers).success_rate
+             for n in sizes]
+    return [{"n": n, "success_rate": rate, "trials": spec.trials, "seed": spec.base_seed}
+            for n, rate in zip(sizes, rates)]
 
 
 def sweep_csv(rows) -> str:

@@ -31,91 +31,60 @@ __all__ = [
 # one ulp at 1.0 (e.g. 1/3 + 2/3 lands one ulp short).
 _SPLIT_TOL = 2.0 ** -50
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) with a pool of four
-# 32-bit words. Each hash takes two constants, consecutive in a chain that
-# does not depend on the data: _POOL_HASH's pairs for the 16 hashes that
-# fill and mix the pool, then per later entropy word four hashes, one for
-# each pool word, whose constant rows are _ABSORB_HASH's times _MULT_A^4 per
-# earlier such word; generate_state's 8 output words, from pool words 0-3
-# then 0-3 again, use _OUT_HASH's rows.
-_MASK32 = 0xFFFF_FFFF
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its pool of
+# four 32-bit words, in uint32 arrays, which wrap as its C does. Each hash
+# xors with one constant of a chain and multiplies by the next. A seed of w
+# words takes the first 4 * max(4, w) hashes of the A chain, and each word
+# of the spawn key the next four, one per pool word; generate_state's 8
+# output words, from pool words 0-3 and then 0-3 again, take the B chain's.
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_MULT_A4 = pow(_MULT_A, 4, 1 << 32)
-_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 
 
-def _chain(init: int, mult: int, first: int, count: int) -> list:
-    """Hash constants first to first + count - 1 of the chain from init."""
-    return [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + count)]
+def _hashes(init: int, mult: int, first: int) -> np.ndarray:
+    """The constants of hashes first to first + 7 of the chain from init,
+    as [xor, multiply][word][pool word]."""
+    chain = [init * pow(mult, k, 1 << 32) & 0xFFFF_FFFF for k in range(first, first + 9)]
+    return np.array([chain[:8], chain[1:]], dtype=np.uint32).reshape(2, 2, 4)
 
 
-# pairs and rows: the constants each hash xors with, then those it
-# multiplies by, one step further on the chain
-_POOL_HASH = list(zip(_chain(_INIT_A, _MULT_A, 0, 16), _chain(_INIT_A, _MULT_A, 1, 16)))
-_ABSORB_HASH = np.array([_chain(_INIT_A, _MULT_A, 16 + k, 4) for k in (0, 1)],
-                        dtype=np.uint64)
-_OUT_HASH = np.array([_chain(_INIT_B, _MULT_B, k, 8) for k in (0, 1)],
-                     dtype=np.uint64).reshape(2, 2, 4)
-# the pool word each of the 12 mixes after the 4 fill hashes reads, and the
-# one it mixes into
-_POOL_MIXES = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+# the spawn key's two words after a seed of at most four words
+_ABSORB_HASH = _hashes(_INIT_A, _MULT_A, 16)
+_OUT_HASH = _hashes(_INIT_B, _MULT_B, 0)
 
 
 def _hash(value, xor, mul):
-    """SeedSequence's hashmix of value between the chain constants xor and
-    mul: ints below 2^32, or uint64 arrays. Only value's low 32 bits count:
-    where it has more, its product wraps mod 2^64 and the mask keeps the
-    same low 32 bits."""
-    value = (value ^ xor) * mul & _MASK32
+    """SeedSequence's hashmix of value between the chain constants xor and mul."""
+    value = (value ^ xor) * mul
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y. An int goes
-    negative where a uint64 array wraps mod 2^64; the mask takes either to
-    the same word."""
-    r = _MIX_L * x - _MIX_R * y & _MASK32
+    """SeedSequence's mix of pool word x with hashed word y."""
+    r = _MIX_L * x - _MIX_R * y
     return r ^ r >> 16
 
 
-def _words32(value: int) -> int:
-    """How many 32-bit words SeedSequence splits the int value into."""
-    return max(1, (value.bit_length() + 31) // 32)
+def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
+    """A C-contiguous (len(ids), 4) uint64 array whose row j holds the PCG64
+    seed words SeedSequence(seed, spawn_key=(ids[j],)).generate_state(4,
+    np.uint64) gives, bit for bit.
 
-
-def _seed_words(seed: int, first: int, count: int) -> np.ndarray:
-    """A C-contiguous (count, 4) uint64 array whose row j holds the PCG64
-    seed words SeedSequence(entropy=seed, spawn_key=(first + j,))
-    .generate_state(4, np.uint64) gives, bit for bit.
-
-    seed and first must be checked non-negative ints (SeedSequence refuses
-    a negative one), and count at least 1. The pool mixed from the seed is
-    the same for every stream, so it is mixed once, in ints; the spawn key's
-    32-bit words, lowest first, then go into it for all streams at once.
+    seed must be a checked non-negative int and ids a uint64 array. The
+    pool mixed from the seed is SeedSequence(seed).pool for every stream;
+    each id's low 32-bit word goes into it for all ids at once, and its
+    high word only into the rows of the ids past 2^32 - 1, which have one.
     """
-    entropy = [seed >> 32 * k & _MASK32 for k in range(_words32(seed))]
-    # a spawned SeedSequence pads short entropy to its pool size
-    entropy += [0] * (4 - len(entropy))
-    pool = [_hash(word, *consts) for word, consts in zip(entropy[:4], _POOL_HASH)]
-    for (src, dst), consts in zip(_POOL_MIXES, _POOL_HASH[4:]):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], *consts))
-    pool = np.array([pool], dtype=np.uint64)
-    hashes = _ABSORB_HASH
-    for word in entropy[4:]:
-        pool = _mix(pool, _hash(word, *hashes))
-        hashes = hashes * _MULT_A4 & _MASK32
-
-    # Stream first + j has its words k >= 1 from j = 2^(32k) - first on,
-    # and always word 0; they are first's words plus j, carried.
-    total = np.arange(count, dtype=np.uint64)[:, None] + (first & _MASK32)
-    pool = _mix(pool, _hash(total, *hashes))
-    for k in range(1, _words32(first + count - 1)):
-        hashes = hashes * _MULT_A4 & _MASK32
-        total = (total >> 32) + (first >> 32 * k & _MASK32)
-        start = max(0, (1 << 32 * k) - first)
-        pool[start:] = _mix(pool[start:], _hash(total[start:], *hashes))
-    out = _hash(pool[:, None], *_OUT_HASH).reshape(count, 8)
+    words = (seed.bit_length() + 31) // 32
+    hashes = _ABSORB_HASH * pow(_MULT_A, 4 * max(0, words - 4), 1 << 32)
+    pool = _mix(np.random.SeedSequence(seed).pool,
+                _hash(ids.astype(np.uint32)[:, None], *hashes[:, 0]))
+    two = np.flatnonzero(ids >> 32)
+    if two.size:
+        high = (ids[two] >> 32).astype(np.uint32)[:, None]
+        pool[two] = _mix(pool[two], _hash(high, *hashes[:, 1]))
+    out = _hash(pool[:, None], *_OUT_HASH).reshape(len(ids), 8).astype(np.uint64)
     return out[:, 0::2] | out[:, 1::2] << 32
 
 
@@ -123,21 +92,21 @@ class RngStream:
     """A seeded, independent random stream.
 
     (seed, stream_id) fully determines the draw sequence: the stream's
-    PCG64 is seeded as SeedSequence(entropy=seed, spawn_key=(stream_id,))
-    would seed it, bit for bit, so its generator's state equals that of
-    np.random.PCG64 built on that SeedSequence. No SeedSequence is built,
-    so the generator cannot spawn. Distinct stream_ids under the
-    same seed give statistically independent streams, so parallel trials can
-    each own stream_id = trial index without any coordination.
-    ``laplace_draws`` counts the Laplace samples actually drawn, which the
-    tests use to audit SVT halting behavior. ``noiseless`` pins every
-    Laplace draw to 0.0; data sampling is unaffected.
+    PCG64 is seeded by SeedSequence(seed, spawn_key=(stream_id,)) itself,
+    and an experiment's trial streams by rows of _seed_words, that
+    SeedSequence's words derived for all trials at once. Distinct
+    stream_ids under the same seed give statistically independent streams,
+    so parallel trials can each own stream_id = trial index without any
+    coordination. ``laplace_draws`` counts the Laplace samples actually
+    drawn, which the tests use to audit SVT halting behavior. ``noiseless``
+    pins every Laplace draw to 0.0; data sampling is unaffected.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, *, noiseless: bool = False):
         self.seed = check_count("seed", seed, 0, math.inf)
         self.stream_id = check_count("stream_id", stream_id, 0, math.inf)
-        self._start(_seed_words(self.seed, self.stream_id, 1)[0], noiseless)
+        self._start(np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,)),
+                    noiseless)
 
     @classmethod
     def _seeded(cls, seed: int, stream_id: int, words: np.ndarray,
@@ -146,12 +115,12 @@ class RngStream:
         seed and stream id and its row of _seed_words."""
         rng = cls.__new__(cls)
         rng.seed, rng.stream_id = seed, stream_id
-        rng._start(words, noiseless)
+        rng._start(_SeedWords(words), noiseless)
         return rng
 
-    def _start(self, words: np.ndarray, noiseless: bool) -> None:
+    def _start(self, seed_source: ISeedSequence, noiseless: bool) -> None:
         self.noiseless = bool(noiseless)
-        self.generator = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        self.generator = np.random.Generator(np.random.PCG64(seed_source))
         self.laplace_draws = 0
 
     def __repr__(self):  # pragma: no cover

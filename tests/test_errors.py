@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from privexp import harness
 from privexp.analysis import (_CALCULATORS, _PACKING_MAX_RATES, SampleBound, build_packing,
                               lower_bound_n, required_n)
 from privexp.bounds import learn_without_bounds, noisy_histogram
@@ -23,7 +24,8 @@ from privexp.errors import (BadSplit, EmptyTail, IncompleteInputs, InputError, I
                             InvalidRatio, InvalidScale, InvalidShape, NonpositiveMean,
                             OutOfRegime, PrivexpError, RegimeViolation, SearchExhausted,
                             TooFewSamples, check_in)
-from privexp.harness import ExperimentSpec, Learner, run_experiment, write_sample
+from privexp.harness import (ExperimentSpec, Learner, run_experiment, run_sweep,
+                             write_sample)
 from privexp.learners import (COARSE_ALPHA, MLE_RANGE_THETA, LearnerConfig, _search_grid,
                               best_of_both, mle_learning, private_mle, quantile_learning)
 from privexp.pareto import (DEFAULT_TAIL_QUANTILE, _pivot_grid, learn_pareto,
@@ -169,6 +171,9 @@ REFUSALS = {
         lambda seed=seed: run_experiment(replace(SPEC, n=10, base_seed=seed)),
         OutOfRegime, "seed")
        for tag, seed in (("", -1), ("-bool", True), ("-float", 2.5))},
+    # every size before any experiment, as ExperimentSpec's n: not truncated
+    **{f"sweep-n-{tag}": (lambda n=n: run_sweep(SPEC, [n]), OutOfRegime, "n must")
+       for tag, n in (("float", 300.7), ("str", "300"), ("bool", True))},
     **{f"sample-n-{n!r}": (lambda n=n: sample(ExpModel(1.0), n, RngStream(0)),
                            OutOfRegime, "n must")
        for n in (2.5, "3", 10**30, -1, True)},
@@ -195,6 +200,19 @@ def test_outside_input_refused_by_name(case):
     with pytest.raises(error, match=word) as exc_info:
         call()
     assert type(exc_info.value) is error
+
+
+def test_a_bad_later_sweep_size_runs_no_experiment(monkeypatch):
+    ran = []
+
+    def recorded(spec, workers=None):
+        ran.append(spec.n)
+        return run_experiment(spec, workers=workers)
+
+    monkeypatch.setattr(harness, "run_experiment", recorded)
+    with pytest.raises(OutOfRegime, match="n must"):
+        run_sweep(SPEC, [300, 2.5])
+    assert ran == []
 
 
 @pytest.mark.parametrize("site", SITES)

@@ -14,11 +14,13 @@ from privexp.privacy import (NoiseScale, PrivacyBudget, RngStream, _seed_words,
 
 # Seeds of one to eight 32-bit words: from five words on, SeedSequence mixes
 # the words past its pool of four in a loop of their own.
-SEEDS = st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**64 + 2**32),
+SEEDS = st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**128 - 1),
                   st.integers(2**128, 2**224))
-# Stream ids of one and two words (a two-word spawn key from 2^32 on), and
-# of three past 2^64.
-STREAM_IDS = st.one_of(st.integers(0, 2**33), st.integers(2**64 - 8, 2**66))
+# Stream ids of one and two words (a two-word spawn key from 2^32 on), up to
+# the largest uint64, which _seed_words takes; RngStream also takes ids of
+# three words, past 2^64.
+UINT64_IDS = st.one_of(st.integers(0, 2**33), st.integers(2**64 - 2**33, 2**64 - 1))
+STREAM_IDS = st.one_of(UINT64_IDS, st.integers(2**64, 2**66))
 
 
 def seed_sequence_words(seed, stream_id):
@@ -46,19 +48,31 @@ class TestRngStream:
 class TestSeedWords:
     """Every stream is seeded as numpy's SeedSequence would seed it."""
 
-    @given(SEEDS, STREAM_IDS, st.integers(1, 6))
-    @example(0, 0, 1)
-    @example(2**32 - 1, 2**32 - 1, 1)
-    @example(2**32, 2**32, 1)
-    @example(2**64 + 7, 2**32 - 3, 6)  # ids 2^32 - 3 to 2^32 + 2: one word, then two
-    @example(2**128, 0, 3)
-    @example(2**200 + 2**130 + 1, 2**64 - 2, 4)
-    def test_words_equal_seed_sequences(self, seed, first, count):
-        words = _seed_words(seed, first, count)
-        assert words.shape == (count, 4) and words.dtype == np.uint64
+    @given(SEEDS, st.lists(UINT64_IDS, min_size=1, max_size=6))
+    @example(0, [0])
+    @example(2**32 - 1, [2**32 - 1, 2**32, 2**64 - 1])
+    @example(2**32, [2**64 - 1, 0, 2**32])  # seeds of two to eight words
+    @example(2**64 + 7, [5, 2**32 - 1])
+    @example(2**96 + 7, [2**64 - 1, 5, 2**64 - 1, 2**32, 5])  # unsorted, repeated
+    @example(2**128, [3, 0, 3])
+    @example(2**160 + 1, [2**32, 0])
+    @example(2**200 + 2**130 + 1, [2**32, 2**64 - 1, 0])
+    @example(2**256 - 3, [2**64 - 1, 0, 2**32, 2**32 - 1, 0, 7])
+    def test_words_equal_seed_sequences(self, seed, ids):
+        words = _seed_words(seed, np.array(ids, dtype=np.uint64))
+        assert words.shape == (len(ids), 4) and words.dtype == np.uint64
         assert words.flags.c_contiguous
-        for j in range(count):
-            assert np.array_equal(words[j], seed_sequence_words(seed, first + j))
+        for row, stream_id in zip(words, ids):
+            assert np.array_equal(row, seed_sequence_words(seed, stream_id))
+
+    @given(SEEDS, UINT64_IDS)
+    @example(0, 2**32)
+    @example(2**160 + 9, 2**64 - 1)
+    def test_seeded_state_equals_public_stream(self, seed, stream_id):
+        row = _seed_words(seed, np.array([stream_id], dtype=np.uint64))[0]
+        seeded = RngStream._seeded(seed, stream_id, row, False)
+        assert (seeded.generator.bit_generator.state
+                == RngStream(seed, stream_id).generator.bit_generator.state)
 
     @given(SEEDS, STREAM_IDS)
     @example(0, 0)
@@ -66,6 +80,7 @@ class TestSeedWords:
     @example(2**32, 2**32)
     @example(2**64 + 7, 5)
     @example(2**128, 2**32 + 1)
+    @example(2**130 + 11, 2**64 + 3)
     def test_generator_state_equals_seed_sequences(self, seed, stream_id):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
         rng = RngStream(seed, stream_id)
