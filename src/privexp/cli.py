@@ -68,7 +68,7 @@ def _bounds_from(args) -> RateBounds | None:
 
 
 def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -78,7 +78,7 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     if args.dist == "exp":
         if args.rate is None:
             raise IncompleteInputs("gen --dist exp needs --rate")
@@ -88,17 +88,15 @@ def _cmd_gen(args) -> int:
             raise IncompleteInputs("gen --dist pareto needs --xm and --shape")
         model = ParetoModel(args.xm, args.shape)
     write_sample(args.out, model, args.n, args.seed)
-    return 0
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> str:
     payload = estimate_from_file(
         args.infile, Learner(args.learner), alpha=args.alpha, beta=args.beta,
         epsilon=args.epsilon, delta=args.delta, bounds=_bounds_from(args),
         seed=args.seed, noiseless=args.noiseless, clip_r=args.clip_r,
         known_scale=args.xm, tau=args.tau)
-    _write_out(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _spec_from(args) -> ExperimentSpec:
@@ -111,13 +109,11 @@ def _spec_from(args) -> ExperimentSpec:
         safety_factor=args.safety_factor, tau=args.tau)
 
 
-def _cmd_experiment(args) -> int:
-    summary = run_experiment(_spec_from(args), workers=args.workers)
-    _write_out(args, summary.to_json() + "\n")
-    return 0
+def _cmd_experiment(args) -> str:
+    return run_experiment(_spec_from(args), workers=args.workers).to_json() + "\n"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     try:
         n_values = [int(part) for part in args.n_grid.split(",") if part]
     except ValueError:
@@ -125,12 +121,10 @@ def _cmd_sweep(args) -> int:
                          f"got {args.n_grid!r}") from None
     if not n_values:
         raise InputError(f"--n-grid names no sample size, got {args.n_grid!r}")
-    rows = run_sweep(_spec_from(args), n_values, workers=args.workers)
-    _write_out(args, sweep_csv(rows))
-    return 0
+    return sweep_csv(run_sweep(_spec_from(args), n_values, workers=args.workers))
 
 
-def _cmd_calc(args) -> int:
+def _cmd_calc(args) -> str:
     delta = check_in("delta", args.delta, 0.0, 1.0, ends="[)")  # 0: pure DP
     report = required_n(SampleBound(args.bound), alpha=args.alpha,
                         beta=args.beta, epsilon=args.epsilon,
@@ -142,29 +136,25 @@ def _cmd_calc(args) -> int:
         inputs["bounds"] = [inputs["bounds"].lower, inputs["bounds"].upper]
     payload = {"bound": report.bound_id.value, "n_required": report.n_required,
                "exact_constants": report.exact_constants, "inputs": inputs}
-    _write_out(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_lowerbound(args) -> int:
+def _cmd_lowerbound(args) -> str:
     bounds = _bounds_from(args)
     if bounds is None:
         raise IncompleteInputs("lowerbound needs --lambda-min and --lambda-max")
     report = required_n(SampleBound.PACKING_LOWER_BOUND, alpha=args.alpha,
                         beta=args.beta, epsilon=args.epsilon, bounds=bounds)
-    _write_out(args, f"{report.n_required}\n")
-    return 0
+    return f"{report.n_required}\n"
 
 
-def _cmd_packing(args) -> int:
+def _cmd_packing(args) -> str:
     if args.alpha is None:
         raise IncompleteInputs("packing needs --alpha")
     bounds = _bounds_from(args)
     if bounds is None:
         raise IncompleteInputs("packing needs --lambda-min and --lambda-max")
-    rates = build_packing(bounds, args.alpha)
-    _write_out(args, "".join(f"{rate!r}\n" for rate in rates))
-    return 0
+    return "".join(f"{rate!r}\n" for rate in build_packing(bounds, args.alpha))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--true-shape", type=float, default=None)
         p.add_argument("--n", type=int, default=None,
                        help="per-trial sample size (default: auto-sized)")
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--safety-factor", type=float, default=4.0)
+        p.add_argument("--trials", type=int, default=ExperimentSpec.trials)
+        p.add_argument("--safety-factor", type=float,
+                       default=ExperimentSpec.safety_factor)
         p.add_argument("--workers", type=int, default=None,
                        help="default: 2, or 1 where this process may run on one "
                             "CPU only; 1 keeps every trial on the calling thread")
@@ -261,12 +252,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write the text it returns to --out, else to
+    stdout (gen writes its own file and returns None); 2 on a PrivexpError."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if (text := args.func(args)) is not None:
+            _write_out(args, text)
     except PrivexpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

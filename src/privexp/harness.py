@@ -15,6 +15,7 @@ import os
 import statistics
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -28,7 +29,7 @@ from .dataset import Dataset, RateBounds
 from .distributions import ExpModel, ParetoModel, _draw, sample
 from .errors import (IncompleteInputs, InputError, NoBinSurvived, OutOfRegime,
                      PrivexpError, check_count, check_in)
-from .learners import (Estimate, LearnerConfig, best_of_both, mle_learning,
+from .learners import (Estimate, LearnerConfig, Route, best_of_both, mle_learning,
                        private_mle, quantile_learning)
 from .pareto import (DEFAULT_TAIL_QUANTILE, learn_pareto,
                      learn_pareto_known_scale)
@@ -115,8 +116,9 @@ class ExperimentSummary:
 
 
 def _config(spec: ExperimentSpec) -> LearnerConfig | None:
-    """The spec's LearnerConfig, or None for a learner that reads none."""
-    if _LEARNERS[spec.learner].needs != _CONFIG_NEEDS:
+    """The spec's LearnerConfig, or None for a learner that spends (epsilon,
+    delta), which is the one kind that reads none."""
+    if _LEARNERS[spec.learner].uses_delta:
         return None
     return LearnerConfig(spec.alpha, spec.beta, spec.bounds)
 
@@ -141,7 +143,8 @@ def _bounds_finder(data, spec, config, budget, rng):
     found = find_bounds(data, budget, rng)
     if found is None:
         raise NoBinSurvived("no histogram bin cleared the release threshold")
-    return None, "bounds-finder", {"lower": found.lower, "upper": found.upper}
+    return (None, Learner.BOUNDS_FINDER.value,
+            {"lower": found.lower, "upper": found.upper})
 
 
 def _pareto(data, spec, config, budget, rng):
@@ -178,43 +181,45 @@ class _Row(NamedTuple):
     score: Callable      # (spec, estimate, detail) -> in the accuracy band?
     bound: SampleBound   # auto-sizes experiments
     pareto: bool         # Pareto data, sized by the shape; else exponential
-    needs: tuple         # groups of ExperimentSpec fields that must be set,
-                         # besides epsilon and the true parameters
-    uses_delta: bool = False  # spends (epsilon, delta): needs delta > 0
+    uses_delta: bool = False  # spends (epsilon, delta), so needs delta > 0,
+                              # and reads no LearnerConfig; else spends
+                              # epsilon and needs alpha, beta and bounds
     release: Callable = lambda detail: {}  # detail -> extra CLI payload keys
 
-
-_CONFIG_NEEDS = (("alpha", "beta"), ("bounds",))  # builds a LearnerConfig
 
 _LEARNERS = {
     Learner.MLE: _Row(
         lambda d, s, c, b, r: _rate(mle_learning(d, c, b, r)),
-        _rate_in_band, SampleBound.MLE_LEARNING, False, _CONFIG_NEEDS),
+        _rate_in_band, SampleBound.MLE_LEARNING, False),
     Learner.QUANTILE: _Row(
         lambda d, s, c, b, r: _rate(quantile_learning(d, c, b, r)),
-        _rate_in_band, SampleBound.QUANTILE_LEARNING, False, _CONFIG_NEEDS),
+        _rate_in_band, SampleBound.QUANTILE_LEARNING, False),
     Learner.BEST_OF_BOTH: _Row(
         lambda d, s, c, b, r: _rate(best_of_both(d, c, b, r)),
-        _rate_in_band, SampleBound.BEST_OF_BOTH, False, _CONFIG_NEEDS),
+        _rate_in_band, SampleBound.BEST_OF_BOTH, False),
     Learner.BOUNDS_FINDER: _Row(
         _bounds_finder, lambda s, e, d: d["lower"] < s.true_lambda < d["upper"],
-        SampleBound.BOUNDS_FINDER, False, (), uses_delta=True,
+        SampleBound.BOUNDS_FINDER, False, uses_delta=True,
         release=lambda d: {"bounds_found": None if d is None
                            else [d["lower"], d["upper"]]}),
     Learner.PARETO: _Row(
-        _pareto, _pareto_in_band, SampleBound.PARETO_LEARNING, True, _CONFIG_NEEDS,
+        _pareto, _pareto_in_band, SampleBound.PARETO_LEARNING, True,
         release=lambda d: {"scale_hat": d["scale_hat"]}),
     Learner.PARETO_KNOWN_SCALE: _Row(
-        _pareto_known_scale, _shape_in_band, SampleBound.MLE_LEARNING, True,
-        _CONFIG_NEEDS),
+        _pareto_known_scale, _shape_in_band, SampleBound.MLE_LEARNING, True),
 }
 
 
-def _check_inputs(spec: ExperimentSpec, needs, uses_delta: bool) -> None:
-    """Raise IncompleteInputs unless the spec sets epsilon and every group of
-    fields in needs, and delta > 0 if uses_delta; OutOfRegime unless delta
-    lies in [0, 1), whether or not the run spends it."""
-    for fields in (("epsilon",), *needs):
+def _check_inputs(spec: ExperimentSpec, row: _Row | None, *truth) -> None:
+    """Raise IncompleteInputs unless the spec sets epsilon, what the row's
+    run reads, and every group of fields in truth: a row that uses delta
+    needs delta > 0 and reads no LearnerConfig; any other row needs alpha
+    and beta, then bounds, for its config. Row None, a clip_r run, reads
+    epsilon only. OutOfRegime unless delta lies in [0, 1), whether or not
+    the run spends it."""
+    uses_delta = row is not None and row.uses_delta
+    config = () if row is None or uses_delta else (("alpha", "beta"), ("bounds",))
+    for fields in (("epsilon",), *config, *truth):
         if any(getattr(spec, f) is None for f in fields):
             raise IncompleteInputs(f"{spec.learner.value} needs "
                                    f"{' and '.join(fields)}")
@@ -232,7 +237,7 @@ def _check_spec(spec: ExperimentSpec) -> None:
     check_in("safety_factor", spec.safety_factor, 0.0, math.inf)
     row = _LEARNERS[spec.learner]
     truth = ("true_xm", "true_shape") if row.pareto else ("true_lambda",)
-    _check_inputs(spec, (*row.needs, truth), row.uses_delta)
+    _check_inputs(spec, row, truth)
 
 
 def resolve_n(spec: ExperimentSpec) -> int:
@@ -314,31 +319,6 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _pool_executor
 
 
-def _run_trial(spec: ExperimentSpec, row: _Row, model, config: LearnerConfig | None,
-               n: int, trial_id: int, words: np.ndarray,
-               buffers: threading.local) -> TrialRecord:
-    """Trial trial_id on the draws sample(model, n, RngStream(seed, trial_id))
-    would give, made in this thread's n-sized buffer of the experiment;
-    words are the stream's seed words."""
-    rng = RngStream._seeded(spec.base_seed, trial_id, words, spec.noiseless)
-    buf = getattr(buffers, "sample", None)
-    if buf is None:
-        buf = buffers.sample = np.empty(n)
-    rng.generator.random(out=buf)
-    # Reusing the buffer is safe because no Dataset outlives its trial: a
-    # record keeps floats only. The Dataset freezes a view, not the buffer.
-    data = Dataset._adopt(_draw(model, buf)[:])
-    budget = PrivacyBudget(spec.epsilon, spec.delta if row.uses_delta else 0.0)
-    try:
-        estimate, route, detail = row.run(data, spec, config, budget, rng)
-    except PrivexpError as exc:
-        return TrialRecord(trial_id, OUTCOME_FAILURE, None, None,
-                           type(exc).__name__, {})
-    outcome = (OUTCOME_SUCCESS if row.score(spec, estimate, detail)
-               else OUTCOME_MISSED)
-    return TrialRecord(trial_id, outcome, estimate, route, None, detail)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentSummary:
     """Run spec.trials trials. Trials of at least _POOL_MIN_N values go to
     the process's pool of `workers` threads, by default two where the
@@ -362,20 +342,31 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     buffers = threading.local()
 
     def trial(i: int) -> TrialRecord:
-        return _run_trial(spec, row, model, config, n, i, seeds[i], buffers)
+        # Trial i on the draws sample(model, n, RngStream(base_seed, i))
+        # would give, made in this thread's sample buffer.
+        rng = RngStream._seeded(spec.base_seed, i, seeds[i], spec.noiseless)
+        buf = getattr(buffers, "sample", None)
+        if buf is None:
+            buf = buffers.sample = np.empty(n)
+        rng.generator.random(out=buf)
+        # Reusing the buffer is safe because no Dataset outlives its trial: a
+        # record keeps floats only. The Dataset freezes a view, not the buffer.
+        data = Dataset._adopt(_draw(model, buf)[:])
+        budget = PrivacyBudget(spec.epsilon, spec.delta if row.uses_delta else 0.0)
+        try:
+            estimate, route, detail = row.run(data, spec, config, budget, rng)
+        except PrivexpError as exc:
+            return TrialRecord(i, OUTCOME_FAILURE, None, None, type(exc).__name__, {})
+        outcome = (OUTCOME_SUCCESS if row.score(spec, estimate, detail)
+                   else OUTCOME_MISSED)
+        return TrialRecord(i, outcome, estimate, route, None, detail)
 
-    ids = range(spec.trials)
-    if workers > 1 and n >= _POOL_MIN_N:
-        records = tuple(_pool(workers).map(trial, ids))
-    else:
-        records = tuple(map(trial, ids))
+    run = _pool(workers).map if workers > 1 and n >= _POOL_MIN_N else map
+    records = tuple(run(trial, range(spec.trials)))
 
-    successes = sum(1 for r in records if r.outcome == OUTCOME_SUCCESS)
-    breakdown: dict = {}
-    for r in records:
-        if r.failure_name is not None:
-            breakdown[r.failure_name] = breakdown.get(r.failure_name, 0) + 1
-    breakdown = dict(sorted(breakdown.items()))
+    successes = sum(r.outcome == OUTCOME_SUCCESS for r in records)
+    breakdown = dict(sorted(Counter(r.failure_name for r in records
+                                    if r.failure_name is not None).items()))
     produced = [r.estimate for r in records if r.estimate is not None]
     mean_est = math.fsum(produced) / len(produced) if produced else None
     median_est = float(statistics.median(produced)) if produced else None
@@ -532,14 +523,14 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
                           true_xm=known_scale, tau=tau)
     uses_delta = row.uses_delta and clip_r is None
-    _check_inputs(spec, row.needs if clip_r is None else (), uses_delta)
+    _check_inputs(spec, row if clip_r is None else None)
     data = Dataset._adopt(_read_checked(path, row.pareto))
     rng = RngStream(seed, noiseless=noiseless)
     budget = PrivacyBudget(epsilon, delta if uses_delta else 0.0)
 
     if clip_r is not None:
         estimate = private_mle(data, clip_r, budget, rng)
-        route, extra = "mle", {}
+        route, extra = Route.MLE.value, {}
     else:
         config = _config(spec)
         try:
@@ -550,8 +541,6 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
         extra = row.release(detail)
 
     spent_eps, spent_delta = budget.spent()
-    payload = {"estimate": estimate, "route": route,
-               "budget_spent": {"epsilon": spent_eps, "delta": spent_delta},
-               "n": data.n}
-    payload.update(extra)
-    return payload
+    return {"estimate": estimate, "route": route,
+            "budget_spent": {"epsilon": spent_eps, "delta": spent_delta},
+            "n": data.n, **extra}

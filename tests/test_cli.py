@@ -9,7 +9,7 @@ import pytest
 from conftest import src_on_path
 from privexp import cli, harness
 from privexp.cli import build_parser, main
-from privexp.harness import _LEARNERS, Learner
+from privexp.harness import _LEARNERS, ExperimentSpec, Learner
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ONES = os.path.join(DATA_DIR, "ones.txt")
@@ -87,6 +87,12 @@ class TestParser:
         assert len(built) == 1
         assert outputs == [outputs[0]] * 3
         assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize("cmd", [["experiment"], ["sweep", "--n-grid", "100"]],
+                             ids=["experiment", "sweep"])
+    def test_experiment_defaults_are_the_specs(self, cmd):
+        args = build_parser().parse_args([*cmd, "--learner", "mle"])
+        assert cli._spec_from(args) == ExperimentSpec(Learner.MLE, None, None, None)
 
 
 class TestEstimate:
@@ -366,6 +372,36 @@ class TestInputErrors:
             "calc-tau", "calc-delta"])
     def test_calculator_out_of_regime(self, capsys, argv, word):
         assert_one_error_line(capsys, argv, word)
+
+
+class TestOut:
+    # main writes what every command but gen returns, to --out or to stdout
+
+    @pytest.fixture(params=[
+        ["estimate", "--in", ONES, *MLE_RUN, "--noiseless"],
+        [*MLE_EXPERIMENT, "--n", "100"],
+        ["sweep", *MLE_RUN, "--true-lambda", "1", "--trials", "2",
+         "--n-grid", "100,200"],
+        ["calc", "--bound", "quantile-search", "--alpha", "0.2", "--beta", "0.1",
+         "--epsilon", "1", *BOUNDS_ARGS],
+        ["lowerbound", "--alpha", "0.2", "--beta", "0.1", "--epsilon", "1",
+         *BOUNDS_ARGS],
+        ["packing", "--alpha", "0.2", *BOUNDS_ARGS],
+    ], ids=lambda argv: argv[0])
+    def argv(self, request):
+        return request.param
+
+    def test_out_file_holds_the_printed_bytes(self, capsys, tmp_path, argv):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed and out.read_bytes() == printed.encode()
+
+    def test_out_directory_is_one_error_line(self, capsys, tmp_path, argv):
+        assert_one_error_line(capsys, [*argv, "--out", str(tmp_path)],
+                              "Is a directory")
 
 
 class TestDeltaCharge:

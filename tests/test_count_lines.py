@@ -2,6 +2,7 @@
 blank lines."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "count_lines.py"
@@ -41,3 +42,30 @@ def test_prints_a_row_per_module_and_the_totals(capsys, tmp_path):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["a.py", "17", "6"],
                     ["b.py", "3", "1"], ["total", "20", "7"]]
+
+
+def test_against_prints_both_revisions_and_the_code_difference(capsys, tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1\n")
+    (package / "b.py").write_text("# gone later\ny = 2\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (package / "a.py").write_text(SOURCE)
+    (package / "b.py").unlink()
+    (package / "c.py").write_text("z = 3\n\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "second")
+    assert count_lines.main([str(package), "--against", "HEAD~1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["at", "HEAD~1", "now"],
+                    ["module", "lines", "code", "lines", "code", "diff"],
+                    ["a.py", "1", "1", "17", "6", "+5"],
+                    ["b.py", "2", "1", "-", "-", "-1"],
+                    ["c.py", "-", "-", "2", "1", "+1"],
+                    ["total", "3", "2", "19", "7", "+5"]]

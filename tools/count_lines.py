@@ -6,10 +6,17 @@ lines, comment lines and docstrings (module, class and function) are not
 code. The last row sums the columns.
 
     python3 tools/count_lines.py [PACKAGE_DIR]   # default: src/privexp
+    python3 tools/count_lines.py [PACKAGE_DIR] --against REV
+
+With --against, each row gives the module's lines and code at the git
+revision REV first (read with git show; '-' where the module is absent
+there), then its current counts, then the difference in code lines.
 """
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -38,16 +45,48 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def counts(source: str) -> tuple:
+    """(lines, code lines) of source."""
+    return len(source.splitlines()), code_lines(source)
+
+
+def counts_at(package: Path, rev: str) -> dict:
+    """Module name -> counts of the modules of package at git revision rev."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=package, capture_output=True,
+                              text=True, check=True).stdout
+    names = [n for n in git("ls-tree", "--name-only", rev, "./").splitlines()
+             if n.endswith(".py")]
+    return {n: counts(git("show", f"{rev}:./{n}")) for n in names}
+
+
+def _sums(rows: dict) -> tuple:
+    return sum(r[0] for r in rows.values()), sum(r[1] for r in rows.values())
+
+
 def main(argv: list) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "privexp"
-    rows = []
-    for path in sorted(package.glob("*.py")):
-        source = path.read_text()
-        rows.append((path.name, len(source.splitlines()), code_lines(source)))
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    print(f"{'module':<18}{'lines':>7}{'code':>7}")
-    for name, total, code in rows:
-        print(f"{name:<18}{total:>7}{code:>7}")
+    parser = argparse.ArgumentParser()
+    parser.add_argument("package", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src" / "privexp")
+    parser.add_argument("--against", metavar="REV")
+    args = parser.parse_args(argv)
+    now = {p.name: counts(p.read_text()) for p in args.package.glob("*.py")}
+    if args.against is None:
+        print(f"{'module':<18}{'lines':>7}{'code':>7}")
+        for name, (total, code) in [*sorted(now.items()), ("total", _sums(now))]:
+            print(f"{name:<18}{total:>7}{code:>7}")
+        return 0
+    try:
+        was = counts_at(args.package, args.against)
+    except subprocess.CalledProcessError as exc:
+        sys.exit(f"count_lines: {exc.stderr.strip()}")
+    print(f"{'':<18}{'at ' + args.against:>14}{'now':>14}")
+    print(f"{'module':<18}{'lines':>7}{'code':>7}{'lines':>7}{'code':>7}{'diff':>7}")
+    rows = [(n, was.get(n), now.get(n)) for n in sorted(was.keys() | now.keys())]
+    for name, old, new in [*rows, ("total", _sums(was), _sums(now))]:
+        diff = (new or (0, 0))[1] - (old or (0, 0))[1]
+        cells = [*(old or ("-", "-")), *(new or ("-", "-"))]
+        print(f"{name:<18}" + "".join(f"{c:>7}" for c in cells) + f"{diff:>+7}")
     return 0
 
 
