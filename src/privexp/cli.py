@@ -23,9 +23,6 @@ from .pareto import DEFAULT_TAIL_QUANTILE
 
 __all__ = ["main", "build_parser"]
 
-_TAU_HELP = "tail mass below the Pareto pivot"
-
-
 def _add_bounds_args(parser) -> None:
     parser.add_argument("--lambda-min", type=float, default=None,
                         help="lower end of the rate (or shape) range")
@@ -40,27 +37,32 @@ def _add_accuracy_args(parser) -> None:
                         help="failure probability target")
 
 
-def _add_budget_args(parser) -> None:
+def _add_run_args(parser) -> None:
+    """The flags a learner run and calc read alike."""
+    _add_accuracy_args(parser)
     parser.add_argument("--epsilon", type=float, default=None,
                         help="privacy budget epsilon")
     parser.add_argument("--delta", type=float, default=0.0,
                         help="privacy budget delta (default 0, pure DP)")
+    _add_bounds_args(parser)
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE,
+                        help="tail mass below the Pareto pivot")
 
 
 def _add_learner_args(parser) -> None:
     parser.add_argument("--learner", required=True,
                         choices=[l.value for l in _LEARNERS])
-    _add_accuracy_args(parser)
-    _add_budget_args(parser)
-    _add_bounds_args(parser)
+    _add_run_args(parser)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--noiseless", action="store_true")
-    parser.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE,
-                        help=_TAU_HELP)
 
 
-def _bounds_from(args) -> RateBounds | None:
+def _bounds_from(args, needed_by: str | None = None) -> RateBounds | None:
+    """The --lambda-min/--lambda-max bounds, or None where neither is given;
+    IncompleteInputs then if needed_by names a subcommand that needs them."""
     if args.lambda_min is None and args.lambda_max is None:
+        if needed_by:
+            raise IncompleteInputs(f"{needed_by} needs --lambda-min and --lambda-max")
         return None
     if args.lambda_min is None or args.lambda_max is None:
         raise IncompleteInputs("need both --lambda-min and --lambda-max")
@@ -140,25 +142,27 @@ def _cmd_calc(args) -> str:
 
 
 def _cmd_lowerbound(args) -> str:
-    bounds = _bounds_from(args)
-    if bounds is None:
-        raise IncompleteInputs("lowerbound needs --lambda-min and --lambda-max")
     report = required_n(SampleBound.PACKING_LOWER_BOUND, alpha=args.alpha,
-                        beta=args.beta, epsilon=args.epsilon, bounds=bounds)
+                        beta=args.beta, epsilon=args.epsilon,
+                        bounds=_bounds_from(args, "lowerbound"))
     return f"{report.n_required}\n"
 
 
 def _cmd_packing(args) -> str:
-    if args.alpha is None:
-        raise IncompleteInputs("packing needs --alpha")
-    bounds = _bounds_from(args)
-    if bounds is None:
-        raise IncompleteInputs("packing needs --lambda-min and --lambda-max")
-    return "".join(f"{rate!r}\n" for rate in build_packing(bounds, args.alpha))
+    rates = build_packing(_bounds_from(args, "packing"), args.alpha)
+    return "".join(f"{rate!r}\n" for rate in rates)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A refusal of argparse's own is one error line and exit 2, as a
+    PrivexpError's is; its subparsers are built of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privexp",
         description="Differentially private learners for exponential and "
                     "Pareto distributions, with exact accuracy analysis "
@@ -186,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "this fixed clipping level")
     est.add_argument("--xm", type=float, default=None,
                      help="known scale for pareto-known-scale")
-    est.add_argument("--out", default=None)
     est.set_defaults(func=_cmd_estimate)
 
     def add_experiment_args(p):
@@ -202,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="default: 2, or 1 where this process may run on one "
                             "CPU only; 1 keeps every trial on the calling thread")
-        p.add_argument("--out", default=None)
 
     exp = sub.add_parser("experiment", help="Monte Carlo validation run")
     add_experiment_args(exp)
@@ -217,30 +219,26 @@ def build_parser() -> argparse.ArgumentParser:
     calc = sub.add_parser("calc", help="evaluate a sample-size bound")
     calc.add_argument("--bound", required=True,
                       choices=[b.value for b in SampleBound])
-    _add_accuracy_args(calc)
-    _add_budget_args(calc)
-    _add_bounds_args(calc)
+    _add_run_args(calc)
     calc.add_argument("--rate", type=float, default=None,
                       help="rate (or Pareto shape) the bound is evaluated at")
     calc.add_argument("--clip-r", type=float, default=None,
                       help="clipping level the clipped-mle bound is evaluated at")
-    calc.add_argument("--tau", type=float, default=DEFAULT_TAIL_QUANTILE,
-                      help=_TAU_HELP)
-    calc.add_argument("--out", default=None)
     calc.set_defaults(func=_cmd_calc)
 
     low = sub.add_parser("lowerbound", help="packing lower bound on n")
     _add_accuracy_args(low)
     low.add_argument("--epsilon", type=float, default=None)
     _add_bounds_args(low)
-    low.add_argument("--out", default=None)
     low.set_defaults(func=_cmd_lowerbound)
 
     pack = sub.add_parser("packing", help="print the packing family rates")
-    pack.add_argument("--alpha", type=float, default=None)
+    pack.add_argument("--alpha", type=float, required=True)
     _add_bounds_args(pack)
-    pack.add_argument("--out", default=None)
     pack.set_defaults(func=_cmd_packing)
+
+    for p in (est, exp, swp, calc, low, pack):  # every command that returns text
+        p.add_argument("--out", default=None)
 
     return parser
 
@@ -253,8 +251,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and write the text it returns to --out, else to
-    stdout (gen writes its own file and returns None); 2 on a PrivexpError."""
-    args = _parser().parse_args(argv)
+    stdout (gen writes its own file and returns None); 2 on a PrivexpError
+    or a refusal of the parser's, 0 after --help."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         if (text := args.func(args)) is not None:
             _write_out(args, text)

@@ -31,7 +31,7 @@ from .errors import (IncompleteInputs, InputError, NoBinSurvived, OutOfRegime,
                      PrivexpError, check_count, check_in)
 from .learners import (Estimate, LearnerConfig, Route, best_of_both, mle_learning,
                        private_mle, quantile_learning)
-from .pareto import (DEFAULT_TAIL_QUANTILE, learn_pareto,
+from .pareto import (DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, learn_pareto,
                      learn_pareto_known_scale)
 from .privacy import PrivacyBudget, RngStream, _seed_words
 
@@ -123,10 +123,6 @@ def _config(spec: ExperimentSpec) -> LearnerConfig | None:
     return LearnerConfig(spec.alpha, spec.beta, spec.bounds)
 
 
-def _in_band(value: float, center: float, alpha: float) -> bool:
-    return (1.0 - alpha) * center <= value <= (1.0 + alpha) * center
-
-
 # --- one row per learner -----------------------------------------------------
 # A run takes (data, spec, config, budget, rng), config being _config(spec),
 # and returns (estimate, route, detail) or raises a PrivexpError. Runs look
@@ -153,18 +149,15 @@ def _pareto(data, spec, config, budget, rng):
 
 
 def _pareto_known_scale(data, spec, config, budget, rng):
-    if spec.true_xm is None:
-        raise IncompleteInputs("pareto-known-scale needs the known scale value")
     est = learn_pareto_known_scale(data, spec.true_xm, config, budget, rng)
     return est.shape_hat, est.route.value, {}
 
 
-def _rate_in_band(spec, estimate, detail) -> bool:
-    return _in_band(estimate, spec.true_lambda, spec.alpha)
-
-
-def _shape_in_band(spec, estimate, detail) -> bool:
-    return _in_band(estimate, spec.true_shape, spec.alpha)
+def _in_band(spec, estimate, detail) -> bool:
+    """Is the estimate within alpha of the truth, relatively: the true shape
+    on Pareto data, else the true rate?"""
+    truth = spec.true_shape if _LEARNERS[spec.learner].pareto else spec.true_lambda
+    return (1.0 - spec.alpha) * truth <= estimate <= (1.0 + spec.alpha) * truth
 
 
 def _pareto_in_band(spec, estimate, detail) -> bool:
@@ -172,7 +165,7 @@ def _pareto_in_band(spec, estimate, detail) -> bool:
     # either way: the TV distance of equal-shape Pareto laws depends on
     # |ln(m1/m2)|, so an undershoot counts like an overshoot.
     log_limit = 2.0 * math.log(7.0) * (spec.alpha / spec.true_shape) * spec.tau
-    return (_shape_in_band(spec, estimate, detail)
+    return (_in_band(spec, estimate, detail)
             and abs(math.log(detail["scale_hat"] / spec.true_xm)) <= log_limit)
 
 
@@ -190,13 +183,13 @@ class _Row(NamedTuple):
 _LEARNERS = {
     Learner.MLE: _Row(
         lambda d, s, c, b, r: _rate(mle_learning(d, c, b, r)),
-        _rate_in_band, SampleBound.MLE_LEARNING, False),
+        _in_band, SampleBound.MLE_LEARNING, False),
     Learner.QUANTILE: _Row(
         lambda d, s, c, b, r: _rate(quantile_learning(d, c, b, r)),
-        _rate_in_band, SampleBound.QUANTILE_LEARNING, False),
+        _in_band, SampleBound.QUANTILE_LEARNING, False),
     Learner.BEST_OF_BOTH: _Row(
         lambda d, s, c, b, r: _rate(best_of_both(d, c, b, r)),
-        _rate_in_band, SampleBound.BEST_OF_BOTH, False),
+        _in_band, SampleBound.BEST_OF_BOTH, False),
     Learner.BOUNDS_FINDER: _Row(
         _bounds_finder, lambda s, e, d: d["lower"] < s.true_lambda < d["upper"],
         SampleBound.BOUNDS_FINDER, False, uses_delta=True,
@@ -206,7 +199,7 @@ _LEARNERS = {
         _pareto, _pareto_in_band, SampleBound.PARETO_LEARNING, True,
         release=lambda d: {"scale_hat": d["scale_hat"]}),
     Learner.PARETO_KNOWN_SCALE: _Row(
-        _pareto_known_scale, _shape_in_band, SampleBound.MLE_LEARNING, True),
+        _pareto_known_scale, _in_band, SampleBound.MLE_LEARNING, True),
 }
 
 
@@ -216,7 +209,8 @@ def _check_inputs(spec: ExperimentSpec, row: _Row | None, *truth) -> None:
     needs delta > 0 and reads no LearnerConfig; any other row needs alpha
     and beta, then bounds, for its config. Row None, a clip_r run, reads
     epsilon only. OutOfRegime unless delta lies in [0, 1), whether or not
-    the run spends it."""
+    the run spends it, and unless tau lies in [TAU_MIN, TAU_MAX] for the
+    pareto row, the one that reads it."""
     uses_delta = row is not None and row.uses_delta
     config = () if row is None or uses_delta else (("alpha", "beta"), ("bounds",))
     for fields in (("epsilon",), *config, *truth):
@@ -226,6 +220,8 @@ def _check_inputs(spec: ExperimentSpec, row: _Row | None, *truth) -> None:
     check_in("delta", spec.delta, 0.0, 1.0, ends="[)")
     if uses_delta and spec.delta <= 0.0:
         raise IncompleteInputs(f"{spec.learner.value} needs delta > 0")
+    if row is _LEARNERS[Learner.PARETO]:
+        check_in("tau", spec.tau, TAU_MIN, TAU_MAX, ends="[]")
 
 
 def _check_spec(spec: ExperimentSpec) -> None:
@@ -522,17 +518,22 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     # known scale stands in for the true one.
     spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
                           true_xm=known_scale, tau=tau)
-    uses_delta = row.uses_delta and clip_r is None
+    # Inputs are refused before the file is parsed, but for what only the
+    # learner checks when it runs: its grids' limits, the known scale's value.
     _check_inputs(spec, row if clip_r is None else None)
-    data = Dataset._adopt(_read_checked(path, row.pareto))
     rng = RngStream(seed, noiseless=noiseless)
-    budget = PrivacyBudget(epsilon, delta if uses_delta else 0.0)
+    budget = PrivacyBudget(epsilon, delta if row.uses_delta and clip_r is None else 0.0)
+    config = _config(spec) if clip_r is None else None
+    if clip_r is not None:
+        check_in("clipping level clip_r", clip_r, 0.0, math.inf)
+    elif learner is Learner.PARETO_KNOWN_SCALE and known_scale is None:
+        raise IncompleteInputs("pareto-known-scale needs the known scale value")
+    data = Dataset._adopt(_read_checked(path, row.pareto))
 
     if clip_r is not None:
         estimate = private_mle(data, clip_r, budget, rng)
         route, extra = Route.MLE.value, {}
     else:
-        config = _config(spec)
         try:
             estimate, route, detail = row.run(data, spec, config, budget, rng)
         except NoBinSurvived:

@@ -88,6 +88,13 @@ class TestParser:
         assert outputs == [outputs[0]] * 3
         assert build_parser() is not build_parser()
 
+    @pytest.mark.parametrize("argv", [["--help"], ["packing", "--help"]],
+                             ids=["privexp", "packing"])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: privexp") and captured.err == ""
+
     @pytest.mark.parametrize("cmd", [["experiment"], ["sweep", "--n-grid", "100"]],
                              ids=["experiment", "sweep"])
     def test_experiment_defaults_are_the_specs(self, cmd):
@@ -237,6 +244,11 @@ BOUNDS_ARGS = ["--lambda-min", "0.1", "--lambda-max", "10"]
 MLE_RUN = ["--learner", "mle", "--alpha", "0.2", "--beta", "0.1",
            "--epsilon", "1", *BOUNDS_ARGS]
 MLE_EXPERIMENT = ["experiment", *MLE_RUN, "--true-lambda", "1", "--trials", "2"]
+PARETO_RUN = ["--alpha", "0.2", "--beta", "0.1", "--epsilon", "1",
+              "--lambda-min", "0.5", "--lambda-max", "8"]
+PARETO_SPEC = ["--learner", "pareto", *PARETO_RUN, "--true-xm", "1",
+               "--true-shape", "2", "--trials", "3"]
+TAU_REFUSAL = "tau must lie in [0.1, 0.25], got 0.5"
 CALC_BOUNDS_FINDER = ["calc", "--bound", "bounds-finder", "--beta", "0.1", "--epsilon", "1"]
 
 
@@ -245,6 +257,7 @@ def assert_one_error_line(capsys, argv, word):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and word in lines[0]
+    return lines[0]
 
 
 class TestInputErrors:
@@ -279,11 +292,14 @@ class TestInputErrors:
          "--xm"),
         (["gen", "--dist", "pareto", "--xm", "1", "--n", "5", "--out", "f.txt"],
          "--shape"),
+        # argparse's own refusals are one line too
+        (["estimate", *MLE_RUN], "required: --in"),
+        (["gen", "--rate", "2", "--n", "5"], "required: --out"),
     ], ids=["estimate-alpha", "estimate-epsilon", "estimate-bounds",
             "estimate-delta", "experiment-alpha", "estimate-clip-epsilon",
             "lowerbound-alpha", "lowerbound-beta", "lowerbound-epsilon",
             "lowerbound-bounds", "packing-alpha", "packing-bounds",
-            "gen-pareto-xm", "gen-pareto-shape"])
+            "gen-pareto-xm", "gen-pareto-shape", "estimate-in", "gen-out"])
     def test_missing_input(self, capsys, monkeypatch, tmp_path, argv, word):
         monkeypatch.chdir(tmp_path)
         assert_one_error_line(capsys, argv, word)
@@ -329,6 +345,14 @@ class TestInputErrors:
         (["calc", "--bound", "quantile-search", "--alpha", "0.2", "--beta", "0.1",
           "--epsilon", "1", *BOUNDS_ARGS, "--out", "."], "Is a directory"),
         (["gen", "--rate", "2", "--n", "5", "--out", "."], "Is a directory"),
+        # tau is refused for the learner that reads it, sized or not
+        (["experiment", *PARETO_SPEC, "--n", "2000", "--tau", "0.5"], TAU_REFUSAL),
+        (["experiment", *PARETO_SPEC, "--tau", "0.5"], TAU_REFUSAL),
+        (["sweep", *PARETO_SPEC, "--n-grid", "2000", "--tau", "0.5",
+          "--out", "f.txt"], TAU_REFUSAL),
+        # argparse's own refusals are one line too
+        ([*MLE_EXPERIMENT, "--n", "abc"], "invalid int value: 'abc'"),
+        (["experiment", "--learner", "mle-typo"], "invalid choice: 'mle-typo'"),
     ], ids=["alpha", "beta", "epsilon", "epsilon-autosized", "trials", "n",
             "n-grid", "n-grid-empty", "delta", "clip-r", "experiment-delta",
             "experiment-delta-autosized", "clip-r-delta", "safety-factor",
@@ -337,7 +361,9 @@ class TestInputErrors:
             "experiment-workers-negative", "sweep-workers-zero",
             "calc-delta-negative",
             "calc-delta-nan", "calc-delta-above-one", "calc-delta-unread",
-            "out-directory", "gen-out-directory"])
+            "out-directory", "gen-out-directory", "experiment-tau",
+            "experiment-tau-autosized", "sweep-tau", "experiment-n-not-int",
+            "experiment-unknown-learner"])
     def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
         # near_max.txt: two values whose sum clipped at 1e308 is past the
         # largest double
@@ -346,6 +372,20 @@ class TestInputErrors:
         assert_one_error_line(capsys, argv, word)
         assert not (tmp_path / "f.txt").exists()
 
+
+    @pytest.mark.parametrize("argv, word", [
+        ([*MLE_RUN, "--epsilon", "-1"], "epsilon"),
+        ([*MLE_RUN, "--seed", "-1"], "seed"),
+        ([*MLE_RUN, "--alpha", "2"], "alpha"),
+        (["--learner", "mle", "--epsilon", "1", "--clip-r", "-1"], "clip_r"),
+        (["--learner", "pareto", *PARETO_RUN, "--tau", "0.5"], TAU_REFUSAL),
+        (["--learner", "pareto-known-scale", *PARETO_RUN],
+         "pareto-known-scale needs the known scale value"),
+    ], ids=["epsilon", "seed", "alpha", "clip-r", "pareto-tau", "known-scale"])
+    def test_estimate_refuses_before_it_opens_the_file(self, capsys, tmp_path,
+                                                      argv, word):
+        argv = ["estimate", "--in", str(tmp_path / "missing.txt"), *argv]
+        assert "missing.txt" not in assert_one_error_line(capsys, argv, word)
 
     @pytest.mark.parametrize("argv, word", [
         (["calc", "--bound", "mle-learning", "--alpha", "0.2", "--beta", "0.1",
