@@ -50,14 +50,11 @@ class ExpModel:
         return 1.0 / self.rate_lambda
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.where(x < 0, 0.0, self.rate_lambda * np.exp(-self.rate_lambda * x))
-        return float(out) if out.ndim == 0 else out
+        lam = self.rate_lambda
+        return _on_support(x, 0.0, lambda x: lam * np.exp(-lam * x))
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.where(x < 0, 0.0, -np.expm1(-self.rate_lambda * x))
-        return float(out) if out.ndim == 0 else out
+        return _on_support(x, 0.0, lambda x: -np.expm1(-self.rate_lambda * x))
 
     def quantile(self, p):
         return _quantile(self, p)
@@ -75,23 +72,26 @@ class ParetoModel:
         check_in("shape_alpha_p", self.shape_alpha_p, 0.0, math.inf, InvalidShape)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
         xm, a = self.scale_xm, self.shape_alpha_p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = a * xm ** a / x ** (a + 1.0)
-        out = np.where(x < xm, 0.0, dens)
-        return float(out) if out.ndim == 0 else out
+        return _on_support(x, xm, lambda x: a * xm ** a / x ** (a + 1.0))
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
         xm, a = self.scale_xm, self.shape_alpha_p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = -np.expm1(a * np.log(xm / x))
-        out = np.where(x < xm, 0.0, tail)
-        return float(out) if out.ndim == 0 else out
+        return _on_support(x, xm, lambda x: -np.expm1(a * np.log(xm / x)))
 
     def quantile(self, p):
         return _quantile(self, p)
+
+
+def _on_support(x, low, formula):
+    """formula(x) where x >= low, else 0.0; a float for a scalar x. The
+    formula is evaluated everywhere, so what it overflows, divides by zero
+    or makes invalid below the support, which np.where discards, warns of
+    nothing."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.where(x < low, 0.0, formula(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def sample(model, n: int, rng: RngStream) -> Dataset:
@@ -128,12 +128,16 @@ def _draw(model, u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _rate_pair(lambda1: float, lambda2: float) -> list:
+    """The two rates, each checked, lower first."""
+    return sorted((check_in("lambda1", lambda1, 0.0, math.inf, InvalidRate),
+                   check_in("lambda2", lambda2, 0.0, math.inf, InvalidRate)))
+
+
 def exp_tv_crossing(lambda1: float, lambda2: float) -> float:
     """Crossing point a = ln(l1/l2) / (l1 - l2), where two exponential
     densities with distinct rates meet."""
-    l1 = check_in("lambda1", lambda1, 0.0, math.inf, InvalidRate)
-    l2 = check_in("lambda2", lambda2, 0.0, math.inf, InvalidRate)
-    lo, hi = min(l1, l2), max(l1, l2)
+    lo, hi = _rate_pair(lambda1, lambda2)
     if hi - lo < _RATE_EQ_RTOL * hi:
         raise InvalidRate("crossing point undefined for (near-)equal rates")
     d = hi - lo
@@ -147,9 +151,7 @@ def exp_tv(lambda1: float, lambda2: float) -> float:
     TV = e^(-l_lo * a) - e^(-l_hi * a), written with expm1 so nearby rates
     do not lose the small difference to cancellation.
     """
-    l1 = check_in("lambda1", lambda1, 0.0, math.inf, InvalidRate)
-    l2 = check_in("lambda2", lambda2, 0.0, math.inf, InvalidRate)
-    lo, hi = min(l1, l2), max(l1, l2)
+    lo, hi = _rate_pair(lambda1, lambda2)
     if hi - lo < _RATE_EQ_RTOL * hi:
         return 0.0
     a = exp_tv_crossing(lo, hi)

@@ -27,8 +27,8 @@ from .analysis import SampleBound, required_n
 from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
 from .distributions import ExpModel, ParetoModel, _draw, sample
-from .errors import (IncompleteInputs, InputError, NoBinSurvived, OutOfRegime,
-                     PrivexpError, check_count, check_in)
+from .errors import (IncompleteInputs, InputError, InvalidScale, NoBinSurvived,
+                     OutOfRegime, PrivexpError, check_count, check_in)
 from .learners import (Estimate, LearnerConfig, Route, best_of_both, mle_learning,
                        private_mle, quantile_learning)
 from .pareto import (DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, learn_pareto,
@@ -115,19 +115,11 @@ class ExperimentSummary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _config(spec: ExperimentSpec) -> LearnerConfig | None:
-    """The spec's LearnerConfig, or None for a learner that spends (epsilon,
-    delta), which is the one kind that reads none."""
-    if _LEARNERS[spec.learner].uses_delta:
-        return None
-    return LearnerConfig(spec.alpha, spec.beta, spec.bounds)
-
-
 # --- one row per learner -----------------------------------------------------
-# A run takes (data, spec, config, budget, rng), config being _config(spec),
-# and returns (estimate, route, detail) or raises a PrivexpError. Runs look
-# the learners up by name when called, so a learner rebound in this module's
-# namespace (as a tracer does) is the one that runs.
+# A run takes (data, spec, config, budget, rng), config being the one
+# _check_inputs returns, and returns (estimate, route, detail) or raises a
+# PrivexpError. Runs look the learners up by name when called, so a learner
+# rebound in this module's namespace (as a tracer does) is the one that runs.
 
 def _rate(est: Estimate):
     detail = ({} if est.coarse_estimate is None
@@ -203,14 +195,15 @@ _LEARNERS = {
 }
 
 
-def _check_inputs(spec: ExperimentSpec, row: _Row | None, *truth) -> None:
-    """Raise IncompleteInputs unless the spec sets epsilon, what the row's
+def _check_inputs(spec: ExperimentSpec, row: _Row | None, *truth) -> LearnerConfig | None:
+    """The spec's LearnerConfig for the row's run, once every input it reads
+    is checked. IncompleteInputs unless the spec sets epsilon, what the
     run reads, and every group of fields in truth: a row that uses delta
-    needs delta > 0 and reads no LearnerConfig; any other row needs alpha
-    and beta, then bounds, for its config. Row None, a clip_r run, reads
-    epsilon only. OutOfRegime unless delta lies in [0, 1), whether or not
-    the run spends it, and unless tau lies in [TAU_MIN, TAU_MAX] for the
-    pareto row, the one that reads it."""
+    needs delta > 0 and reads no LearnerConfig, so gets None; any other row
+    needs alpha and beta, then bounds, for its config. Row None, a clip_r
+    run, reads epsilon only and gets None. OutOfRegime unless delta lies
+    in [0, 1), whether or not the run spends it, and unless tau lies in
+    [TAU_MIN, TAU_MAX] for the pareto row, the one that reads it."""
     uses_delta = row is not None and row.uses_delta
     config = () if row is None or uses_delta else (("alpha", "beta"), ("bounds",))
     for fields in (("epsilon",), *config, *truth):
@@ -222,9 +215,13 @@ def _check_inputs(spec: ExperimentSpec, row: _Row | None, *truth) -> None:
         raise IncompleteInputs(f"{spec.learner.value} needs delta > 0")
     if row is _LEARNERS[Learner.PARETO]:
         check_in("tau", spec.tau, TAU_MIN, TAU_MAX, ends="[]")
+    return LearnerConfig(spec.alpha, spec.beta, spec.bounds) if config else None
 
 
-def _check_spec(spec: ExperimentSpec) -> None:
+def _check_spec(spec: ExperimentSpec) -> tuple:
+    """(config, model, n) of the spec's experiment, each checked in that
+    order: the model of the true law is built before the size, so a bad
+    truth gets the law's refusal whether or not n is given."""
     # sizes an array and a range can take
     check_count("trials", spec.trials, 1, sys.maxsize)
     check_count("seed", spec.base_seed, 0, math.inf)  # as RngStream names it
@@ -232,8 +229,10 @@ def _check_spec(spec: ExperimentSpec) -> None:
         check_count("n", spec.n, 1, sys.maxsize)
     check_in("safety_factor", spec.safety_factor, 0.0, math.inf)
     row = _LEARNERS[spec.learner]
-    truth = ("true_xm", "true_shape") if row.pareto else ("true_lambda",)
-    _check_inputs(spec, row, truth)
+    law, truth = ((ParetoModel, ("true_xm", "true_shape")) if row.pareto
+                  else (ExpModel, ("true_lambda",)))
+    return (_check_inputs(spec, row, truth),
+            law(*(getattr(spec, f) for f in truth)), resolve_n(spec))
 
 
 def resolve_n(spec: ExperimentSpec) -> int:
@@ -324,12 +323,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     What the trials share is built once here: the config, the model, the
     seed words of every trial's stream, and a sample buffer per thread."""
     workers = _check_workers(workers)
-    _check_spec(spec)
+    config, model, n = _check_spec(spec)
     row = _LEARNERS[spec.learner]
-    config = _config(spec)
-    n = resolve_n(spec)
-    model = (ParetoModel(spec.true_xm, spec.true_shape) if row.pareto
-             else ExpModel(spec.true_lambda))
     # One pass over all trials' streams: seeding each from its own
     # SeedSequence took about a quarter of a quantile trial at n = 616.
     seeds = _seed_words(spec.base_seed, np.arange(spec.trials, dtype=np.uint64))
@@ -352,6 +347,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
         try:
             estimate, route, detail = row.run(data, spec, config, budget, rng)
         except PrivexpError as exc:
+            if budget.state == "fresh":  # a refusal of the spec, not of the data
+                raise
             return TrialRecord(i, OUTCOME_FAILURE, None, None, type(exc).__name__, {})
         outcome = (OUTCOME_SUCCESS if row.score(spec, estimate, detail)
                    else OUTCOME_MISSED)
@@ -519,15 +516,16 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
                           true_xm=known_scale, tau=tau)
     # Inputs are refused before the file is parsed, but for what only the
-    # learner checks when it runs: its grids' limits, the known scale's value.
-    _check_inputs(spec, row if clip_r is None else None)
+    # learner checks when it runs: its grids' limits.
+    config = _check_inputs(spec, row if clip_r is None else None)
     rng = RngStream(seed, noiseless=noiseless)
     budget = PrivacyBudget(epsilon, delta if row.uses_delta and clip_r is None else 0.0)
-    config = _config(spec) if clip_r is None else None
     if clip_r is not None:
         check_in("clipping level clip_r", clip_r, 0.0, math.inf)
-    elif learner is Learner.PARETO_KNOWN_SCALE and known_scale is None:
-        raise IncompleteInputs("pareto-known-scale needs the known scale value")
+    elif learner is Learner.PARETO_KNOWN_SCALE:
+        if known_scale is None:
+            raise IncompleteInputs("pareto-known-scale needs the known scale value")
+        check_in("known scale x_m", known_scale, 0.0, math.inf, InvalidScale)
     data = Dataset._adopt(_read_checked(path, row.pareto))
 
     if clip_r is not None:

@@ -381,7 +381,10 @@ class TestInputErrors:
         (["--learner", "pareto", *PARETO_RUN, "--tau", "0.5"], TAU_REFUSAL),
         (["--learner", "pareto-known-scale", *PARETO_RUN],
          "pareto-known-scale needs the known scale value"),
-    ], ids=["epsilon", "seed", "alpha", "clip-r", "pareto-tau", "known-scale"])
+        (["--learner", "pareto-known-scale", *PARETO_RUN, "--xm", "-1"],
+         "known scale x_m must lie in (0.0, inf), got -1.0"),
+    ], ids=["epsilon", "seed", "alpha", "clip-r", "pareto-tau", "known-scale",
+            "known-scale-value"])
     def test_estimate_refuses_before_it_opens_the_file(self, capsys, tmp_path,
                                                       argv, word):
         argv = ["estimate", "--in", str(tmp_path / "missing.txt"), *argv]

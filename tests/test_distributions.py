@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestExpModel:
         out = m.cdf(np.array([-1.0, 0.0, 1.0]))
         assert out.shape == (3,)
         assert out[0] == 0.0
+
+    def test_far_below_the_support_is_zero_without_a_warning(self):
+        # exp and expm1 of 1000 overflow where np.where then discards them
+        m = ExpModel(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (m.pdf, m.cdf):
+                assert f(-1000.0) == 0.0
+                assert f(np.array([-1000.0, 0.0]))[0] == 0.0
 
     def test_reciprocal_quantile_identity(self):
         # F(1/rate) = 1 - 1/e for every rate

@@ -136,6 +136,30 @@ class TestSpecValidation:
         with pytest.raises(IncompleteInputs):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("spec", [
+        quantile_spec(alpha=1e-14),
+        quantile_spec(learner=Learner.BEST_OF_BOTH, alpha=1e-14),
+        ExperimentSpec(Learner.PARETO, 1e-14, 0.1, 1.0, bounds=RateBounds(0.5, 8.0),
+                       true_xm=1.0, true_shape=2.0),
+        ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0, bounds=RateBounds(1e-3, 1e300),
+                       true_xm=1.0, true_shape=2.0),
+        quantile_spec(learner=Learner.MLE, true_lambda=-1.0),
+        ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0, bounds=RateBounds(0.5, 8.0),
+                       true_xm=1.0, true_shape=-2.0),
+    ], ids=["quantile-alpha", "best-of-both-alpha", "pareto-alpha", "pareto-bounds",
+            "mle-truth", "pareto-truth"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refusal_does_not_depend_on_n(self, spec, workers, monkeypatch):
+        # a spec the learner refuses before it spends any budget is one
+        # error, the one auto-sizing gives, not a failure record per trial
+        monkeypatch.setattr(harness, "_POOL_MIN_N", 1)
+        refusals = []
+        for n in (100, None):
+            with pytest.raises(PrivexpError) as info:
+                run_experiment(dataclasses.replace(spec, n=n, trials=2), workers=workers)
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1]
+
 
 def tiny_spec(learner: Learner) -> ExperimentSpec:
     """A spec every learner completes on: Pareto(1, 2) or Exp(2) data."""
@@ -160,7 +184,7 @@ class TestNoiseSwitch:
         data = sample(model, spec.n, rng)
         state = rng.generator.bit_generator.state
         budget = PrivacyBudget(spec.epsilon, spec.delta)
-        row.run(data, spec, harness._config(spec), budget, rng)
+        row.run(data, spec, harness._check_inputs(spec, row), budget, rng)
         assert budget.spent() == (spec.epsilon, spec.delta)
         assert rng.laplace_draws == 0
         assert rng.generator.bit_generator.state == state
@@ -392,7 +416,7 @@ class TestSampleBuffer:
                 budget = PrivacyBudget(spec.epsilon,
                                        spec.delta if row.uses_delta else 0.0)
                 try:
-                    estimate, route, detail = row.run(data, spec, harness._config(spec),
+                    estimate, route, detail = row.run(data, spec, harness._check_inputs(spec, row),
                                                       budget, rng)
                 except PrivexpError as exc:
                     assert record.failure_name == type(exc).__name__

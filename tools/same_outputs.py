@@ -93,6 +93,7 @@ BATTERY = [
     ["estimate", *EXP, "--learner", "mle", *RUN, "--lambda-min", "0.1"],
     ["estimate", *EXP, "--learner", "bounds-finder", "--epsilon", "1"],
     ["estimate", *PAR, "--learner", "pareto-known-scale", *SHAPES],
+    ["estimate", "--in", "missing.txt", *KNOWN[:-1], "-1"],
     ["estimate", *PAR, "--learner", "pareto", *SHAPES, "--tau", "0.5"],
     ["estimate", *EXP, "--learner", "mle", *RATES, "--out", "."],
     ["estimate", "--learner", "mle", *RATES],
@@ -103,6 +104,16 @@ BATTERY = [
     ["experiment", "--learner", "pareto", *SHAPES, *TRUE_PARETO, "--n", "2000",
      "--tau", "0.5"],
     ["experiment", "--learner", "pareto", *SHAPES, *TRUE_PARETO, "--tau", "0.5"],
+    *[["experiment", "--learner", learner, "--alpha", "1e-14", *RUN[2:], *bounds,
+       *truth, "--n", "100", "--trials", "2"]
+      for learner, bounds, truth in (("quantile", RATES[6:], TRUE_RATE),
+                                     ("best-of-both", RATES[6:], TRUE_RATE),
+                                     ("pareto", SHAPES[6:], TRUE_PARETO))],
+    ["experiment", "--learner", "pareto", *RUN, "--lambda-min", "1e-3",
+     "--lambda-max", "1e300", *TRUE_PARETO, "--n", "100", "--trials", "2"],
+    ["experiment", "--learner", "mle", *RATES, "--true-lambda", "-1"],
+    ["experiment", "--learner", "pareto", *SHAPES, "--true-xm", "1.3",
+     "--true-shape", "-2"],
     ["experiment", "--learner", "mle", *RATES, *TRUE_RATE, "--n", "abc"],
     ["experiment", "--learner", "mle-typo"],
     ["sweep", "--learner", "mle", *RATES, *TRUE_RATE, "--n-grid", "100,abc"],
