@@ -17,7 +17,7 @@ from .analysis import SampleBound, build_packing, required_n
 from .dataset import RateBounds
 from .distributions import ExpModel, ParetoModel
 from .errors import IncompleteInputs, InputError, PrivexpError, check_in
-from .harness import (_LEARNERS, ExperimentSpec, Learner, estimate_from_file,
+from .harness import (_LEARNERS, ExperimentSpec, Learner, _write_text, estimate_from_file,
                       run_experiment, run_sweep, sweep_csv, write_sample)
 from .pareto import DEFAULT_TAIL_QUANTILE
 
@@ -71,11 +71,7 @@ def _bounds_from(args, needed_by: str | None = None) -> RateBounds | None:
 
 def _write_out(args, text: str) -> None:
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(str(exc)) from None
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 

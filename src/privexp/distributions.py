@@ -31,8 +31,8 @@ __all__ = [
     "pareto_tv_bound",
 ]
 
-# Rates closer than this (relatively) are treated as equal; the crossing
-# point formula degenerates to 0/0 there.
+# Rates closer than this (relatively) are treated as equal: exp_tv reads 0.0
+# and exp_tv_crossing refuses them, as at equal rates, where both are 0/0.
 _RATE_EQ_RTOL = 1e-12
 
 
@@ -73,7 +73,7 @@ class ParetoModel:
 
     def pdf(self, x):
         xm, a = self.scale_xm, self.shape_alpha_p
-        return _on_support(x, xm, lambda x: a * xm ** a / x ** (a + 1.0))
+        return _on_support(x, xm, lambda x: _pareto_density(xm, a, x))
 
     def cdf(self, x):
         xm, a = self.scale_xm, self.shape_alpha_p
@@ -81,6 +81,18 @@ class ParetoModel:
 
     def quantile(self, p):
         return _quantile(self, p)
+
+
+def _pareto_density(xm: float, a: float, x):
+    """a xm^a / x^(a+1) for x >= xm, as a / x * (xm / x)^a: a ratio at most
+    1 to the power a. Where a / x passes the doubles, or xm / x or its power
+    falls below the normal ones, that product would be nan or lose its bits,
+    so there it is the exp of the sum of the logs instead."""
+    ratio = xm / x
+    head, tail = a / x, ratio ** a
+    normal = (head < math.inf) & (np.minimum(ratio, tail) >= sys.float_info.min)
+    return np.where(normal, head * tail,
+                    np.exp(math.log(a) - np.log(x) + a * (math.log(xm) - np.log(x))))
 
 
 def _on_support(x, low, formula):
@@ -98,15 +110,29 @@ def sample(model, n: int, rng: RngStream) -> Dataset:
     """n i.i.d. draws via inverse CDF on uniforms in [0, 1)."""
     if check_count("n", n, 0, sys.maxsize) == 0:
         raise EmptyRequest("need at least one draw, got n=0")
-    return Dataset._adopt(_draw(model, rng.generator.random(n)))
+    return Dataset._adopt(_draw(_check_draws(model), rng.generator.random(n)))
+
+
+# The largest uniform Generator.random returns.
+_U_MAX = 1.0 - 2.0 ** -53
+
+
+def _check_draws(model):
+    """model, once its largest draw, _draw at _U_MAX, is a finite double;
+    OutOfRegime otherwise. Draws grow with the uniform, so then all are."""
+    if not math.isfinite(_quantile(model, _U_MAX)):
+        raise OutOfRegime(f"{model} draws values past the largest double")
+    return model
 
 
 def _quantile(model, p):
-    """model's inverse CDF at the levels p in [0, 1): _draw on a copy."""
+    """model's inverse CDF at the levels p in [0, 1): _draw on a copy, inf
+    where a level's value passes the doubles."""
     u = np.array(p, dtype=np.float64)
     if not np.all((u >= 0) & (u < 1)):  # nan too
         raise OutOfRegime("quantile level must lie in [0, 1)")
-    out = _draw(model, u)
+    with np.errstate(over="ignore"):
+        out = _draw(model, u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -136,26 +162,23 @@ def _rate_pair(lambda1: float, lambda2: float) -> list:
 
 def exp_tv_crossing(lambda1: float, lambda2: float) -> float:
     """Crossing point a = ln(l1/l2) / (l1 - l2), where two exponential
-    densities with distinct rates meet."""
+    densities with distinct rates meet; inf where it passes the doubles."""
     lo, hi = _rate_pair(lambda1, lambda2)
-    if hi - lo < _RATE_EQ_RTOL * hi:
+    if not hi - lo > _RATE_EQ_RTOL * hi:
         raise InvalidRate("crossing point undefined for (near-)equal rates")
-    d = hi - lo
-    return math.log1p(d / lo) / d
+    return _log_ratio(lo, hi)[1] / (hi - lo)
 
 
 def exp_tv(lambda1: float, lambda2: float) -> float:
     """Exact TV distance between Exp(lambda1) and Exp(lambda2).
 
     The densities cross once, at a = exp_tv_crossing(l_lo, l_hi), and
-    TV = e^(-l_lo * a) - e^(-l_hi * a), written with expm1 so nearby rates
-    do not lose the small difference to cancellation.
+    TV = e^(-l_lo * a) - e^(-l_hi * a), which is separation_T(l_hi / l_lo).
     """
     lo, hi = _rate_pair(lambda1, lambda2)
-    if hi - lo < _RATE_EQ_RTOL * hi:
+    if not hi - lo > _RATE_EQ_RTOL * hi:  # holds too where the product underflows
         return 0.0
-    a = exp_tv_crossing(lo, hi)
-    return -math.exp(-lo * a) * math.expm1(-(hi - lo) * a)
+    return _separation(lo, hi)
 
 
 def separation_T(r: float) -> float:
@@ -168,20 +191,37 @@ def separation_T(r: float) -> float:
     r = check_in("ratio r", r, 1.0, math.inf, InvalidRatio, "[)")
     if r == 1.0:
         return 0.0
-    return r ** (-1.0 / (r - 1.0)) * (1.0 - 1.0 / r)
+    return _separation(1.0, r)
+
+
+def _log_ratio(lo: float, hi: float) -> tuple:
+    """(r - 1, ln r) for r = hi / lo >= 1, without forming r: r - 1 as
+    (hi - lo) / lo, so that it does not cancel near 1, and ln r as its
+    log1p, or as log(hi) - log(lo) where r - 1 passes the doubles."""
+    d = (hi - lo) / lo
+    return d, math.log1p(d) if d < math.inf else math.log(hi) - math.log(lo)
+
+
+def _separation(lo: float, hi: float) -> float:
+    """T(hi / lo) for hi > lo, as -exp(-ln r / (r - 1)) * expm1(-ln r): a
+    function of the rate ratio alone, each factor in [0, 1]."""
+    d, log_r = _log_ratio(lo, hi)
+    return -math.exp(-log_r / d) * math.expm1(-log_r)
 
 
 def pareto_kl_equal_scale(alpha1: float, alpha2: float) -> float:
     """alpha1/alpha2 - 1 - ln(alpha1/alpha2), the KL between equal-scale
-    Pareto laws whose shapes differ by the ratio alpha1/alpha2.
+    Pareto laws whose shapes differ by the ratio alpha1/alpha2; inf where
+    that ratio passes the doubles.
 
     (As an oriented divergence this equals KL(Pareto(alpha2) || Pareto(alpha1));
     the TV bound below only uses it through the symmetric max/min ratio.)
     """
     check_in("alpha1", alpha1, 0.0, math.inf, InvalidShape)
     check_in("alpha2", alpha2, 0.0, math.inf, InvalidShape)
-    ratio = alpha1 / alpha2
-    return ratio - 1.0 - math.log(ratio)
+    # With r' = max/min: r' - 1 - ln r' for r = r', 1/r' - 1 + ln r' for 1/r'.
+    d, log_r = _log_ratio(min(alpha1, alpha2), max(alpha1, alpha2))
+    return d - log_r if alpha1 >= alpha2 else log_r + math.expm1(-log_r)
 
 
 def pareto_tv_bound(model1: ParetoModel, model2: ParetoModel) -> float:

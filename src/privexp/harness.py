@@ -9,6 +9,7 @@ output is byte-identical across reruns and worker counts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import numpy as np
 from .analysis import SampleBound, required_n
 from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
-from .distributions import ExpModel, ParetoModel, _draw, sample
+from .distributions import ExpModel, ParetoModel, _check_draws, _draw, sample
 from .errors import (IncompleteInputs, InputError, InvalidScale, NoBinSurvived,
                      OutOfRegime, PrivexpError, check_count, check_in)
 from .learners import (Estimate, LearnerConfig, Route, best_of_both, mle_learning,
@@ -220,8 +221,9 @@ def _check_inputs(spec: ExperimentSpec, row: _Row | None, *truth) -> LearnerConf
 
 def _check_spec(spec: ExperimentSpec) -> tuple:
     """(config, model, n) of the spec's experiment, each checked in that
-    order: the model of the true law is built before the size, so a bad
-    truth gets the law's refusal whether or not n is given."""
+    order: the model of the true law is built, and its draws checked to be
+    finite, before the size, so a bad truth gets the law's refusal whether
+    or not n is given."""
     # sizes an array and a range can take
     check_count("trials", spec.trials, 1, sys.maxsize)
     check_count("seed", spec.base_seed, 0, math.inf)  # as RngStream names it
@@ -232,7 +234,7 @@ def _check_spec(spec: ExperimentSpec) -> tuple:
     law, truth = ((ParetoModel, ("true_xm", "true_shape")) if row.pareto
                   else (ExpModel, ("true_lambda",)))
     return (_check_inputs(spec, row, truth),
-            law(*(getattr(spec, f) for f in truth)), resolve_n(spec))
+            _check_draws(law(*(getattr(spec, f) for f in truth))), resolve_n(spec))
 
 
 def resolve_n(spec: ExperimentSpec) -> int:
@@ -290,8 +292,11 @@ def _check_workers(workers: int | None) -> int:
 
 
 _pool_lock = threading.Lock()
-_pool_key: tuple | None = None
-_pool_executor: ThreadPoolExecutor | None = None
+
+
+@functools.lru_cache(maxsize=1)
+def _executor(pid: int, workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -301,17 +306,13 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     blocks: with a pool started and joined per experiment, a two-thread
     pareto trial at n = 112,324 took 2.52-2.62 ms against 2.14-2.20 ms
     on this one (medians of 200 cycles over the benchmark's specs in each
-    of two processes, 2-core Xeon VM). It is keyed on the process id too,
-    so a forked child, which inherits none of its threads, builds its own.
-    A replaced executor is not shut down: its threads exit once the last
+    of two processes, 2-core Xeon VM). The cache holds one executor, keyed
+    on the process id too, so a forked child, which inherits none of its
+    threads, builds its own; the lock makes racing callers build one. An
+    evicted executor is not shut down: its threads exit once the last
     experiment using it lets it go."""
-    global _pool_key, _pool_executor
-    key = (os.getpid(), workers)
     with _pool_lock:
-        if key != _pool_key:
-            _pool_key = key
-            _pool_executor = ThreadPoolExecutor(max_workers=workers)
-        return _pool_executor
+        return _executor(os.getpid(), workers)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentSummary:
@@ -391,12 +392,15 @@ def sweep_csv(rows) -> str:
 def write_sample(path, model, n: int, seed: int) -> None:
     """One value per line, full round-trip precision, seed recorded in a
     comment header."""
-    rng = RngStream(seed)
-    data = sample(model, n, rng)
-    body = "\n".join(map(repr, data.values.tolist()))
+    body = "\n".join(map(repr, sample(model, n, RngStream(seed)).values.tolist()))
+    _write_text(path, f"# seed={seed}\n{body}\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to the file at path; InputError if it cannot."""
     try:
         with open(path, "w") as fh:
-            fh.write(f"# seed={seed}\n{body}\n")
+            fh.write(text)
     except OSError as exc:
         raise InputError(str(exc)) from None
 

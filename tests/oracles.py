@@ -23,6 +23,7 @@ distance formulas.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy import integrate
@@ -286,3 +287,34 @@ def quad_pareto_tv(m1, a1, m2, a2):
     body, _ = integrate.quad(lambda x: abs(pdf(x, m1, a1) - pdf(x, m2, a2)),
                              hi_m, math.inf, epsabs=1e-12, epsrel=1e-12)
     return 0.5 * (head + body)
+
+
+# --- 50-digit references over the whole double range ------------------------
+# Each takes doubles, which Decimal holds exactly, and works at 50 digits,
+# where no double's ratio or logarithm cancels or leaves the exponent range.
+
+def decimal_exp_tv(l1, l2) -> Decimal:
+    """T(r) = r^(-1/(r-1)) * (1 - 1/r) at the exact rate ratio r >= 1."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = sorted((Decimal(l1), Decimal(l2)))
+        if lo == hi:
+            return Decimal(0)
+        r = hi / lo
+        return (-r.ln() / (r - 1)).exp() * (1 - 1 / r)
+
+
+def decimal_pareto_kl(a1, a2) -> Decimal:
+    """r - 1 - ln r at the exact shape ratio r = a1 / a2."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(a1) / Decimal(a2)
+        return r - 1 - r.ln()
+
+
+def decimal_pareto_log_pdf(xm, a, x) -> Decimal:
+    """ln of the Pareto(xm, a) density at x >= xm: ln a - ln x + a ln(xm/x)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(a)
+        return a.ln() - Decimal(x).ln() + a * (Decimal(xm) / Decimal(x)).ln()

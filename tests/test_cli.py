@@ -249,6 +249,7 @@ PARETO_RUN = ["--alpha", "0.2", "--beta", "0.1", "--epsilon", "1",
 PARETO_SPEC = ["--learner", "pareto", *PARETO_RUN, "--true-xm", "1",
                "--true-shape", "2", "--trials", "3"]
 TAU_REFUSAL = "tau must lie in [0.1, 0.25], got 0.5"
+DRAWS_REFUSAL = "draws values past the largest double"
 CALC_BOUNDS_FINDER = ["calc", "--bound", "bounds-finder", "--beta", "0.1", "--epsilon", "1"]
 
 
@@ -350,6 +351,11 @@ class TestInputErrors:
         (["experiment", *PARETO_SPEC, "--tau", "0.5"], TAU_REFUSAL),
         (["sweep", *PARETO_SPEC, "--n-grid", "2000", "--tau", "0.5",
           "--out", "f.txt"], TAU_REFUSAL),
+        # a law whose largest draw passes the doubles is refused before a draw
+        (["gen", "--rate", "5e-324", "--n", "5", "--out", "f.txt"], DRAWS_REFUSAL),
+        ([*MLE_EXPERIMENT, "--n", "100", "--true-lambda", "1e-310"], DRAWS_REFUSAL),
+        (["gen", "--dist", "pareto", "--xm", "1e300", "--shape", "0.01", "--n", "5",
+          "--out", "f.txt"], DRAWS_REFUSAL),
         # argparse's own refusals are one line too
         ([*MLE_EXPERIMENT, "--n", "abc"], "invalid int value: 'abc'"),
         (["experiment", "--learner", "mle-typo"], "invalid choice: 'mle-typo'"),
@@ -362,7 +368,8 @@ class TestInputErrors:
             "calc-delta-negative",
             "calc-delta-nan", "calc-delta-above-one", "calc-delta-unread",
             "out-directory", "gen-out-directory", "experiment-tau",
-            "experiment-tau-autosized", "sweep-tau", "experiment-n-not-int",
+            "experiment-tau-autosized", "sweep-tau", "gen-exp-draws",
+            "experiment-truth-draws", "gen-pareto-draws", "experiment-n-not-int",
             "experiment-unknown-learner"])
     def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
         # near_max.txt: two values whose sum clipped at 1e308 is past the

@@ -1,19 +1,24 @@
 import math
+import re
+import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from oracles import quad_exp_tv, quad_pareto_kl, quad_pareto_tv
-from privexp.distributions import (ExpModel, ParetoModel, _draw, exp_tv,
-                                   exp_tv_crossing, pareto_kl_equal_scale,
+from oracles import (decimal_exp_tv, decimal_pareto_kl, decimal_pareto_log_pdf,
+                     quad_exp_tv, quad_pareto_kl, quad_pareto_tv)
+from privexp.distributions import (_RATE_EQ_RTOL, _U_MAX, ExpModel, ParetoModel, _draw,
+                                   exp_tv, exp_tv_crossing, pareto_kl_equal_scale,
                                    pareto_tv_bound, sample, separation_T)
 from privexp.errors import (EmptyRequest, InvalidRate, InvalidRatio,
                             InvalidScale, InvalidShape, OutOfRegime)
 from privexp.privacy import RngStream
+from test_errors import POSITIVE_DOUBLES
 
 
 class TestExpModel:
@@ -295,3 +300,136 @@ class TestParetoDistances:
                 joint = pareto_tv_bound(
                     ParetoModel(xm * scale_cap, shape * corner), truth)
                 assert joint <= g * (1.0 + g)
+
+
+def quiet(f, *args):
+    """f(*args), with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
+
+
+def _near(x, k):
+    """x and x (1 + 2^k), capped at the largest double."""
+    return x, min(x * (1.0 + 2.0 ** k), sys.float_info.max)
+
+
+# Pairs of positive doubles: drawn apart, and drawn 2^k apart relatively,
+# for k in [-44, 10].
+PAIRS = st.one_of(st.tuples(POSITIVE_DOUBLES, POSITIVE_DOUBLES),
+                  st.builds(_near, POSITIVE_DOUBLES, st.floats(-44.0, 10.0)))
+LOG_MAX = math.log(sys.float_info.max)
+LOG_MIN_NORMAL = math.log(sys.float_info.min)
+
+
+def _distinct(lo, hi) -> bool:
+    """Rates exp_tv tells apart."""
+    return hi - lo > _RATE_EQ_RTOL * hi
+
+
+class TestWholeDoubleRange:
+    """The distances, densities and sampling over every positive double they
+    accept, against 50-digit references, with no warning."""
+
+    def test_edge_values(self):
+        assert quiet(exp_tv, 1e-300, 1e300) == quiet(exp_tv, 5e-324, 1.0) == 1.0
+        assert quiet(exp_tv, 5e-324, 1e-323) == 0.25
+        assert quiet(exp_tv, 5e-324, 5e-324) == 0.0
+        # ln(1e300 / 1e-300) / (1e300 - 1e-300), which is finite
+        crossing = (Decimal(1e300) / Decimal(1e-300)).ln() / Decimal(1e300)
+        assert math.isclose(quiet(exp_tv_crossing, 1e-300, 1e300), float(crossing),
+                            rel_tol=1e-15)
+        with pytest.raises(InvalidRate):
+            exp_tv_crossing(5e-324, 5e-324)
+
+    @given(PAIRS)
+    @example((1e-300, 1e300))
+    @example((5e-324, 1.0))
+    @example((5e-324, 1e-323))
+    @example((5e-324, 5e-324))
+    @example((1.0, 1.0 + 1e-11))
+    def test_exp_tv_is_the_tv_of_the_rate_ratio(self, pair):
+        tv = quiet(exp_tv, *pair)
+        assert 0.0 <= tv <= 1.0
+        if _distinct(min(pair), max(pair)):
+            assert math.isclose(tv, float(decimal_exp_tv(*pair)), rel_tol=1e-15)
+        else:
+            assert tv == 0.0
+
+    @given(PAIRS, st.integers(-2100, 2100))
+    @example((5e-324, 1e-323), 1000)
+    def test_exp_tv_depends_on_the_ratio_only(self, pair, k):
+        # both rates times 2^k, k clamped so that neither loses a bit
+        lo, hi = sorted(pair)
+        k = min(max(k, -1021 - math.frexp(lo)[1]), 1024 - math.frexp(hi)[1])
+        assume(math.ldexp(math.ldexp(lo, k), -k) == lo)
+        assert quiet(exp_tv, math.ldexp(lo, k), math.ldexp(hi, k)) == exp_tv(lo, hi)
+
+    @given(PAIRS)
+    @example((1.0, 1.0 + 1e-11))
+    @example((0.07, 0.07 * 1.1))
+    def test_exp_tv_is_separation_T_of_the_ratio(self, pair):
+        lo, hi = sorted(pair)
+        r = hi / lo
+        assume(r < math.inf and _distinct(lo, hi))
+        # r is hi / lo rounded; T moves by r ln r / (r - 1)^2 times its error
+        tol = 1e-15 + 2.0 ** -52 * math.log(r) / (r - 1.0) * r / (r - 1.0)
+        assert math.isclose(quiet(separation_T, r), exp_tv(lo, hi), rel_tol=tol)
+        assert math.isclose(separation_T(r), float(decimal_exp_tv(1.0, r)), rel_tol=1e-15)
+
+    @given(PAIRS)
+    @example((1e300, 1e-300))
+    @example((1e-300, 1e300))
+    @example((5e-324, 2.0))
+    @example((2.0, 2.0 * (1.0 + 1e-14)))
+    def test_pareto_kl_is_nonnegative_or_inf(self, pair):
+        kl = quiet(pareto_kl_equal_scale, *pair)
+        assert kl >= 0.0
+        ref = decimal_pareto_kl(*pair)
+        if kl == math.inf:
+            assert ref > Decimal(sys.float_info.max) * (1 - Decimal(2) ** -50)
+        else:
+            # within a few roundings of r - 1 and of ln r, which may cancel
+            r = Decimal(pair[0]) / Decimal(pair[1])
+            assert abs(Decimal(kl) - ref) <= Decimal(2) ** -49 * (abs(r - 1) + abs(r.ln()))
+
+    @given(PAIRS, POSITIVE_DOUBLES)
+    @example((20.0, 10.0), 400.0)
+    @example((0.6, 0.5), 2000.0)
+    @example((1e-300 * (1 + 5.5e-10), 1e-300), 1.8e8)
+    @example((2e-300, 1e-300), 1e300)
+    @example((1e-300, 1e-300), 1e300)
+    @example((5e-324, 2.0), 0.5)
+    def test_pareto_pdf_is_a_density(self, pair, a):
+        xm, x = sorted(pair)
+        got = quiet(ParetoModel(xm, a).pdf, x)
+        assert 0.0 <= got
+        log_ref = float(decimal_pareto_log_pdf(xm, a, x))
+        # the roundings of xm / x and its power, or of each log and their sum
+        slack = 2.0 ** -50 * (4.0 + abs(math.log(a))
+                              + (1.0 + a) * (abs(math.log(x)) + abs(math.log(xm))))
+        if got == math.inf:
+            assert log_ref > LOG_MAX - slack
+        elif got >= sys.float_info.min:
+            assert abs(math.log(got) - log_ref) <= slack
+        else:
+            assert log_ref < LOG_MIN_NORMAL + slack
+
+    @pytest.mark.parametrize("model", [ExpModel(1e-310), ExpModel(5e-324),
+                                       ParetoModel(1e300, 0.01), ParetoModel(1.0, 0.049)],
+                             ids=repr)
+    def test_sampling_refuses_a_law_past_the_doubles(self, model):
+        # its largest draw, at the largest uniform, passes the largest double
+        assert quiet(model.quantile, _U_MAX) == math.inf
+        with pytest.raises(OutOfRegime,
+                           match=re.escape(f"{model} draws values past the largest double")):
+            quiet(sample, model, 3, RngStream(0))
+
+    @pytest.mark.parametrize("model", [ExpModel(2.1e-307), ParetoModel(1.0, 0.0518)],
+                             ids=repr)
+    def test_sampling_takes_a_law_up_to_the_doubles(self, model):
+        assert quiet(model.quantile, _U_MAX) < math.inf
+        assert np.all(np.isfinite(quiet(sample, model, 1000, RngStream(0)).values))
+
+    def test_quantile_past_the_doubles_is_inf(self):
+        assert quiet(ExpModel(5e-324).quantile, 0.5) == math.inf

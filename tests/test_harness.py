@@ -146,8 +146,11 @@ class TestSpecValidation:
         quantile_spec(learner=Learner.MLE, true_lambda=-1.0),
         ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0, bounds=RateBounds(0.5, 8.0),
                        true_xm=1.0, true_shape=-2.0),
+        quantile_spec(learner=Learner.MLE, true_lambda=1e-310),
+        ExperimentSpec(Learner.PARETO, 0.2, 0.1, 1.0, bounds=RateBounds(0.5, 8.0),
+                       true_xm=1e300, true_shape=0.01),
     ], ids=["quantile-alpha", "best-of-both-alpha", "pareto-alpha", "pareto-bounds",
-            "mle-truth", "pareto-truth"])
+            "mle-truth", "pareto-truth", "mle-draws", "pareto-draws"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refusal_does_not_depend_on_n(self, spec, workers, monkeypatch):
         # a spec the learner refuses before it spends any budget is one
@@ -289,8 +292,7 @@ class TestPool:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Counted)
-        monkeypatch.setattr(harness, "_pool_key", None, raising=False)
-        monkeypatch.setattr(harness, "_pool_executor", None, raising=False)
+        harness._executor.cache_clear()
         monkeypatch.setattr(harness, "_POOL_MIN_N", 1)
         return built
 
@@ -343,6 +345,13 @@ class TestPool:
         assert len(built) == 2
         run_experiment(spec, workers=2)
         assert len(built) == 2
+
+    def test_another_worker_count_replaces_the_executor(self, built):
+        # the cache holds one executor: going back to a count builds anew
+        spec = quantile_spec(trials=6)
+        for workers in (2, 3, 2):
+            run_experiment(spec, workers=workers)
+        assert built == [2, 3, 2]
 
     def test_default_is_two_threads_on_more_cpus(self, built, monkeypatch):
         # two threads over one is the only count measured

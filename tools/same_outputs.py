@@ -126,6 +126,12 @@ BATTERY = [
     ["packing", "--alpha", "0.2"],
     ["gen", "--dist", "exp", "--n", "5", "--out", "unwritten.txt"],
     ["gen", "--rate", "2", "--n", "5"],
+    # laws whose largest draw passes the doubles
+    ["gen", "--rate", "5e-324", "--n", "5", "--out", "unwritten.txt"],
+    ["experiment", "--learner", "mle", *RATES, "--true-lambda", "1e-310", "--n", "100",
+     "--trials", "2"],
+    ["gen", "--dist", "pareto", "--xm", "1e300", "--shape", "0.01", "--n", "5",
+     "--out", "unwritten.txt"],
 ]
 
 
