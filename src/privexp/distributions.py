@@ -4,7 +4,11 @@ and the packing separation function T(r).
 All distances here are analytic. The exponential TV formula is exact (the
 two densities cross exactly once, at a point with a closed form); the
 Pareto distance is an upper bound combining an exact equal-shape TV term
-with a Pinsker bound on the equal-scale shape gap.
+with a Pinsker bound on the equal-scale shape gap. Each is computed from
+the one ratio log, _log_ratio, over every pair of positive doubles: the
+exponential TV is 0.0 only at equal rates, the only rates whose crossing
+point is refused, and near equal rates or shapes each distance is within
+a few roundings of its value relatively.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ __all__ = [
     "pareto_kl_equal_scale",
     "pareto_tv_bound",
 ]
-
-# Rates closer than this (relatively) are treated as equal: exp_tv reads 0.0
-# and exp_tv_crossing refuses them, as at equal rates, where both are 0/0.
-_RATE_EQ_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ class ExpModel:
 
 @dataclass(frozen=True)
 class ParetoModel:
-    """Pareto law with density shape * scale^shape / x^(shape+1) on x >= scale."""
+    """Pareto law with density shape * scale^shape / x^(shape+1) on x >= scale.
+
+    Its pdf and cdf hold over every positive double, where scale / x
+    underflows too."""
 
     scale_xm: float
     shape_alpha_p: float
@@ -77,7 +80,7 @@ class ParetoModel:
 
     def cdf(self, x):
         xm, a = self.scale_xm, self.shape_alpha_p
-        return _on_support(x, xm, lambda x: -np.expm1(a * np.log(xm / x)))
+        return _on_support(x, xm, lambda x: -np.expm1(a * _log_scale_ratio(xm, x)))
 
     def quantile(self, p):
         return _quantile(self, p)
@@ -92,7 +95,14 @@ def _pareto_density(xm: float, a: float, x):
     head, tail = a / x, ratio ** a
     normal = (head < math.inf) & (np.minimum(ratio, tail) >= sys.float_info.min)
     return np.where(normal, head * tail,
-                    np.exp(math.log(a) - np.log(x) + a * (math.log(xm) - np.log(x))))
+                    np.exp(math.log(a) - np.log(x) + a * _log_scale_ratio(xm, x)))
+
+
+def _log_scale_ratio(xm: float, x):
+    """ln(xm / x): the log of the quotient where it is a normal double, else
+    math.log(xm) - np.log(x), since there the quotient has lost its bits."""
+    ratio = xm / x
+    return np.where(ratio >= sys.float_info.min, np.log(ratio), math.log(xm) - np.log(x))
 
 
 def _on_support(x, low, formula):
@@ -164,8 +174,8 @@ def exp_tv_crossing(lambda1: float, lambda2: float) -> float:
     """Crossing point a = ln(l1/l2) / (l1 - l2), where two exponential
     densities with distinct rates meet; inf where it passes the doubles."""
     lo, hi = _rate_pair(lambda1, lambda2)
-    if not hi - lo > _RATE_EQ_RTOL * hi:
-        raise InvalidRate("crossing point undefined for (near-)equal rates")
+    if lo == hi:
+        raise InvalidRate("crossing point undefined for equal rates")
     return _log_ratio(lo, hi)[1] / (hi - lo)
 
 
@@ -175,10 +185,7 @@ def exp_tv(lambda1: float, lambda2: float) -> float:
     The densities cross once, at a = exp_tv_crossing(l_lo, l_hi), and
     TV = e^(-l_lo * a) - e^(-l_hi * a), which is separation_T(l_hi / l_lo).
     """
-    lo, hi = _rate_pair(lambda1, lambda2)
-    if not hi - lo > _RATE_EQ_RTOL * hi:  # holds too where the product underflows
-        return 0.0
-    return _separation(lo, hi)
+    return _separation(*_rate_pair(lambda1, lambda2))
 
 
 def separation_T(r: float) -> float:
@@ -188,10 +195,7 @@ def separation_T(r: float) -> float:
     T(1 + 8a) >= a for a in (0, 1/2), which is what makes the geometric
     packing family pairwise separated.
     """
-    r = check_in("ratio r", r, 1.0, math.inf, InvalidRatio, "[)")
-    if r == 1.0:
-        return 0.0
-    return _separation(1.0, r)
+    return _separation(1.0, check_in("ratio r", r, 1.0, math.inf, InvalidRatio, "[)"))
 
 
 def _log_ratio(lo: float, hi: float) -> tuple:
@@ -203,16 +207,19 @@ def _log_ratio(lo: float, hi: float) -> tuple:
 
 
 def _separation(lo: float, hi: float) -> float:
-    """T(hi / lo) for hi > lo, as -exp(-ln r / (r - 1)) * expm1(-ln r): a
-    function of the rate ratio alone, each factor in [0, 1]."""
+    """T(hi / lo) for hi >= lo, as -exp(-ln r / (r - 1)) * expm1(-ln r): a
+    function of the rate ratio alone, each factor in [0, 1]. r - 1 is 0 only
+    at equal rates (two distinct doubles are at least 2^-53 apart relatively),
+    where T is 0."""
     d, log_r = _log_ratio(lo, hi)
-    return -math.exp(-log_r / d) * math.expm1(-log_r)
+    return -math.exp(-log_r / d) * math.expm1(-log_r) if d else 0.0
 
 
 def pareto_kl_equal_scale(alpha1: float, alpha2: float) -> float:
     """alpha1/alpha2 - 1 - ln(alpha1/alpha2), the KL between equal-scale
-    Pareto laws whose shapes differ by the ratio alpha1/alpha2; inf where
-    that ratio passes the doubles.
+    Pareto laws whose shapes differ by the ratio alpha1/alpha2, within a
+    few roundings relatively, near equal shapes too; inf where that ratio
+    passes the doubles.
 
     (As an oriented divergence this equals KL(Pareto(alpha2) || Pareto(alpha1));
     the TV bound below only uses it through the symmetric max/min ratio.)
@@ -221,17 +228,20 @@ def pareto_kl_equal_scale(alpha1: float, alpha2: float) -> float:
     check_in("alpha2", alpha2, 0.0, math.inf, InvalidShape)
     # With r' = max/min: r' - 1 - ln r' for r = r', 1/r' - 1 + ln r' for 1/r'.
     d, log_r = _log_ratio(min(alpha1, alpha2), max(alpha1, alpha2))
+    # Near r = 1 both cancel; there r - 1 - ln r = 2 sum_{k>=2} c_k u^k with
+    # u = (r - 1)/(r + 1), c_k = 1 for even k and 1 - 1/k for odd k, a sum
+    # whose terms shrink by |u| < 1/4 each and nearly all share a sign.
+    u = d / (2.0 + d) if alpha1 >= alpha2 else -d / (2.0 + d)
+    if abs(u) < 0.25:
+        return 2.0 * math.fsum((1.0 - k % 2 / k) * u ** k for k in range(2, 30))
     return d - log_r if alpha1 >= alpha2 else log_r + math.expm1(-log_r)
 
 
 def pareto_tv_bound(model1: ParetoModel, model2: ParetoModel) -> float:
     """Upper bound on TV(model1, model2): exact equal-shape scale term plus
     a Pinsker bound on the equal-scale shape term. May exceed 1."""
-    m_hi = max(model1.scale_xm, model2.scale_xm)
-    m_lo = min(model1.scale_xm, model2.scale_xm)
-    delta_s = math.log(m_hi / m_lo)
-    a_max = max(model1.shape_alpha_p, model2.shape_alpha_p)
-    a_min = min(model1.shape_alpha_p, model2.shape_alpha_p)
-    scale_term = -math.expm1(-a_max * delta_s)
+    log_s = _log_ratio(*sorted((model1.scale_xm, model2.scale_xm)))[1]
+    a_min, a_max = sorted((model1.shape_alpha_p, model2.shape_alpha_p))
+    scale_term = -math.expm1(-a_max * log_s)
     shape_term = math.sqrt(0.5 * pareto_kl_equal_scale(a_max, a_min))
     return scale_term + shape_term

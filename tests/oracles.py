@@ -304,6 +304,15 @@ def decimal_exp_tv(l1, l2) -> Decimal:
         return (-r.ln() / (r - 1)).exp() * (1 - 1 / r)
 
 
+def decimal_exp_tv_crossing(l1, l2) -> Decimal:
+    """ln(hi / lo) / (hi - lo), where the Exp(l1) and Exp(l2) densities meet,
+    for distinct rates."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = sorted((Decimal(l1), Decimal(l2)))
+        return (hi / lo).ln() / (hi - lo)
+
+
 def decimal_pareto_kl(a1, a2) -> Decimal:
     """r - 1 - ln r at the exact shape ratio r = a1 / a2."""
     with localcontext() as ctx:
@@ -318,3 +327,15 @@ def decimal_pareto_log_pdf(xm, a, x) -> Decimal:
         ctx.prec = 50
         a = Decimal(a)
         return a.ln() - Decimal(x).ln() + a * (Decimal(xm) / Decimal(x)).ln()
+
+
+def decimal_pareto_cdf(xm, a, x, log_shift=0.0) -> Decimal:
+    """1 - (xm / x)^a for x >= xm, as 1 - exp(y) with y = a (ln(xm / x) +
+    log_shift) capped at 0 (past 0 the law's CDF would leave [0, 1]). exp(y)
+    is taken to 50 more digits than 1 - exp(y) cancels."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        y = min(Decimal(a) * ((Decimal(xm) / Decimal(x)).ln() + Decimal(log_shift)),
+                Decimal(0))
+        ctx.prec += max(0, -y.adjusted())
+        return 1 - y.exp()

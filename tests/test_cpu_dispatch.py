@@ -60,6 +60,13 @@ def test_golden_files_hold_at_baseline_dispatch():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
+def test_whole_range_properties_hold_at_baseline_dispatch():
+    # the Pareto pdf and cdf run numpy's dispatched log, exp and expm1, so
+    # their 50-digit reference bounds, not just their bits, are rechecked
+    run = run_at_baseline("tests/test_distributions.py::TestWholeDoubleRange")
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 @pytest.mark.xfail(strict=True, reason="the pinned Pareto sample was hashed on "
                    "AVX-512 log1p and exp kernels; at baseline dispatch "
                    "write_sample(ParetoModel(1.3, 2.5), 2000, seed=7) hashes "

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from oracles import (decimal_exp_tv, decimal_pareto_kl, decimal_pareto_log_pdf,
-                     quad_exp_tv, quad_pareto_kl, quad_pareto_tv)
-from privexp.distributions import (_RATE_EQ_RTOL, _U_MAX, ExpModel, ParetoModel, _draw,
+from oracles import (decimal_exp_tv, decimal_exp_tv_crossing, decimal_pareto_cdf,
+                     decimal_pareto_kl, decimal_pareto_log_pdf, quad_exp_tv,
+                     quad_pareto_kl, quad_pareto_tv)
+from privexp.distributions import (_U_MAX, ExpModel, ParetoModel, _draw,
                                    exp_tv, exp_tv_crossing, pareto_kl_equal_scale,
                                    pareto_tv_bound, sample, separation_T)
 from privexp.errors import (EmptyRequest, InvalidRate, InvalidRatio,
@@ -184,7 +185,13 @@ class TestSample:
 class TestExpTv:
     def test_equal_rates_zero(self):
         assert exp_tv(1.0, 1.0) == 0.0
-        assert exp_tv(3.0, 3.0 * (1.0 + 1e-14)) == 0.0
+
+    @pytest.mark.parametrize("gap", [1e-13, 1e-14])
+    def test_near_equal_rates_are_distinct(self, gap):
+        lo, hi = 3.0, 3.0 * (1.0 + gap)
+        assert math.isclose(exp_tv(lo, hi), float(decimal_exp_tv(lo, hi)), rel_tol=1e-15)
+        assert math.isclose(exp_tv_crossing(lo, hi), float(decimal_exp_tv_crossing(lo, hi)),
+                            rel_tol=1e-15)
 
     def test_symmetry(self):
         assert exp_tv(0.3, 4.1) == exp_tv(4.1, 0.3)
@@ -324,7 +331,7 @@ LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 def _distinct(lo, hi) -> bool:
     """Rates exp_tv tells apart."""
-    return hi - lo > _RATE_EQ_RTOL * hi
+    return lo != hi
 
 
 class TestWholeDoubleRange:
@@ -389,9 +396,40 @@ class TestWholeDoubleRange:
         if kl == math.inf:
             assert ref > Decimal(sys.float_info.max) * (1 - Decimal(2) ** -50)
         else:
-            # within a few roundings of r - 1 and of ln r, which may cancel
-            r = Decimal(pair[0]) / Decimal(pair[1])
-            assert abs(Decimal(kl) - ref) <= Decimal(2) ** -49 * (abs(r - 1) + abs(r.ln()))
+            # within a few roundings of the value, near equal shapes too
+            assert abs(Decimal(kl) - ref) <= Decimal(2) ** -49 * ref
+
+    @given(PAIRS)
+    @example((1e-300, 1e300))
+    @example((5e-324, 1e-323))
+    @example((3.0, 3.0 * (1.0 + 1e-13)))
+    @example((sys.float_info.max * (1.0 - 2.0 ** -52), sys.float_info.max))
+    def test_exp_tv_crossing_is_the_crossing_point(self, pair):
+        assume(pair[0] != pair[1])
+        got = quiet(exp_tv_crossing, *pair)
+        ref = decimal_exp_tv_crossing(*pair)
+        if got == math.inf:
+            assert ref > Decimal(sys.float_info.max) * (1 - Decimal(2) ** -50)
+        else:
+            assert math.isclose(got, float(ref), rel_tol=1e-15)
+
+    @given(PAIRS, POSITIVE_DOUBLES)
+    @example((1e-200, 1e200), 1e-3)
+    @example((5e-324, 2.0), 5e-324)
+    @example((1e-310, 1e10), 1e-5)
+    @example((1.0, 1.0), 2.0)
+    @example((1.0, 1.0 + 2.0 ** -52), 1e300)
+    def test_pareto_cdf_is_a_probability(self, pair, a):
+        xm, x = sorted(pair)
+        got = quiet(ParetoModel(xm, a).cdf, x)
+        assert 0.0 <= got <= 1.0
+        # ln(xm / x) rounds as a quotient and its log, or as two logs and
+        # their difference; then a times it and expm1 each round once
+        log_err = 2.0 ** -50 * (1.0 + abs(math.log(xm)) + abs(math.log(x)))
+        low = decimal_pareto_cdf(xm, a, x, log_err)
+        high = decimal_pareto_cdf(xm, a, x, -log_err)
+        slack = Decimal(2) ** -50 * high + Decimal(2) ** -1074
+        assert low - slack <= Decimal(got) <= high + slack
 
     @given(PAIRS, POSITIVE_DOUBLES)
     @example((20.0, 10.0), 400.0)
