@@ -17,8 +17,9 @@ from .analysis import SampleBound, build_packing, required_n
 from .dataset import RateBounds
 from .distributions import ExpModel, ParetoModel
 from .errors import IncompleteInputs, InputError, PrivexpError, check_in
-from .harness import (_LEARNERS, ExperimentSpec, Learner, _write_text, estimate_from_file,
+from .harness import (_LEARNERS, ExperimentSpec, _write_text, estimate_from_file,
                       run_experiment, run_sweep, sweep_csv, write_sample)
+from .learners import Learner
 from .pareto import DEFAULT_TAIL_QUANTILE
 
 __all__ = ["main", "build_parser"]
@@ -76,16 +77,15 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# gen's laws by --dist: the model and its flags, in its arguments' order.
+_LAWS = {"exp": (ExpModel, ("rate",)), "pareto": (ParetoModel, ("xm", "shape"))}
+
+
 def _cmd_gen(args) -> None:
-    if args.dist == "exp":
-        if args.rate is None:
-            raise IncompleteInputs("gen --dist exp needs --rate")
-        model = ExpModel(args.rate)
-    else:
-        if args.xm is None or args.shape is None:
-            raise IncompleteInputs("gen --dist pareto needs --xm and --shape")
-        model = ParetoModel(args.xm, args.shape)
-    write_sample(args.out, model, args.n, args.seed)
+    law, flags = _LAWS[args.dist]
+    if None in (values := [getattr(args, flag) for flag in flags]):
+        raise IncompleteInputs(f"gen --dist {args.dist} needs --{' and --'.join(flags)}")
+    write_sample(args.out, law(*values), args.n, args.seed)
 
 
 def _cmd_estimate(args) -> str:
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a synthetic sample file")
-    gen.add_argument("--dist", choices=["exp", "pareto"], default="exp")
+    gen.add_argument("--dist", choices=list(_LAWS), default="exp")
     gen.add_argument("--rate", type=float, default=None,
                      help="exponential rate (with --dist exp)")
     gen.add_argument("--xm", type=float, default=None,
@@ -247,8 +247,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and write the text it returns to --out, else to
-    stdout (gen writes its own file and returns None); 2 on a PrivexpError
-    or a refusal of the parser's, 0 after --help."""
+    stdout (gen writes its own file and returns None); 2 on a PrivexpError,
+    a MemoryError (a size this host cannot allocate) or a refusal of the
+    parser's, 0 after --help."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
     try:
         if (text := args.func(args)) is not None:
             _write_out(args, text)
-    except PrivexpError as exc:
+    except (PrivexpError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

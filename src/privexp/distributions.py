@@ -116,9 +116,16 @@ def _on_support(x, low, formula):
     return float(out) if out.ndim == 0 else out
 
 
+# The most float64 values a numpy array holds: numpy refuses one more with
+# ValueError ("array is too big"), and an allocation of fewer that the host
+# cannot make raises MemoryError.
+_MAX_DRAWS = sys.maxsize // 8
+
+
 def sample(model, n: int, rng: RngStream) -> Dataset:
-    """n i.i.d. draws via inverse CDF on uniforms in [0, 1)."""
-    if check_count("n", n, 0, sys.maxsize) == 0:
+    """n i.i.d. draws via inverse CDF on uniforms in [0, 1), n at most
+    _MAX_DRAWS."""
+    if check_count("n", n, 0, _MAX_DRAWS) == 0:
         raise EmptyRequest("need at least one draw, got n=0")
     return Dataset._adopt(_draw(_check_draws(model), rng.generator.random(n)))
 

@@ -19,7 +19,6 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,16 +26,16 @@ import numpy as np
 from .analysis import SampleBound, required_n
 from .bounds import find_bounds
 from .dataset import Dataset, RateBounds
-from .distributions import ExpModel, ParetoModel, _check_draws, _draw, sample
+from .distributions import _MAX_DRAWS, ExpModel, ParetoModel, _check_draws, _draw, sample
 from .errors import (IncompleteInputs, InputError, InvalidScale, NoBinSurvived,
                      OutOfRegime, PrivexpError, check_count, check_in)
-from .learners import (Estimate, LearnerConfig, Route, best_of_both, mle_learning,
+from .learners import (Estimate, Learner, LearnerConfig, best_of_both, mle_learning,
                        private_mle, quantile_learning)
 from .pareto import (DEFAULT_TAIL_QUANTILE, TAU_MAX, TAU_MIN, learn_pareto,
                      learn_pareto_known_scale)
 from .privacy import PrivacyBudget, RngStream, _seed_words
 
-__all__ = ["Learner", "ExperimentSpec", "TrialRecord", "ExperimentSummary",
+__all__ = ["ExperimentSpec", "TrialRecord", "ExperimentSummary",
            "run_experiment", "run_sweep", "sweep_csv", "read_values",
            "write_sample", "estimate_from_file", "SWEEP_CSV_HEADER"]
 
@@ -45,15 +44,6 @@ SWEEP_CSV_HEADER = "n,success_rate,trials,seed"
 OUTCOME_SUCCESS = "success"
 OUTCOME_MISSED = "missed_tolerance"
 OUTCOME_FAILURE = "failure"
-
-
-class Learner(str, Enum):
-    MLE = "mle"
-    QUANTILE = "quantile"
-    BEST_OF_BOTH = "best-of-both"
-    BOUNDS_FINDER = "bounds-finder"
-    PARETO = "pareto"
-    PARETO_KNOWN_SCALE = "pareto-known-scale"
 
 
 @dataclass(frozen=True)
@@ -73,6 +63,15 @@ class ExperimentSpec:
     noiseless: bool = False
     safety_factor: float = 4.0
     tau: float = DEFAULT_TAIL_QUANTILE
+
+    def __post_init__(self):
+        """Holds the learner as its Learner member, given it or its value;
+        OutOfRegime for anything else."""
+        try:
+            object.__setattr__(self, "learner", Learner(self.learner))
+        except ValueError:
+            raise OutOfRegime(f"learner must be one of {', '.join(Learner)}, "
+                              f"got {self.learner!r}") from None
 
 
 @dataclass(frozen=True)
@@ -224,11 +223,12 @@ def _check_spec(spec: ExperimentSpec) -> tuple:
     order: the model of the true law is built, and its draws checked to be
     finite, before the size, so a bad truth gets the law's refusal whether
     or not n is given."""
-    # sizes an array and a range can take
-    check_count("trials", spec.trials, 1, sys.maxsize)
+    # the most trials whose (trials, 8) uint64 table of seed words
+    # (privacy._seed_words) an array holds, and the most values it holds
+    check_count("trials", spec.trials, 1, sys.maxsize // 64)
     check_count("seed", spec.base_seed, 0, math.inf)  # as RngStream names it
     if spec.n is not None:
-        check_count("n", spec.n, 1, sys.maxsize)
+        check_count("n", spec.n, 1, _MAX_DRAWS)
     check_in("safety_factor", spec.safety_factor, 0.0, math.inf)
     row = _LEARNERS[spec.learner]
     law, truth = ((ParetoModel, ("true_xm", "true_shape")) if row.pareto
@@ -240,7 +240,7 @@ def _check_spec(spec: ExperimentSpec) -> tuple:
 def resolve_n(spec: ExperimentSpec) -> int:
     """Explicit n wins; otherwise size the experiment from the learner's
     sample-size bound times the safety factor. Raises OutOfRegime when that
-    size exceeds sys.maxsize."""
+    size exceeds _MAX_DRAWS, the most values an array holds."""
     if spec.n is not None:
         return spec.n
     row = _LEARNERS[spec.learner]
@@ -250,8 +250,8 @@ def resolve_n(spec: ExperimentSpec) -> int:
                         lam=spec.true_shape if row.pareto else spec.true_lambda,
                         bounds=spec.bounds, tau=spec.tau)
     size = spec.safety_factor * report.n_required
-    if not size <= sys.maxsize:
-        raise OutOfRegime(f"the sized n, {size!r}, exceeds {sys.maxsize}")
+    if not size <= _MAX_DRAWS:
+        raise OutOfRegime(f"the sized n, {size!r}, exceeds {_MAX_DRAWS}")
     return max(1, math.ceil(size))
 
 
@@ -372,7 +372,7 @@ def run_sweep(spec: ExperimentSpec, n_values, workers: int | None = None) -> lis
     """One experiment per sample size, each run as run_experiment runs it
     with these workers; rows ordered as given. Every size is checked, as
     ExperimentSpec's n is, before the first experiment runs."""
-    sizes = [check_count("n", n, 1, sys.maxsize) for n in n_values]
+    sizes = [check_count("n", n, 1, _MAX_DRAWS) for n in n_values]
     rates = [run_experiment(replace(spec, n=n), workers=workers).success_rate
              for n in sizes]
     return [{"n": n, "success_rate": rate, "trials": spec.trials, "seed": spec.base_seed}
@@ -514,11 +514,11 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     directly at that clipping level (debugging aid; spends the whole budget
     on the one release).
     """
-    row = _LEARNERS[learner]
     # The learner reads its inputs from a spec, as in a trial; the declared
     # known scale stands in for the true one.
     spec = ExperimentSpec(learner, alpha, beta, epsilon, delta, bounds,
                           true_xm=known_scale, tau=tau)
+    row = _LEARNERS[spec.learner]
     # Inputs are refused before the file is parsed, but for what only the
     # learner checks when it runs: its grids' limits.
     config = _check_inputs(spec, row if clip_r is None else None)
@@ -526,7 +526,7 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
     budget = PrivacyBudget(epsilon, delta if row.uses_delta and clip_r is None else 0.0)
     if clip_r is not None:
         check_in("clipping level clip_r", clip_r, 0.0, math.inf)
-    elif learner is Learner.PARETO_KNOWN_SCALE:
+    elif spec.learner is Learner.PARETO_KNOWN_SCALE:
         if known_scale is None:
             raise IncompleteInputs("pareto-known-scale needs the known scale value")
         check_in("known scale x_m", known_scale, 0.0, math.inf, InvalidScale)
@@ -534,13 +534,13 @@ def estimate_from_file(path, learner: Learner, *, alpha=None, beta=None,
 
     if clip_r is not None:
         estimate = private_mle(data, clip_r, budget, rng)
-        route, extra = Route.MLE.value, {}
+        route, extra = Learner.MLE.value, {}
     else:
         try:
             estimate, route, detail = row.run(data, spec, config, budget, rng)
         except NoBinSurvived:
             # An empty survivor set is a release too: no interval found.
-            estimate, route, detail = None, learner.value, None
+            estimate, route, detail = None, spec.learner.value, None
         extra = row.release(detail)
 
     spent_eps, spent_delta = budget.spent()

@@ -29,7 +29,7 @@ from .privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 from .quantile import (SearchGrid, _band_search, _check_alpha, clipping_range, svt_grid,
                        svt_quantile)
 
-__all__ = ["Route", "LearnerConfig", "Estimate", "private_mle",
+__all__ = ["Learner", "LearnerConfig", "Estimate", "private_mle",
            "mle_learning", "quantile_learning", "best_of_both"]
 
 # Target CDF level for quantile_learning: F(1/rate) = 1 - 1/e exactly.
@@ -86,9 +86,17 @@ _sum_buffers = threading.local()
 _UNIT = 1 << 1074  # 1.0 in _exact_sum's units
 
 
-class Route(str, Enum):
+class Learner(str, Enum):
+    """The learners an experiment or an estimate can run. An estimate's route
+    is the learner that released it: MLE or QUANTILE, the two that
+    best_of_both and the Pareto shape stage choose between."""
+
     MLE = "mle"
     QUANTILE = "quantile"
+    BEST_OF_BOTH = "best-of-both"
+    BOUNDS_FINDER = "bounds-finder"
+    PARETO = "pareto"
+    PARETO_KNOWN_SCALE = "pareto-known-scale"
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ class Estimate:
     coarse first-stage estimate when one was made."""
 
     lambda_hat: float
-    route: Route
+    route: Learner
     coarse_estimate: Optional[float]
 
 
@@ -227,7 +235,7 @@ def mle_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
                               "the rate below the bounds or n too small")
     clip_r = clipping_range(quantile, data.n, MLE_RANGE_THETA, MLE_SPLIT[1] * config.beta)
     lam = private_mle(data, clip_r, mle_budget, rng)
-    return Estimate(lam, Route.MLE, None)
+    return Estimate(lam, Learner.MLE, None)
 
 
 def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudget,
@@ -237,7 +245,7 @@ def quantile_learning(data: Dataset, config: LearnerConfig, budget: PrivacyBudge
     position inside the band (1 - 1/e) +- alpha/(2e) is within (1 +- alpha)
     of 1/rate, so its reciprocal is returned."""
     position = _band_search(data, _search_grid(config.alpha, config.bounds), budget, rng)
-    return Estimate(1.0 / position, Route.QUANTILE, None)
+    return Estimate(1.0 / position, Learner.QUANTILE, None)
 
 
 # The grids of recent (alpha, bounds) pairs, by value: an experiment's

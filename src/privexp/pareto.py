@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset, RateBounds
 from .errors import EmptyTail, InvalidScale, ScaleViolation, check_in
-from .learners import (PARETO_SPLIT, LearnerConfig, Route, _best_of_both_grids, best_of_both,
+from .learners import (PARETO_SPLIT, Learner, LearnerConfig, _best_of_both_grids, best_of_both,
                        mle_learning)
 from .privacy import PrivacyBudget, RngStream
 from .quantile import SearchGrid, _band_search, _check_alpha, svt_grid
@@ -51,7 +51,7 @@ class ParetoEstimate:
 
     shape_hat: float
     scale_hat: float
-    route: Route
+    route: Learner
 
 
 def log_transform(data: Dataset, pivot: float) -> Dataset:

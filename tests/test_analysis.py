@@ -445,7 +445,7 @@ def test_clip_reads_the_priced_beta(case, monkeypatch):
     config = learners.LearnerConfig(0.2, 0.1, RateBounds(*WIDE))
     estimate = run(sample(model, 20_000, RngStream(7)), config,
                    PrivacyBudget(1.0, extra.get("delta", 0.0)), RngStream(8))
-    assert estimate.route is learners.Route.MLE
+    assert estimate.route is learners.Learner.MLE
     required_n(bound_id, lam=rate, **{**BASE, **extra})
     assert len(seen[learners]) == 1 and set(seen[analysis]) == set(seen[learners])
 

@@ -356,6 +356,10 @@ class TestInputErrors:
         ([*MLE_EXPERIMENT, "--n", "100", "--true-lambda", "1e-310"], DRAWS_REFUSAL),
         (["gen", "--dist", "pareto", "--xm", "1e300", "--shape", "0.01", "--n", "5",
           "--out", "f.txt"], DRAWS_REFUSAL),
+        # sizes past what a numpy array holds
+        (["gen", "--rate", "1", "--n", str(sys.maxsize // 8 + 1), "--out", "f.txt"],
+         "n must be an int"),
+        ([*MLE_EXPERIMENT, "--trials", str(sys.maxsize // 64 + 1)], "trials must be an int"),
         # argparse's own refusals are one line too
         ([*MLE_EXPERIMENT, "--n", "abc"], "invalid int value: 'abc'"),
         (["experiment", "--learner", "mle-typo"], "invalid choice: 'mle-typo'"),
@@ -369,7 +373,8 @@ class TestInputErrors:
             "calc-delta-nan", "calc-delta-above-one", "calc-delta-unread",
             "out-directory", "gen-out-directory", "experiment-tau",
             "experiment-tau-autosized", "sweep-tau", "gen-exp-draws",
-            "experiment-truth-draws", "gen-pareto-draws", "experiment-n-not-int",
+            "experiment-truth-draws", "gen-pareto-draws", "gen-n-past-an-array",
+            "experiment-trials-past-an-array", "experiment-n-not-int",
             "experiment-unknown-learner"])
     def test_out_of_range_input(self, capsys, monkeypatch, tmp_path, argv, word):
         # near_max.txt: two values whose sum clipped at 1e308 is past the
@@ -377,6 +382,14 @@ class TestInputErrors:
         (tmp_path / "near_max.txt").write_text("1.7e308\n1.7e308\n")
         monkeypatch.chdir(tmp_path)
         assert_one_error_line(capsys, argv, word)
+        assert not (tmp_path / "f.txt").exists()
+
+    def test_size_this_host_cannot_allocate(self, capsys, monkeypatch, tmp_path):
+        # sys.maxsize // 8 values pass the check, but their 8 EiB fit in no
+        # 64-bit address space, so numpy raises MemoryError before touching a page
+        monkeypatch.chdir(tmp_path)
+        assert_one_error_line(capsys, ["gen", "--rate", "1", "--n", str(sys.maxsize // 8),
+                                       "--out", "f.txt"], "allocate")
         assert not (tmp_path / "f.txt").exists()
 
 

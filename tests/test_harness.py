@@ -80,6 +80,27 @@ class TestLearnerTable:
         assert set(_LEARNERS) == set(Learner)
 
 
+class TestLearnerName:
+    def test_a_learner_value_is_its_learner(self):
+        spec = quantile_spec(learner="mle", bounds=WIDE, true_lambda=4.0)
+        assert spec.learner is Learner.MLE
+        assert (run_experiment(spec).to_json()
+                == run_experiment(dataclasses.replace(spec, learner=Learner.MLE)).to_json())
+        with pytest.raises(IncompleteInputs, match="^mle needs true_lambda"):
+            run_experiment(dataclasses.replace(spec, true_lambda=None))
+
+    @pytest.mark.parametrize("learner", ["typo", None, [1]], ids=["typo", "none", "list"])
+    def test_anything_else_is_refused_by_name(self, learner):
+        with pytest.raises(OutOfRegime, match=r"^learner must be one of mle, quantile, "
+                                              r"best-of-both, .*, got "):
+            quantile_spec(learner=learner)
+
+    def test_known_scale_is_checked_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(IncompleteInputs, match="needs the known scale"):
+            estimate_from_file(tmp_path / "missing.txt", "pareto-known-scale",
+                               alpha=0.2, beta=0.1, epsilon=1.0, bounds=WIDE)
+
+
 class TestSpecValidation:
     def test_trials_positive(self):
         with pytest.raises(OutOfRegime):
@@ -91,11 +112,20 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 100.5), ("n", True), ("n", 10 ** 30), ("n", sys.maxsize + 1),
-        ("trials", 2.5), ("trials", True)])
+        ("trials", 2.5), ("trials", True), ("n", sys.maxsize // 8 + 1),
+        ("trials", sys.maxsize // 64 + 1)])
     def test_counts_are_ints_up_to_maxsize(self, field, value):
         # refused by name before anything of that size is allocated
         with pytest.raises(OutOfRegime, match=f"^{field} must be an int"):
             run_experiment(quantile_spec(**{field: value}))
+
+    def test_sizes_past_an_array_are_refused(self):
+        # sys.maxsize // 8 float64 values is the most an array holds
+        past = sys.maxsize // 8 + 1
+        with pytest.raises(OutOfRegime, match="^n must be an int"):
+            run_sweep(quantile_spec(), [100, past])
+        with pytest.raises(OutOfRegime, match="^n must be an int"):
+            sample(ExpModel(1.0), past, RngStream(0))
 
     def test_sized_n_past_maxsize_is_refused(self):
         # the quantile bound at alpha 1e-12 is finite (about 3e25) but no

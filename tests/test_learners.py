@@ -19,13 +19,14 @@ from privexp.dataset import Dataset, RateBounds
 from privexp.distributions import ExpModel, sample
 from privexp.errors import BudgetExhausted, NonpositiveMean, OutOfRegime, SearchExhausted
 from privexp.learners import (
+    Learner,
     LearnerConfig,
-    Route,
     best_of_both,
     mle_learning,
     private_mle,
     quantile_learning,
 )
+from privexp.pareto import learn_pareto, learn_pareto_known_scale
 from privexp.privacy import NoiseScale, PrivacyBudget, RngStream, sample_laplace
 
 WIDE = RateBounds(0.01, 100.0)
@@ -370,7 +371,7 @@ class TestMleLearning:
     def test_noiseless_recovers_rate(self):
         est = mle_learning(stratified(4.0, 2000), config(bounds=WIDE),
                            PrivacyBudget(1.0), RngStream(0, noiseless=True))
-        assert est.route is Route.MLE
+        assert est.route is Learner.MLE
         assert est.coarse_estimate is None
         assert 3.2 <= est.lambda_hat <= 4.8
 
@@ -436,7 +437,7 @@ class TestQuantileLearning:
     def test_noiseless_recovers_rate(self):
         est = quantile_learning(stratified(1.0, 10_000), config(),
                                 PrivacyBudget(1.0), RngStream(0, noiseless=True))
-        assert est.route is Route.QUANTILE
+        assert est.route is Learner.QUANTILE
         assert 0.8 <= est.lambda_hat <= 1.2
 
     def test_search_exhausted_outside_bounds(self):
@@ -495,7 +496,7 @@ class TestBestOfBoth:
     def test_large_rate_takes_mle_route(self):
         est = best_of_both(stratified(3.0, 10_000), config(), PrivacyBudget(1.0),
                            RngStream(0, noiseless=True))
-        assert est.route is Route.MLE
+        assert est.route is Learner.MLE
         assert est.coarse_estimate is not None
         assert est.coarse_estimate >= 2.0
         assert 3.0 * 0.8 <= est.lambda_hat <= 3.0 * 1.2
@@ -503,7 +504,7 @@ class TestBestOfBoth:
     def test_small_rate_takes_quantile_route(self):
         est = best_of_both(stratified(0.5, 10_000), config(), PrivacyBudget(1.0),
                            RngStream(0, noiseless=True))
-        assert est.route is Route.QUANTILE
+        assert est.route is Learner.QUANTILE
         assert est.coarse_estimate < 2.0
         assert 0.5 * 0.8 <= est.lambda_hat <= 0.5 * 1.2
 
@@ -543,3 +544,16 @@ class TestBestOfBoth:
         for alpha, beta in [(0.0, 0.1), (1.0, 0.1), (0.2, 0.0), (0.2, 1.0)]:
             with pytest.raises(OutOfRegime):
                 LearnerConfig(alpha, beta, MID)
+
+
+class TestRouteIsALearner:
+    def test_pareto_learners_report_the_learner_of_their_shape_stage(self):
+        # an estimate's route is the Learner that released it, for the Pareto
+        # learners as for the rate learners; e^X for X exponential at rate 2
+        # is Pareto of scale 1 and shape 2
+        data = Dataset(np.exp(stratified(2.0, 20_000).values))
+        for est in (learn_pareto(data, config(), PrivacyBudget(1.0), RngStream(8)),
+                    learn_pareto_known_scale(data, 1.0, config(), PrivacyBudget(1.0),
+                                             RngStream(8))):
+            assert isinstance(est.route, Learner)
+            assert est.route in (Learner.MLE, Learner.QUANTILE)

@@ -56,7 +56,8 @@ def _experiments() -> list:
 
 BATTERY = [
     ["--help"],
-    ["gen", "--help"],
+    *([command, "--help"] for command in ("gen", "estimate", "experiment", "sweep",
+                                          "calc", "lowerbound", "packing")),
     ["gen", "--dist", "exp", "--rate", "2", "--n", "20000", "--seed", "4",
      "--out", "exp.txt"],
     ["gen", "--dist", "pareto", "--xm", "1.3", "--shape", "2.5", "--n", "60000",
@@ -125,6 +126,7 @@ BATTERY = [
     ["packing", "--lambda-min", "1", "--lambda-max", "100"],
     ["packing", "--alpha", "0.2"],
     ["gen", "--dist", "exp", "--n", "5", "--out", "unwritten.txt"],
+    ["gen", "--dist", "pareto", "--shape", "2", "--n", "5", "--out", "unwritten.txt"],
     ["gen", "--rate", "2", "--n", "5"],
     # laws whose largest draw passes the doubles
     ["gen", "--rate", "5e-324", "--n", "5", "--out", "unwritten.txt"],
@@ -132,6 +134,12 @@ BATTERY = [
      "--trials", "2"],
     ["gen", "--dist", "pareto", "--xm", "1e300", "--shape", "0.01", "--n", "5",
      "--out", "unwritten.txt"],
+    # sizes past what an array holds, and 2^60 - 1 values, whose 8 EiB no
+    # 64-bit address space holds, so each fails before a page is touched
+    ["gen", "--rate", "1", "--n", str(2 ** 60), "--out", "unwritten.txt"],
+    ["gen", "--rate", "1", "--n", str(2 ** 60 - 1), "--out", "unwritten.txt"],
+    ["experiment", "--learner", "mle", *RATES, *TRUE_RATE, "--n", str(2 ** 60)],
+    ["experiment", "--learner", "mle", *RATES, *TRUE_RATE, "--trials", str(2 ** 57)],
 ]
 
 
